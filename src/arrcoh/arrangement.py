@@ -12,15 +12,34 @@ The poset carries the numerology everything else consumes:
   l      the arrangement rank n - n0,
   l(G)   relative level d(G) - n0, so that l(G) + gr(G) = l.
 
-Construction is a breadth-first closure (intersect known flats with each
-hyperplane, canonicalize, dedup) rather than all-subsets enumeration;
-the 2^|A| subset oracle is retained in `poset_subspaces_bruteforce` for
-verification only.
+Exact linear algebra only finds the flats and writes their canonical
+equations.  Construction is a breadth-first closure (cut each new flat
+by every hyperplane not already containing it, canonicalize, dedup)
+rather than all-subsets enumeration.  Everything else is combinatorics
+on the containing sets C(G) = {H in A : H contains G}
+(Orlik-Terao, Arrangements of Hyperplanes, ch. 1-2):
+
+  incidence  C(G) is computed once, when G is found, by dot products of
+             each hyperplane with the point and direction basis of
+             `AffineSubspace.parametrize()`;
+  order      a flat is the intersection of its containing set, so
+             G < G' iff C(G) strictly contains C(G');
+  covers     the poset is ranked by dimension, so the covers of G are
+             the flats below it of dimension exactly d(G) - 1;
+  A_G        is C(G), read straight off the poset
+             (`IntersectionPoset.subarrangement`).
+
+`AffineSubspace.contains`, `subarrangement_at` and the 2^|A| subset
+enumeration `poset_subspaces_bruteforce` re-derive the same facts by
+row reduction; they are kept as checked public entries and test oracles
+and are never used to build posets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -142,6 +161,7 @@ def validate_arrangement(raw: Mapping) -> Arrangement:
     if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
         raise InputError("field 'hyperplanes' must be a list")
     hyperplanes = []
+    first_index: dict[Hyperplane, int] = {}
     for k, item in enumerate(entries):
         if not isinstance(item, Mapping):
             raise InputError(f"hyperplanes[{k}] must be an object")
@@ -160,12 +180,13 @@ def validate_arrangement(raw: Mapping) -> Arrangement:
             h = Hyperplane.from_coeffs(normal, item["offset"])
         except InputError as exc:
             raise InputError(f"hyperplanes[{k}]: {exc}") from exc
-        hyperplanes.append(h)
-    for i, j in itertools.combinations(range(len(hyperplanes)), 2):
-        if hyperplanes[i] == hyperplanes[j]:
+        if h in first_index:
             raise InputError(
-                f"hyperplanes[{i}] and hyperplanes[{j}] define the same hyperplane"
+                f"hyperplanes[{first_index[h]}] and hyperplanes[{k}] "
+                "define the same hyperplane"
             )
+        first_index[h] = k
+        hyperplanes.append(h)
     return Arrangement(dim, tuple(hyperplanes))
 
 
@@ -190,8 +211,12 @@ class IntersectionPoset:
 
     Flats are sorted by descending dimension then canonical form, so
     `flats[0]` is always the top.  `strictly_below[i]` / `strictly_above[i]`
-    hold the full strict order as index sets; `covers[i]` the flats
-    covered by flat i (immediately below it).
+    hold the full strict order as index sets, combinatorially: j is below
+    i iff flat j's containing hyperplanes strictly include flat i's.
+    `covers[i]` holds the flats covered by flat i (immediately below it),
+    which by rank are the flats below i of dimension one less.  Each
+    flat's containing set is found by testing every hyperplane against
+    the flat's parametrization, never by row reduction.
     """
 
     arrangement: Arrangement
@@ -211,6 +236,14 @@ class IntersectionPoset:
         """Relative level l(G) = d(G) - n0."""
         return g.dim - self.n0
 
+    def subarrangement(self, g: Flat) -> Arrangement:
+        """The central sub-arrangement A_G, read off G's containing set."""
+        a = self.arrangement
+        return Arrangement(
+            a.ambient_dim,
+            tuple(a.hyperplanes[i] for i in sorted(g.containing_hyperplanes)),
+        )
+
     def flat_for(self, subspace: AffineSubspace) -> Flat | None:
         for f in self.flats:
             if f.subspace == subspace:
@@ -221,7 +254,11 @@ class IntersectionPoset:
 def build_intersection_poset(
     a: Arrangement, max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES
 ) -> IntersectionPoset:
-    """Breadth-first closure of the arrangement under intersection."""
+    """Breadth-first closure of the arrangement under intersection.
+
+    Linear algebra finds the flats; the order is then read off their
+    containing sets, and the covers off the rank.
+    """
     if len(a) > max_hyperplanes:
         raise ResourceCapError(
             f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}"
@@ -229,46 +266,60 @@ def build_intersection_poset(
     n = a.ambient_dim
     top = AffineSubspace.whole_space(n)
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
-    known: set[AffineSubspace] = {top}
+    equations = [_integer_multiple(h.normal + (-h.offset,)) for h in a.hyperplanes]
+    containing: dict[AffineSubspace, frozenset[int]] = {top: frozenset()}
     frontier = [top]
     while frontier:
         fresh = []
         for f in frontier:
-            for hs in hyper_subspaces:
+            # Hyperplanes containing f, or containing a cut of f already
+            # made, cut f in nothing new.
+            done = set(containing[f])
+            for i, hs in enumerate(hyper_subspaces):
+                if i in done:
+                    continue
                 cut = intersect_flats(f, hs)
-                if cut is not None and cut not in known:
-                    known.add(cut)
+                if cut is None:
+                    continue
+                inside = containing.get(cut)
+                if inside is None:
+                    inside = containing[cut] = _containing_set(equations, cut)
                     fresh.append(cut)
+                done |= inside
         frontier = fresh
 
-    ordered = sorted(known, key=lambda s: (-s.dim, s.sort_key()))
-    flats = []
-    for idx, sub in enumerate(ordered):
-        containing = frozenset(
-            i for i, hs in enumerate(hyper_subspaces) if hs.contains(sub)
-        )
-        flats.append(Flat(idx, sub, sub.dim, n - sub.dim, containing))
+    ordered = sorted(containing, key=lambda s: (-s.dim, s.sort_key()))
+    flats = [
+        Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])
+        for idx, sub in enumerate(ordered)
+    ]
 
+    # A flat is the intersection of its containing set, so G < G' iff
+    # C(G) strictly contains C(G'): the flats below G are those whose
+    # containing set holds every hyperplane of C(G).
     count = len(flats)
-    below = [set() for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if flats[i].dim > flats[j].dim and flats[i].subspace.contains(
-                flats[j].subspace
-            ):
-                below[i].add(j)
-    above = [set() for _ in range(count)]
+    with_hyperplane: list[set[int]] = [set() for _ in a.hyperplanes]
+    for f in flats:
+        for i in f.containing_hyperplanes:
+            with_hyperplane[i].add(f.index)
+    everything = set(range(count))
+    below = []
+    for f in flats:
+        lower = everything.intersection(
+            *(with_hyperplane[i] for i in f.containing_hyperplanes)
+        )
+        lower.discard(f.index)
+        below.append(frozenset(lower))
+    above: list[set[int]] = [set() for _ in range(count)]
     for i in range(count):
         for j in below[i]:
             above[j].add(i)
-    covers = []
-    for i in range(count):
-        direct = {
-            j
-            for j in below[i]
-            if not any(j in below[k] for k in below[i] if k != j)
-        }
-        covers.append(frozenset(direct))
+    # The poset is ranked by dimension: the covers of G are the flats
+    # below it of dimension exactly dim G - 1.
+    covers = tuple(
+        frozenset(j for j in below[i] if flats[j].dim == flats[i].dim - 1)
+        for i in range(count)
+    )
 
     minimal = frozenset(i for i in range(count) if not below[i])
     min_dims = {flats[i].dim for i in minimal}
@@ -280,12 +331,38 @@ def build_intersection_poset(
     return IntersectionPoset(
         arrangement=a,
         flats=tuple(flats),
-        strictly_below=tuple(frozenset(s) for s in below),
+        strictly_below=tuple(below),
         strictly_above=tuple(frozenset(s) for s in above),
-        covers=tuple(covers),
+        covers=covers,
         minimal_flats=minimal,
         n0=n0,
         rank_l=n - n0,
+    )
+
+
+def _integer_multiple(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The vector times the lcm of its denominators: same zero tests, in ints."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+def _containing_set(
+    equations: Sequence[tuple[int, ...]], sub: AffineSubspace
+) -> frozenset[int]:
+    """Indices of the hyperplanes containing `sub`, by dot products.
+
+    H = {a.x = b} contains the flat p + span(d_1, ..., d_k) iff a.p = b
+    and a.d_j = 0 for every direction d_j, i.e. iff (a, -b) is orthogonal
+    to (p, 1) and to every (d_j, 0).  `equations` holds the rows (a, -b)
+    scaled to integers; the test vectors are scaled the same way.
+    """
+    point, directions = sub.parametrize()
+    tests = [_integer_multiple(point + (Fraction(1),))]
+    tests += [_integer_multiple(d + (Fraction(0),)) for d in directions]
+    return frozenset(
+        i
+        for i, row in enumerate(equations)
+        if all(sum(map(operator.mul, row, v)) == 0 for v in tests)
     )
 
 
@@ -329,7 +406,11 @@ def arrangement_stats(p: IntersectionPoset) -> ArrangementStats:
 
 
 def subarrangement_at(a: Arrangement, g: Flat) -> Arrangement:
-    """The central sub-arrangement A_G = {H in A : H contains G}."""
+    """The central sub-arrangement A_G = {H in A : H contains G}.
+
+    Re-derived by row reduction and checked against G; an oracle for the
+    containing sets the poset stores, which `decompose` reads instead.
+    """
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
     containing = [i for i, hs in enumerate(hyper_subspaces) if hs.contains(g.subspace)]
     common = AffineSubspace.whole_space(a.ambient_dim)

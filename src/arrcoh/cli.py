@@ -47,13 +47,16 @@ from .invariants import (
     mobius_from_top,
     poincare_polynomial,
 )
-from .nerve_homology import build_singular_nerve, sigma_wedge_check, simplicial_homology
+from .nerve_homology import (
+    DEFAULT_NERVE_ORACLE_CAP,
+    build_singular_nerve,
+    sigma_wedge_check,
+)
 from .verify import run_all_checks
 
 COMMANDS = ("poset", "invariants", "beta", "nerve", "chambers", "decompose", "verify")
 
 DEFAULT_MAX_HYPERPLANES = 20
-DEFAULT_MAX_NERVE = 12
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class RunConfig:
     input_path: str
     output_format: str = "text"
     max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES
-    max_nerve_size: int = DEFAULT_MAX_NERVE
+    max_nerve_size: int = DEFAULT_NERVE_ORACLE_CAP
 
 
 # --- rendering helpers ----------------------------------------------------
@@ -187,8 +190,8 @@ def beta_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
 
 def nerve_report(a: Arrangement, p: IntersectionPoset, cap: int) -> tuple[dict, str]:
     nerve = build_singular_nerve(p)
-    hom = simplicial_homology(nerve)
     wedge = sigma_wedge_check(p, max_hyperplanes=cap)
+    hom = wedge.homology
     counts = [len(nerve.simplices_of_dim(d)) for d in range(nerve.max_dim + 1)]
     obj = {
         "vertex_count": nerve.vertex_count,
@@ -280,6 +283,11 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a command; prints the report and returns the exit code."""
     try:
         a = load_arrangement(cfg.input_path)
+        if cfg.command == "nerve" and len(a) > cfg.max_nerve_size:
+            # Checked before the poset: nerve homology grows like 2^|A|.
+            raise ResourceCapError(
+                f"{len(a)} hyperplanes exceeds the oracle cap of {cfg.max_nerve_size}"
+            )
         verify_ok = True
         if cfg.command == "chambers":
             obj, text = chambers_report(a)

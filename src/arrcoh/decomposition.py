@@ -32,7 +32,6 @@ from .arrangement import (
     Hyperplane,
     build_intersection_poset,
     essentialize,
-    subarrangement_at,
 )
 from .errors import InputError, InternalConsistencyError
 from .exact_linalg import (
@@ -370,7 +369,7 @@ def _decompose(
             )
             free_rank = beta
             continue
-        sub = subarrangement_at(a, g)
+        sub = p.subarrangement(g)
         ess = essentialize(sub)
         h_inf = pick(ess)
         deconed = decone(ess, h_inf)

@@ -19,6 +19,7 @@ complex arithmetic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,11 +114,6 @@ class RationalMatrix:
     def transpose(self) -> RationalMatrix:
         rows = tuple(self.column(j) for j in range(self.cols))
         return RationalMatrix(rows, self.rows)
-
-    def stack(self, other: RationalMatrix) -> RationalMatrix:
-        if other.cols != self.cols:
-            raise InputError("cannot stack matrices of different widths")
-        return RationalMatrix(self.entries + other.entries, self.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product."""
@@ -244,7 +240,9 @@ class AffineSubspace:
         """True iff self's equations hold on all of other (self >= other).
 
         self >= other iff self's augmented rows lie in the row space of
-        other's augmented system, i.e. stacking them adds no rank.
+        other's augmented system, i.e. stacking them adds no rank.  An
+        oracle only: the intersection poset decides incidence by dot
+        products and its order by containing sets.
         """
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
@@ -309,11 +307,39 @@ def solve_affine(
 
 
 def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | None:
-    """Canonical form of f1 ∩ f2; None when disjoint."""
+    """Canonical form of f1 ∩ f2; None when disjoint.
+
+    f1's system is already reduced, so each equation of f2 is reduced
+    against it and, when independent, joined to it as one more pivot row;
+    the stacked system is never eliminated again in full.
+    """
     if f1.ambient_dim != f2.ambient_dim:
         raise InputError("cannot intersect flats of different ambient dimension")
-    system = f1.system.stack(f2.system)
-    return solve_affine(system, f1.rhs + f2.rhs)
+    n = f1.ambient_dim
+    rows = f1.augmented_rows()
+    pivots = list(f1.pivot_columns())
+    for new in f2.augmented_rows():
+        for row, p in zip(rows, pivots):
+            c = new[p]
+            if c != 0:
+                new = [a - c * b for a, b in zip(new, row)]
+        lead = next((j for j, x in enumerate(new) if x != 0), None)
+        if lead is None:
+            continue  # implied by the equations so far
+        if lead == n:
+            return None  # 0 = nonzero: disjoint
+        pv = new[lead]
+        if pv != 1:
+            new = [x / pv for x in new]
+        for i, row in enumerate(rows):
+            c = row[lead]
+            if c != 0:
+                rows[i] = [a - c * b for a, b in zip(row, new)]
+        k = bisect.bisect(pivots, lead)
+        rows.insert(k, new)
+        pivots.insert(k, lead)
+    system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
+    return AffineSubspace(n, system, tuple(r[n] for r in rows))
 
 
 def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:

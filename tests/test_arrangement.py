@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
     Arrangement,
@@ -35,6 +38,95 @@ def subspace(rows, rhs):
     sol = solve_affine(RationalMatrix.from_rows(rows), rhs)
     assert sol is not None
     return sol
+
+
+def _unit_difference(n, i, j):
+    row = [0] * n
+    row[i], row[j] = 1, -1
+    return row
+
+
+def braid(n):
+    """{x_i = x_j : i < j} in C^n."""
+    pairs = itertools.combinations(range(n), 2)
+    return arrangement_from_coeffs(n, [(_unit_difference(n, i, j), 0) for i, j in pairs])
+
+
+def shi(n):
+    """braid(n) plus {x_i - x_j = 1 : i < j}."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [(_unit_difference(n, i, j), c) for c in (0, 1) for i, j in pairs]
+    return arrangement_from_coeffs(n, rows)
+
+
+def essential_braid(n):
+    """braid(n) restricted to x_n = 0: central and essential in C^(n-1)."""
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        row = [0] * (n - 1)
+        row[i] = 1
+        if j < n - 1:
+            row[j] = -1
+        rows.append((row, 0))
+    return arrangement_from_coeffs(n - 1, rows)
+
+
+def generic(m, n):
+    """m hyperplanes t^0 x_1 + ... + t^(n-1) x_n = t^n, t = 1..m.
+
+    Any n + 1 augmented rows form a Vandermonde matrix, so every n of
+    the hyperplanes meet in a point and no n + 1 of them meet at all.
+    """
+    return arrangement_from_coeffs(
+        n, [([t**k for k in range(n)], t**n) for t in range(1, m + 1)]
+    )
+
+
+def assert_order_matches_flat_relation(p):
+    for f, g in itertools.combinations(p.flats, 2):
+        relation = flat_relation(f.subspace, g.subspace)
+        f_above = relation == FlatRelation.F1_STRICTLY_CONTAINS_F2
+        g_above = relation == FlatRelation.F2_STRICTLY_CONTAINS_F1
+        assert (g.index in p.strictly_below[f.index]) == f_above
+        assert (f.index in p.strictly_above[g.index]) == f_above
+        assert (f.index in p.strictly_below[g.index]) == g_above
+        assert (g.index in p.strictly_above[f.index]) == g_above
+
+
+def assert_covers_are_transitive_reduction(p):
+    for f in p.flats:
+        below = p.strictly_below[f.index]
+        reduction = {j for j in below if not any(j in p.strictly_below[k] for k in below)}
+        assert p.covers[f.index] == reduction, f.index
+
+
+def assert_containing_sets_exact(a, p):
+    for f in p.flats:
+        for i, h in enumerate(a.hyperplanes):
+            expected = h.subspace().contains(f.subspace)
+            assert (i in f.containing_hyperplanes) == expected, (f.index, i)
+
+
+def assert_subarrangements_match(a, p):
+    for f in p.flats:
+        assert p.subarrangement(f).hyperplanes == subarrangement_at(a, f).hyperplanes
+
+
+@st.composite
+def small_arrangements(draw):
+    """Rational arrangements in C^1..C^3 with up to 6 hyperplanes, drawn as
+    parallel classes: each normal carries one or more offsets."""
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        normal = draw(st.lists(coeff, min_size=n, max_size=n))
+        if all(x == 0 for x in normal):
+            continue
+        for b in draw(st.lists(coeff, min_size=1, max_size=3, unique=True)):
+            rows.append(Hyperplane.from_coeffs(normal, b))
+    unique = tuple(dict.fromkeys(rows))[:6]
+    return Arrangement(n, unique)
 
 
 class TestValidation:
@@ -122,41 +214,57 @@ class TestPosetConstruction:
                 assert p.level(f) + f.codim == p.rank_l, (name, f.index)
 
     def test_order_agrees_with_flat_relation(self, corpus_posets):
-        for name, p in corpus_posets.items():
-            for f in p.flats:
-                for g in p.flats:
-                    if f.index == g.index:
-                        continue
-                    expected = (
-                        flat_relation(f.subspace, g.subspace)
-                        == FlatRelation.F1_STRICTLY_CONTAINS_F2
-                    )
-                    assert (g.index in p.strictly_below[f.index]) == expected, name
+        for p in corpus_posets.values():
+            assert_order_matches_flat_relation(p)
 
     def test_covers_have_no_intermediate(self, corpus_posets):
-        for name, p in corpus_posets.items():
-            for f in p.flats:
-                for j in p.covers[f.index]:
-                    assert j in p.strictly_below[f.index]
-                    between = [
-                        k
-                        for k in p.strictly_below[f.index]
-                        if j in p.strictly_below[k]
-                    ]
-                    assert not between, name
+        for p in corpus_posets.values():
+            assert_covers_are_transitive_reduction(p)
 
     def test_containing_hyperplanes_exact(self, corpus, corpus_posets):
         for name, a in corpus.items():
-            p = corpus_posets[name]
-            for f in p.flats:
-                for i, h in enumerate(a.hyperplanes):
-                    expected = h.subspace().contains(f.subspace)
-                    assert (i in f.containing_hyperplanes) == expected, name
+            assert_containing_sets_exact(a, corpus_posets[name])
 
     def test_cap_enforced(self):
         a = arrangement_from_coeffs(1, [((1,), k) for k in range(5)])
         with pytest.raises(ResourceCapError):
             build_intersection_poset(a, max_hyperplanes=4)
+
+
+FAMILIES = {
+    "braid-4": (lambda: braid(4), 15),
+    "braid-5": (lambda: braid(5), 52),
+    "shi-3": (lambda: shi(3), 13),
+    "shi-4": (lambda: shi(4), 73),
+    "essential-braid-4": (lambda: essential_braid(4), 15),
+    "generic-8-lines": (lambda: generic(8, 2), 1 + 8 + 28),
+    "generic-6-planes": (lambda: generic(6, 3), 1 + 6 + 15 + 20),
+}
+
+
+class TestOrderBeyondCorpus:
+    """The combinatorial order, covers and incidence against row reductions."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name):
+        build, flat_count = FAMILIES[name]
+        a = build()
+        p = build_intersection_poset(a)
+        assert len(p.flats) == flat_count
+        assert_order_matches_flat_relation(p)
+        assert_covers_are_transitive_reduction(p)
+        assert_containing_sets_exact(a, p)
+        assert_subarrangements_match(a, p)
+
+    @given(small_arrangements())
+    @settings(max_examples=30, deadline=None)
+    def test_random_arrangements(self, a):
+        p = build_intersection_poset(a)
+        assert frozenset(f.subspace for f in p.flats) == poset_subspaces_bruteforce(a)
+        assert_order_matches_flat_relation(p)
+        assert_covers_are_transitive_reduction(p)
+        assert_containing_sets_exact(a, p)
+        assert_subarrangements_match(a, p)
 
 
 class TestStats:

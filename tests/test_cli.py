@@ -61,6 +61,24 @@ class TestExitCodes:
         )
         assert code == 2 and "cap" in err
 
+    def test_nerve_cap_checked_before_any_poset_work(self, tmp_path, capsys, monkeypatch):
+        # Braid A_6: the 15 hyperplanes x_i = x_j in C^6, above the nerve cap of 12.
+        planes = [
+            {"normal": [str(int(k == i) - int(k == j)) for k in range(6)], "offset": "0"}
+            for i in range(6)
+            for j in range(i + 1, 6)
+        ]
+        path = tmp_path / "braid6.json"
+        path.write_text(json.dumps({"dim": 6, "hyperplanes": planes}))
+
+        def no_poset(*args, **kwargs):
+            raise AssertionError("poset built before the nerve cap was checked")
+
+        monkeypatch.setattr(cli, "build_intersection_poset", no_poset)
+        code, out, err = run_cli(capsys, "nerve", str(path))
+        assert code == 2 and out == ""
+        assert "15 hyperplanes exceeds the oracle cap of 12" in err
+
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
         # The battery has no honest failure on valid corpus input, so fake one
         # to pin the exit-code wiring.

@@ -141,6 +141,24 @@ class TestIntersect:
                 AffineSubspace.whole_space(2), AffineSubspace.whole_space(3)
             )
 
+    def test_matches_elimination_of_stacked_system(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            k1, k2 = rng.randint(0, n), rng.randint(0, n)
+            rows1 = random_fraction_matrix(rng, k1, n, span=2)
+            rows2 = random_fraction_matrix(rng, k2, n, span=2)
+            rhs1 = [F(rng.randint(-2, 2)) for _ in range(k1)]
+            rhs2 = [F(rng.randint(-2, 2)) for _ in range(k2)]
+            f1 = solve_affine(RationalMatrix.from_rows(rows1, cols=n), rhs1)
+            f2 = solve_affine(RationalMatrix.from_rows(rows2, cols=n), rhs2)
+            if f1 is None or f2 is None:
+                continue
+            stacked = solve_affine(
+                RationalMatrix.from_rows(rows1 + rows2, cols=n), rhs1 + rhs2
+            )
+            assert intersect_flats(f1, f2) == stacked, (rows1, rhs1, rows2, rhs2)
+
     def _random_flats(self, rng, count, n=3):
         flats = []
         while len(flats) < count:
