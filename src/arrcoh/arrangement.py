@@ -447,18 +447,6 @@ class FlatChart:
     def dim(self) -> int:
         return len(self.free)
 
-    def to_ambient(self, y: Sequence[Fraction]) -> Vector:
-        """Chart point -> ambient point on G."""
-        x = [Fraction(0)] * self.subspace.ambient_dim
-        for j, f in enumerate(self.free):
-            x[f] = y[j]
-        for i, p in enumerate(self.pivots):
-            x[p] = self.subspace.rhs[i] - sum(
-                (self.subspace.system.entries[i][f] * y[j] for j, f in enumerate(self.free)),
-                Fraction(0),
-            )
-        return tuple(x)
-
     def pull_equation(
         self, normal: Sequence[Fraction], offset: Fraction
     ) -> tuple[Vector, Fraction]:

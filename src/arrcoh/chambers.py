@@ -141,20 +141,27 @@ def _check_caps(s: LinearSystem) -> None:
         )
 
 
-def fm_feasible(s: LinearSystem) -> bool:
-    """Exact emptiness test for an open/closed rational polyhedron."""
+def _elimination_levels(s: LinearSystem) -> list[list[Constraint]] | None:
+    """The constraints left before eliminating each variable in turn;
+    None when a contradiction shows the system is infeasible."""
     _check_caps(s)
     current = _dedup(s.constraints)
-    for c in list(current):
-        if c.is_constant() and not c.constant_holds():
-            return False
+    if any(c.is_constant() and not c.constant_holds() for c in current):
+        return None
     current = [c for c in current if not c.is_constant()]
+    levels: list[list[Constraint]] = []
     for var in range(s.ambient_dim):
+        levels.append(current)
         step = _eliminate(current, var)
         if step is None:
-            return False
+            return None
         current = step
-    return True
+    return levels
+
+
+def fm_feasible(s: LinearSystem) -> bool:
+    """Exact emptiness test for an open/closed rational polyhedron."""
+    return _elimination_levels(s) is not None
 
 
 def feasible_point(s: LinearSystem) -> Vector | None:
@@ -163,19 +170,9 @@ def feasible_point(s: LinearSystem) -> Vector | None:
     Used as an exactness witness for `fm_feasible` in tests: every
     feasibility claim can be certified by an explicit point.
     """
-    _check_caps(s)
-    levels: list[list[Constraint]] = []
-    current = _dedup(s.constraints)
-    for c in current:
-        if c.is_constant() and not c.constant_holds():
-            return None
-    current = [c for c in current if not c.is_constant()]
-    for var in range(s.ambient_dim):
-        levels.append(current)
-        step = _eliminate(current, var)
-        if step is None:
-            return None
-        current = step
+    levels = _elimination_levels(s)
+    if levels is None:
+        return None
     point = [Fraction(0)] * s.ambient_dim
     for var in range(s.ambient_dim - 1, -1, -1):
         lo: Fraction | None = None

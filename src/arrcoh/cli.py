@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (
+    DEFAULT_MAX_HYPERPLANES,
     Arrangement,
     IntersectionPoset,
     arrangement_stats,
     build_intersection_poset,
-    restriction_to,
     validate_arrangement,
 )
 from .chambers import enumerate_chambers
@@ -47,25 +46,10 @@ from .invariants import (
     mobius_from_top,
     poincare_polynomial,
 )
-from .nerve_homology import (
-    DEFAULT_NERVE_ORACLE_CAP,
-    build_singular_nerve,
-    sigma_wedge_check,
-)
+from .nerve_homology import DEFAULT_NERVE_ORACLE_CAP, sigma_wedge_check
 from .verify import run_all_checks
 
 COMMANDS = ("poset", "invariants", "beta", "nerve", "chambers", "decompose", "verify")
-
-DEFAULT_MAX_HYPERPLANES = 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    output_format: str = "text"
-    max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES
-    max_nerve_size: int = DEFAULT_NERVE_ORACLE_CAP
 
 
 # --- rendering helpers ----------------------------------------------------
@@ -188,9 +172,9 @@ def beta_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
     return obj, "\n".join(lines)
 
 
-def nerve_report(a: Arrangement, p: IntersectionPoset, cap: int) -> tuple[dict, str]:
-    nerve = build_singular_nerve(p)
-    wedge = sigma_wedge_check(p, max_hyperplanes=cap)
+def nerve_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
+    wedge = sigma_wedge_check(p)
+    nerve = wedge.nerve
     hom = wedge.homology
     counts = [len(nerve.simplices_of_dim(d)) for d in range(nerve.max_dim + 1)]
     obj = {
@@ -274,47 +258,49 @@ def load_arrangement(path: str) -> Arrangement:
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return validate_arrangement(raw)
 
 
-def run(cfg: RunConfig) -> int:
+def run(command: str, input_path: str, output_format: str, max_hyperplanes: int) -> int:
     """Dispatch a command; prints the report and returns the exit code."""
     try:
-        a = load_arrangement(cfg.input_path)
-        if cfg.command == "nerve" and len(a) > cfg.max_nerve_size:
+        a = load_arrangement(input_path)
+        if command == "nerve" and len(a) > DEFAULT_NERVE_ORACLE_CAP:
             # Checked before the poset: nerve homology grows like 2^|A|.
             raise ResourceCapError(
-                f"{len(a)} hyperplanes exceeds the oracle cap of {cfg.max_nerve_size}"
+                f"{len(a)} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
             )
         verify_ok = True
-        if cfg.command == "chambers":
+        if command == "chambers":
             obj, text = chambers_report(a)
-        elif cfg.command == "decompose":
-            dec = decompose_cohomology(a, max_hyperplanes=cfg.max_hyperplanes)
+        elif command == "decompose":
+            dec = decompose_cohomology(a, max_hyperplanes=max_hyperplanes)
             obj, text = decompose_report(a, dec)
-        elif cfg.command == "verify":
-            obj, text, verify_ok = verify_report(a, cfg.max_hyperplanes)
+        elif command == "verify":
+            obj, text, verify_ok = verify_report(a, max_hyperplanes)
         else:
-            p = build_intersection_poset(a, max_hyperplanes=cfg.max_hyperplanes)
-            if cfg.command == "poset":
+            p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
+            if command == "poset":
                 obj, text = poset_report(a, p)
-            elif cfg.command == "invariants":
+            elif command == "invariants":
                 obj, text = invariants_report(a, p)
-            elif cfg.command == "beta":
+            elif command == "beta":
                 obj, text = beta_report(a, p)
-            elif cfg.command == "nerve":
-                obj, text = nerve_report(a, p, cfg.max_nerve_size)
+            elif command == "nerve":
+                obj, text = nerve_report(a, p)
             else:
-                raise InputError(f"unknown command {cfg.command!r}")
+                raise InputError(f"unknown command {command!r}")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output_format == "json":
+    if output_format == "json":
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(text)
@@ -337,18 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         "--max-hyperplanes",
         type=int,
         default=DEFAULT_MAX_HYPERPLANES,
-        help="cap on the number of hyperplanes (default 20)",
+        help=f"cap on the number of hyperplanes (default {DEFAULT_MAX_HYPERPLANES})",
     )
     args = parser.parse_args(argv)
     if args.max_hyperplanes <= 0:
         parser.error("--max-hyperplanes must be positive")
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_format=args.format,
-        max_hyperplanes=args.max_hyperplanes,
-    )
-    return run(cfg)
+    return run(args.command, args.input, args.format, args.max_hyperplanes)
 
 
 if __name__ == "__main__":

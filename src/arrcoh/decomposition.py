@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .arrangement import (
+    DEFAULT_MAX_HYPERPLANES,
     Arrangement,
     Hyperplane,
     build_intersection_poset,
@@ -247,10 +248,8 @@ class Summand:
 
     flat_index: int
     subspace: AffineSubspace
-    dim: int
     multiplicity: int
     module: ModuleExpr
-    covers_all: bool  # A_G is the whole arrangement (subgroup = whole group)
     is_trivial_z: bool  # the summand is isomorphic to Z with trivial action
 
 
@@ -265,9 +264,6 @@ class GradedDecomposition:
     def module_expression(self) -> ModuleExpr:
         """The whole concentrated degree as one normalized expression."""
         return normalize_module_expr(Sum(tuple(s.module for s in self.summands)))
-
-    def multiplicity_by_flat(self) -> dict[AffineSubspace, int]:
-        return {s.subspace: s.multiplicity for s in self.summands}
 
     def to_json(self) -> dict:
         return {
@@ -322,7 +318,7 @@ def decompose_cohomology(
     a: Arrangement,
     *,
     choose_infinity: PickInfinity | None = None,
-    max_hyperplanes: int | None = None,
+    max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES,
 ) -> GradedDecomposition:
     """Symbolic graded decomposition of the concentrated cohomology degree.
 
@@ -333,20 +329,19 @@ def decompose_cohomology(
     """
     pick = choose_infinity or _pick_lowest
     memo: dict[Arrangement, GradedDecomposition] = {}
-    kwargs = {} if max_hyperplanes is None else {"max_hyperplanes": max_hyperplanes}
-    return _decompose(a, pick, memo, kwargs)
+    return _decompose(a, pick, memo, max_hyperplanes)
 
 
 def _decompose(
     a: Arrangement,
     pick: PickInfinity,
     memo: dict[Arrangement, GradedDecomposition],
-    poset_kwargs: dict,
+    max_hyperplanes: int,
 ) -> GradedDecomposition:
     cached = memo.get(a)
     if cached is not None:
         return cached
-    p = build_intersection_poset(a, **poset_kwargs)
+    p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
     summands: list[Summand] = []
     free_rank = 0
     depth = 0
@@ -360,10 +355,8 @@ def _decompose(
                 Summand(
                     flat_index=g.index,
                     subspace=g.subspace,
-                    dim=g.dim,
                     multiplicity=beta,
                     module=Free(beta),
-                    covers_all=covers_all,
                     is_trivial_z=covers_all and beta == 1,
                 )
             )
@@ -373,7 +366,7 @@ def _decompose(
         ess = essentialize(sub)
         h_inf = pick(ess)
         deconed = decone(ess, h_inf)
-        inner_dec = _decompose(deconed, pick, memo, poset_kwargs)
+        inner_dec = _decompose(deconed, pick, memo, max_hyperplanes)
         depth = max(depth, inner_dec.recursion_depth + 1)
         if deconed.hyperplanes:
             inner = inner_dec.module_expression()
@@ -382,6 +375,7 @@ def _decompose(
             # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
             inner = TrivialZ()
             inner_trivial = True
+        # A_G is the whole arrangement (subgroup = whole group).
         covers_all = len(g.containing_hyperplanes) == len(a.hyperplanes)
         module = normalize_module_expr(
             Copies(beta, Induced(g.subspace, TensorTrivial(inner)))
@@ -390,10 +384,8 @@ def _decompose(
             Summand(
                 flat_index=g.index,
                 subspace=g.subspace,
-                dim=g.dim,
                 multiplicity=beta,
                 module=module,
-                covers_all=covers_all,
                 is_trivial_z=beta == 1 and covers_all and inner_trivial,
             )
         )

@@ -32,9 +32,11 @@ Vector = tuple[Fraction, ...]
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, 'p/q' string, or Fraction; floats are rejected."""
+    """Coerce an int, 'p/q' string, or Fraction; floats and bools are rejected."""
     if isinstance(value, float):
         raise InputError(f"floating point value not allowed: {value!r}")
+    if isinstance(value, bool):
+        raise InputError(f"boolean value not allowed: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -56,14 +58,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise InputError(f"dot product length mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def is_zero_vector(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -145,8 +139,7 @@ def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], 
 
 def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int]:
     """Reduced row echelon form and rank.  Idempotent on rref input."""
-    rows, pivots = _rref([list(r) for r in m.entries], m.cols)
-    reduced = RationalMatrix(tuple(tuple(r) for r in rows), m.cols)
+    reduced, pivots = rref_pivots(m)
     return reduced, len(pivots)
 
 
@@ -203,7 +196,6 @@ class AffineSubspace:
     ambient_dim: int
     system: RationalMatrix
     rhs: Vector
-    canonical: bool = True
 
     def __post_init__(self) -> None:
         if self.system.cols != self.ambient_dim:
@@ -364,7 +356,7 @@ def affine_image(
     if m.cols != s.ambient_dim:
         raise InputError("map width does not match subspace ambient dimension")
     point, directions = s.parametrize()
-    image_point = vec_add(m.apply(point), tuple(shift))
+    image_point = tuple(a + b for a, b in zip(m.apply(point), shift))
     image_dirs = tuple(m.apply(d) for d in directions)
     return from_point_and_directions(m.rows, image_point, image_dirs)
 

@@ -95,29 +95,18 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def monomial(k: int, coefficient: int = 1) -> IntPolynomial:
-    return IntPolynomial.from_coefficients([0] * k + [coefficient])
-
-
 def mobius_from_top(p: IntersectionPoset) -> dict[int, int]:
-    """mu(top, G) for every flat, keyed by flat index.
-
-    Top-down recursion over the containment order:
-    mu(top, top) = 1 and mu(top, G) = -sum of mu(top, X) over X with
-    G < X <= top.  Flats are already sorted by descending dimension, so a
-    single pass is a valid topological order.
-    """
-    mu: dict[int, int] = {}
-    for f in p.flats:
-        if f.index == p.top.index:
-            mu[f.index] = 1
-        else:
-            mu[f.index] = -sum(mu[j] for j in p.strictly_above[f.index])
-    return mu
+    """mu(top, G) for every flat, keyed by flat index."""
+    return mobius_interval_from(p, p.top)
 
 
 def mobius_interval_from(p: IntersectionPoset, g: Flat) -> dict[int, int]:
-    """mu(G, X) for every flat X <= G (including X = G)."""
+    """mu(G, X) for every flat X <= G (including X = G).
+
+    Top-down recursion over the containment order: mu(G, G) = 1 and
+    mu(G, X) = -sum of mu(G, Y) over Y with X < Y <= G, visiting the
+    flats by descending dimension so every Y comes before X.
+    """
     lower = sorted(
         set(p.strictly_below[g.index]) | {g.index},
         key=lambda j: -p.flats[j].dim,

@@ -20,6 +20,7 @@ ones being checked for vanishing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from .arrangement import IntersectionPoset
 from .errors import InputError, ResourceCapError
 
 DEFAULT_NERVE_ORACLE_CAP = 12
-NERVE_BUILD_CAP = 20
 
 Simplex = tuple[int, ...]
 
@@ -84,8 +84,10 @@ def build_singular_nerve(p: IntersectionPoset) -> SimplicialComplex:
     m = len(p.arrangement)
     if m == 0:
         raise InputError("the empty arrangement has an empty singular set, no nerve")
-    if m > NERVE_BUILD_CAP:
-        raise ResourceCapError(f"{m} hyperplanes exceeds the nerve cap of {NERVE_BUILD_CAP}")
+    if m > DEFAULT_NERVE_ORACLE_CAP:
+        raise ResourceCapError(
+            f"{m} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
+        )
     max_vertices = p.rank_l + 2  # simplices of dimension <= rank_l + 1
     simplices: set[Simplex] = set()
     for f in p.flats:
@@ -165,16 +167,10 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
         for i in range(len(diagonal)):
             for j in range(i + 1, len(diagonal)):
                 if diagonal[j] % diagonal[i] != 0:
-                    g = _gcd(diagonal[i], diagonal[j])
+                    g = math.gcd(diagonal[i], diagonal[j])
                     diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
                     changed = True
     return tuple(diagonal)
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 @dataclass(frozen=True)
@@ -249,25 +245,19 @@ class WedgeCheck:
 
     beta: int
     is_wedge: bool
-    rank_l: int
+    nerve: SimplicialComplex
     homology: HomologyResult
 
 
-def sigma_wedge_check(
-    p: IntersectionPoset, max_hyperplanes: int = DEFAULT_NERVE_ORACLE_CAP
-) -> WedgeCheck:
+def sigma_wedge_check(p: IntersectionPoset) -> WedgeCheck:
     """Homology-level wedge check for the singular set.
 
     is_wedge is true iff reduced nerve homology in degrees 0..l is
     torsion-free and vanishes outside degree l-1; beta is the free rank
     in degree l-1 (for l = 1 this is components - 1).  A false result is
-    reportable, not an error.
+    reportable, not an error; the empty arrangement and one above the
+    nerve cap are rejected by `build_singular_nerve`.
     """
-    m = len(p.arrangement)
-    if m == 0:
-        raise InputError("wedge check needs a nonempty arrangement")
-    if m > max_hyperplanes:
-        raise ResourceCapError(f"{m} hyperplanes exceeds the oracle cap of {max_hyperplanes}")
     nerve = build_singular_nerve(p)
     hom = simplicial_homology(nerve)
     l = p.rank_l
@@ -278,4 +268,4 @@ def sigma_wedge_check(
         if k != l - 1 and hom.reduced_rank(k) != 0:
             is_wedge = False
     beta = hom.reduced_rank(l - 1)
-    return WedgeCheck(beta=beta, is_wedge=is_wedge, rank_l=l, homology=hom)
+    return WedgeCheck(beta=beta, is_wedge=is_wedge, nerve=nerve, homology=hom)

@@ -237,8 +237,9 @@ def check_decomposition(a: Arrangement, p: IntersectionPoset) -> CheckResult:
             False,
             f"concentration degree {dec.concentration_degree} != rank {p.rank_l}",
         )
+    betas = [beta_combinatorial(p, f).value for f in p.flats]
     for s in dec.summands:
-        expected = beta_combinatorial(p, p.flats[s.flat_index]).value
+        expected = betas[s.flat_index]
         if s.multiplicity != expected or s.multiplicity <= 0:
             return _result(
                 name,
@@ -258,9 +259,7 @@ def check_decomposition(a: Arrangement, p: IntersectionPoset) -> CheckResult:
                 return _result(
                     name, False, f"flat {s.flat_index}: missing TENSOR_TRIVIAL node"
                 )
-    zero_beta = sum(
-        1 for f in p.flats if beta_combinatorial(p, f).value == 0
-    )
+    zero_beta = betas.count(0)
     return _result(
         name,
         True,

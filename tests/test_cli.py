@@ -4,7 +4,7 @@ import json
 import pathlib
 
 
-from arrcoh import cli
+from arrcoh import cli, nerve_homology
 from arrcoh.arrangement import validate_arrangement
 from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
 from arrcoh.verify import CheckResult
@@ -55,11 +55,52 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "poset", str(path))
         assert code == 1 and "JSON" in err
 
+    def test_boolean_coefficients_are_input_errors(self, tmp_path, capsys):
+        # JSON true/false are not numbers, although Python treats them as 1/0.
+        for plane in (
+            {"normal": [True, 0], "offset": 0},
+            {"normal": [1, 0], "offset": False},
+        ):
+            path = tmp_path / "bool.json"
+            path.write_text(json.dumps({"dim": 2, "hyperplanes": [plane]}))
+            code, out, err = run_cli(capsys, "poset", str(path))
+            assert code == 1 and out == "", plane
+            assert err.startswith("error: hyperplanes[0]: boolean value"), plane
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "poset", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
             capsys, "poset", corpus_file("generic3-c2"), "--max-hyperplanes", "2"
         )
         assert code == 2 and "cap" in err
+
+    def test_decompose_cap_exceeded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decompose", corpus_file("generic3-c2"), "--max-hyperplanes", "2"
+        )
+        assert code == 2 and out == ""
+        assert "3 hyperplanes exceeds the cap of 2" in err
+
+    def test_nerve_built_once(self, capsys, monkeypatch):
+        calls = []
+        original = nerve_homology.build_singular_nerve
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        # Count through the defining module and any name the CLI binds.
+        monkeypatch.setattr(nerve_homology, "build_singular_nerve", counting)
+        monkeypatch.setattr(cli, "build_singular_nerve", counting, raising=False)
+        code, _, _ = run_cli(capsys, "nerve", corpus_file("boolean-c2"))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_nerve_cap_checked_before_any_poset_work(self, tmp_path, capsys, monkeypatch):
         # Braid A_6: the 15 hyperplanes x_i = x_j in C^6, above the nerve cap of 12.

@@ -70,6 +70,12 @@ class TestNerve:
         with pytest.raises(InputError):
             build_singular_nerve(corpus_posets["empty-c1"])
 
+    def test_cap_enforced(self):
+        # The one nerve cap (12) applies to library calls too.
+        a = arrangement_from_coeffs(1, [((1,), k) for k in range(13)])
+        with pytest.raises(ResourceCapError, match="13 hyperplanes exceeds the oracle cap of 12"):
+            build_singular_nerve(build_intersection_poset(a))
+
     def test_corpus_is_never_truncated(self, corpus_posets):
         for name, p in corpus_posets.items():
             assert not nerve_is_truncated(p), name
