@@ -27,7 +27,9 @@ on the containing sets C(G) = {H in A : H contains G}
   covers     the poset is ranked by dimension, so the covers of G are
              the flats below it of dimension exactly d(G) - 1;
   A_G        is C(G), read straight off the poset
-             (`IntersectionPoset.subarrangement`).
+             (`IntersectionPoset.subarrangement`);
+  ess. A_G   its essential coordinates are each member's entries in the
+             pivot columns of G's canonical system (`essential_arrangement`).
 
 `AffineSubspace.contains`, `subarrangement_at` and the 2^|A| subset
 enumeration `poset_subspaces_bruteforce` re-derive the same facts by
@@ -91,10 +93,9 @@ class Hyperplane:
         return len(self.normal)
 
     def subspace(self) -> AffineSubspace:
-        system = RationalMatrix((self.normal,), len(self.normal))
-        sol = solve_affine(system, (self.offset,))
-        assert sol is not None  # a single equation is always consistent
-        return sol
+        # Canonical scaling makes the row (normal | offset) its own rref.
+        n = len(self.normal)
+        return AffineSubspace(n, RationalMatrix((self.normal,), n), (self.offset,))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         return dot(self.normal, point) - self.offset
@@ -537,6 +538,27 @@ def restriction_to(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
     )
 
 
+def essential_arrangement(
+    center: AffineSubspace, hyperplanes: Sequence[Hyperplane]
+) -> Arrangement:
+    """Hyperplanes through `center` as an essential arrangement in C^k.
+
+    The center's canonical system M x = r is in rref with pivot columns
+    p_1 < ... < p_k, so a normal a = c M has c = (a[p_1], ..., a[p_k]) in
+    the coordinates u = M x - r, canonically scaled when a is.
+    """
+    pivots = center.pivot_columns()
+    columns = [center.system.column(j) for j in range(center.ambient_dim)]
+    essential = []
+    for h in hyperplanes:
+        c = tuple(h.normal[p] for p in pivots)
+        if (tuple(dot(c, col) for col in columns) != h.normal
+                or dot(c, center.rhs) != h.offset):
+            raise InternalConsistencyError("hyperplane does not contain the center")
+        essential.append(Hyperplane.from_coeffs(c, 0))
+    return Arrangement(len(pivots), tuple(essential))
+
+
 def essentialize_with_chart(
     a: Arrangement,
 ) -> tuple[Arrangement, RationalMatrix, Vector]:
@@ -547,31 +569,13 @@ def essentialize_with_chart(
     becomes {u : c.u = 0}.  The intersection poset maps isomorphically
     under u (flats map to flats through the affine image).
     """
-    n = a.ambient_dim
-    center: AffineSubspace | None = AffineSubspace.whole_space(n)
+    center: AffineSubspace | None = AffineSubspace.whole_space(a.ambient_dim)
     for h in a.hyperplanes:
         center = intersect_flats(center, h.subspace())
         if center is None:
             raise InputError("arrangement is not central")
-    k = center.codim
-    m = center.system
     shift = tuple(-b for b in center.rhs)
-    if k == 0:
-        # Already a single flat C^n; only the empty arrangement gets here.
-        return Arrangement(0, ()), RationalMatrix((), n), ()
-    mt = m.transpose()
-    hyperplanes = []
-    for h in a.hyperplanes:
-        sol = solve_affine(mt, h.normal)
-        if sol is None or sol.dim != 0:
-            raise InternalConsistencyError(
-                "hyperplane normal not uniquely expressed over the center's system"
-            )
-        c, _ = sol.parametrize()
-        if dot(c, center.rhs) != h.offset:
-            raise InternalConsistencyError("hyperplane offset inconsistent with center")
-        hyperplanes.append(Hyperplane.from_coeffs(c, 0))
-    return Arrangement(k, tuple(hyperplanes)), m, shift
+    return essential_arrangement(center, a.hyperplanes), center.system, shift
 
 
 def essentialize(a: Arrangement) -> Arrangement:

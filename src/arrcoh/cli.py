@@ -274,6 +274,8 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
             raise ResourceCapError(
                 f"{len(a)} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
             )
+        if len(a) > max_hyperplanes:  # every command, `chambers` included
+            raise ResourceCapError(f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}")
         verify_ok = True
         if command == "chambers":
             obj, text = chambers_report(a)

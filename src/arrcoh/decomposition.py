@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .arrangement import (
@@ -32,15 +31,10 @@ from .arrangement import (
     Arrangement,
     Hyperplane,
     build_intersection_poset,
-    essentialize,
+    essential_arrangement,
 )
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import (
-    AffineSubspace,
-    RationalMatrix,
-    intersect_flats,
-    inverse,
-)
+from .exact_linalg import AffineSubspace, intersect_flats
 from .invariants import beta_combinatorial
 
 
@@ -191,16 +185,17 @@ def contains_tensor_trivial(m: ModuleExpr) -> bool:
 def decone(a: Arrangement, h_infinity: int) -> Arrangement:
     """Associated affine arrangement of a central essential arrangement.
 
-    Coordinates are changed so the chosen hyperplane becomes {x_n = 0};
-    the remaining hyperplanes are intersected with the chart {x_n = 1},
-    yielding |A| - 1 hyperplanes in C^{n-1} with rank dropped by one.
+    With p the first nonzero column of the chosen normal a_inf (a_inf[p]
+    = 1 by canonical scaling), the chart is x' = (z without z_p, a_inf.z)
+    for z = x - center.  A hyperplane h.z = 0 becomes the substitution
+    head.y = -h_p on {x'_n = 1}, head_j = h_j - h_p a_inf[j] for j != p:
+    |A| - 1 hyperplanes in C^{n-1}, with the rank dropped by one.
     """
     if not a.hyperplanes:
         raise InputError("cannot decone an empty arrangement")
     if not 0 <= h_infinity < len(a.hyperplanes):
         raise InputError(f"hyperplane index {h_infinity} out of range")
-    n = a.ambient_dim
-    center = AffineSubspace.whole_space(n)
+    center = AffineSubspace.whole_space(a.ambient_dim)
     for h in a.hyperplanes:
         cut = intersect_flats(center, h.subspace())
         if cut is None:
@@ -208,35 +203,23 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
         center = cut
     if center.dim != 0:
         raise InputError("deconing requires an essential arrangement")
-    apex, _ = center.parametrize()
 
     a_inf = a.hyperplanes[h_infinity].normal
     pivot = next(j for j, x in enumerate(a_inf) if x != 0)
-    basis_rows = [
-        tuple(Fraction(1 if c == i else 0) for c in range(n))
-        for i in range(n)
-        if i != pivot
-    ]
-    basis_rows.append(a_inf)
-    t = RationalMatrix(tuple(basis_rows), n)
-    t_inv = inverse(t)
     hyperplanes = []
     for i, h in enumerate(a.hyperplanes):
         if i == h_infinity:
             continue
-        # In coordinates x' = T (x - apex) the hyperplane is {a'.x' = 0}.
-        a_prime = tuple(
-            sum((h.normal[r] * t_inv.entries[r][c] for r in range(n)), Fraction(0))
-            for c in range(n)
+        last = h.normal[pivot] / a_inf[pivot]
+        head = tuple(
+            x - last * y for j, (x, y) in enumerate(zip(h.normal, a_inf)) if j != pivot
         )
-        head, last = a_prime[: n - 1], a_prime[n - 1]
         if all(x == 0 for x in head):
             raise InternalConsistencyError(
                 "non-infinity hyperplane became parallel to the chart"
             )
-        # Trace on the chart {x'_n = 1}: head.y = -last.
         hyperplanes.append(Hyperplane.from_coeffs(head, -last))
-    return Arrangement(n - 1, tuple(hyperplanes))
+    return Arrangement(a.ambient_dim - 1, tuple(hyperplanes))
 
 
 # --- the graded decomposition -------------------------------------------
@@ -263,7 +246,7 @@ class GradedDecomposition:
 
     def module_expression(self) -> ModuleExpr:
         """The whole concentrated degree as one normalized expression."""
-        return normalize_module_expr(Sum(tuple(s.module for s in self.summands)))
+        return _sum_of_normalized([s.module for s in self.summands])
 
     def to_json(self) -> dict:
         return {
@@ -362,8 +345,7 @@ def _decompose(
             )
             free_rank = beta
             continue
-        sub = p.subarrangement(g)
-        ess = essentialize(sub)
+        ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
         h_inf = pick(ess)
         deconed = decone(ess, h_inf)
         inner_dec = _decompose(deconed, pick, memo, max_hyperplanes)

@@ -148,19 +148,6 @@ def rref_pivots(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     return RationalMatrix(tuple(tuple(r) for r in rows), m.cols), tuple(pivots)
 
 
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Inverse of a square matrix via [M | I] elimination."""
-    n = m.rows
-    if m.cols != n:
-        raise InputError("inverse requires a square matrix")
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    reduced, pivots = _rref(aug, 2 * n)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise InputError("matrix is singular")
-    return RationalMatrix(tuple(tuple(r[n:]) for r in reduced), n)
-
-
 def null_space_basis(m: RationalMatrix) -> tuple[Vector, ...]:
     """Basis of {x : m x = 0}, one vector per free column of the rref."""
     reduced, pivots = rref_pivots(m)

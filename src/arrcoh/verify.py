@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import (
+    DEFAULT_MAX_HYPERPLANES,
     Arrangement,
     IntersectionPoset,
     arrangement_stats,
@@ -20,6 +21,7 @@ from .arrangement import (
 )
 from .chambers import MAX_CHAMBER_HYPERPLANES, enumerate_chambers
 from .decomposition import (
+    GradedDecomposition,
     decompose_cohomology,
     decomposition_signature,
     decone,
@@ -36,7 +38,7 @@ from .invariants import (
 )
 from .nerve_homology import (
     DEFAULT_NERVE_ORACLE_CAP,
-    build_singular_nerve,
+    WedgeCheck,
     nerve_is_truncated,
     sigma_wedge_check,
 )
@@ -108,13 +110,14 @@ def check_reciprocity(p: IntersectionPoset) -> CheckResult:
     )
 
 
-def check_sigma_wedge(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_sigma_wedge(
+    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
+) -> CheckResult:
     name = "sigma-wedge"
     if not a.hyperplanes:
         return _result(name, True, "n/a: empty arrangement has an empty singular set")
     if len(a) > DEFAULT_NERVE_ORACLE_CAP:
         return _result(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
-    wedge = sigma_wedge_check(p)
     return _result(
         name,
         wedge.is_wedge,
@@ -123,7 +126,9 @@ def check_sigma_wedge(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     )
 
 
-def check_nerve_euler(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_nerve_euler(
+    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
+) -> CheckResult:
     name = "nerve-euler-additivity"
     if not a.hyperplanes:
         return _result(name, True, "n/a: empty arrangement")
@@ -131,7 +136,7 @@ def check_nerve_euler(a: Arrangement, p: IntersectionPoset) -> CheckResult:
         return _result(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
     if nerve_is_truncated(p):
         return _result(name, True, "n/a: nerve truncated above the checked range")
-    nerve_chi = build_singular_nerve(p).euler_characteristic()
+    nerve_chi = wedge.nerve.euler_characteristic()
     expected = 1 - euler_complement(p)
     return _result(
         name,
@@ -140,13 +145,16 @@ def check_nerve_euler(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     )
 
 
-def check_beta_oracles(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_beta_oracles(
+    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
+) -> CheckResult:
     name = "beta-triple-oracle"
     comparisons = []
     for f in p.flats:
         beta = beta_combinatorial(p, f).value
-        restriction = restriction_to(p, f)
-        sub = restriction.arrangement
+        sub = restriction_to(p, f).arrangement
+        if f.is_top and sub != a:
+            return _result(name, False, "top flat: restriction differs from the arrangement")
         if not sub.hyperplanes:
             comparisons.append((f.index, beta, 1 if beta == 1 else None))
             if beta != 1:
@@ -156,15 +164,18 @@ def check_beta_oracles(a: Arrangement, p: IntersectionPoset) -> CheckResult:
             continue
         if len(sub) > DEFAULT_NERVE_ORACLE_CAP:
             continue
-        sub_poset = build_intersection_poset(sub)
-        wedge = sigma_wedge_check(sub_poset)
-        if wedge.beta != beta:
+        if f.is_top:
+            sub_poset, nerve_beta = p, wedge.beta
+        else:
+            sub_poset = build_intersection_poset(sub)
+            nerve_beta = sigma_wedge_check(sub_poset).beta
+        if nerve_beta != beta:
             return _result(
                 name,
                 False,
-                f"flat {f.index}: combinatorial beta {beta} != nerve beta {wedge.beta}",
+                f"flat {f.index}: combinatorial beta {beta} != nerve beta {nerve_beta}",
             )
-        entry = [f.index, beta, wedge.beta]
+        entry = [f.index, beta, nerve_beta]
         if sub_poset.n0 == 0 and len(sub) <= MAX_CHAMBER_HYPERPLANES:
             chambers = enumerate_chambers(sub)
             entry.append(chambers.bounded)
@@ -183,7 +194,9 @@ def check_beta_oracles(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     )
 
 
-def check_deconing(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_deconing(
+    a: Arrangement, p: IntersectionPoset, base: GradedDecomposition
+) -> CheckResult:
     name = "deconing-factorization"
     stats = arrangement_stats(p)
     if not a.hyperplanes:
@@ -193,7 +206,6 @@ def check_deconing(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     pi_a = poincare_polynomial(p)
     one_plus_t = IntPolynomial.from_coefficients([1, 1])
     details = []
-    base = decompose_cohomology(a)
     for h in range(len(a)):
         deconed = decone(a, h)
         dp = build_intersection_poset(deconed)
@@ -228,9 +240,10 @@ def check_deconing(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     return _result(name, True, "; ".join(details))
 
 
-def check_decomposition(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_decomposition(
+    a: Arrangement, p: IntersectionPoset, dec: GradedDecomposition
+) -> CheckResult:
     name = "decomposition-structure"
-    dec = decompose_cohomology(a)
     if dec.concentration_degree != p.rank_l:
         return _result(
             name,
@@ -268,17 +281,22 @@ def check_decomposition(a: Arrangement, p: IntersectionPoset) -> CheckResult:
     )
 
 
-def run_all_checks(a: Arrangement, max_hyperplanes: int = 20) -> list[CheckResult]:
-    """The full battery, in the documented order."""
+def run_all_checks(
+    a: Arrangement, max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES
+) -> list[CheckResult]:
+    """The full battery, in the documented order; A's nerve check and
+    decomposition are computed once and shared."""
     p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
-    return [
+    wedge = sigma_wedge_check(p) if 0 < len(a) <= DEFAULT_NERVE_ORACLE_CAP else None
+    results = [
         check_poset_bruteforce(a, p),
         check_rank_identity(p),
         check_mobius_sign(p),
         check_reciprocity(p),
-        check_sigma_wedge(a, p),
-        check_nerve_euler(a, p),
-        check_beta_oracles(a, p),
-        check_deconing(a, p),
-        check_decomposition(a, p),
+        check_sigma_wedge(a, p, wedge),
+        check_nerve_euler(a, p, wedge),
+        check_beta_oracles(a, p, wedge),
     ]
+    # After the checks above, so that their cap errors keep precedence.
+    dec = decompose_cohomology(a)
+    return results + [check_deconing(a, p, dec), check_decomposition(a, p, dec)]

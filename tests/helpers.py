@@ -1,14 +1,18 @@
-"""Independent oracles shared across test modules.
+"""Independent oracles and arrangement families shared across test modules.
 
-These deliberately avoid the library's own code paths: the determinant
-is cofactor expansion, not elimination, so rank and Smith-normal-form
-claims are checked against arithmetic the package never performs.
+The oracles deliberately avoid the library's own code paths: the
+determinant is cofactor expansion and the inverse is the adjugate, not
+elimination, so rank, Smith-normal-form and deconing claims are checked
+against arithmetic the package never performs.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+
+from arrcoh.arrangement import Arrangement, arrangement_from_coeffs
 
 
 # Minimal 6-vertex triangulation of the projective plane (antipodal
@@ -61,3 +65,79 @@ def random_int_matrix(
     rng: random.Random, rows: int, cols: int, span: int = 5
 ) -> list[list[int]]:
     return [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+
+
+def inverse_by_adjugate(rows: list[list]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix as adj(M) / det(M)."""
+    n = len(rows)
+    det = det_cofactor(rows)
+    assert det != 0
+
+    def cofactor(i: int, j: int) -> Fraction:
+        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * det_cofactor(minor)
+
+    return [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
+
+
+def decone_by_inverse(a: Arrangement, h_infinity: int) -> list[tuple[list, Fraction]]:
+    """Deconing by a basis change, as (normal, offset) rows.
+
+    T has the unit rows e_i (i != p, p the first nonzero column of the
+    chosen normal a_inf) followed by a_inf.  In coordinates x' = T x, taken
+    from the center, a hyperplane with normal h has normal a' = h T^-1; its
+    trace on {x'_n = 1} is a'[:-1].y = -a'[-1].
+    """
+    n = a.ambient_dim
+    a_inf = list(a.hyperplanes[h_infinity].normal)
+    p = next(j for j, x in enumerate(a_inf) if x != 0)
+    t = [[Fraction(int(c == i)) for c in range(n)] for i in range(n) if i != p]
+    t_inv = inverse_by_adjugate(t + [a_inf])
+    rows = []
+    for i, h in enumerate(a.hyperplanes):
+        if i != h_infinity:
+            a_prime = [sum(h.normal[r] * t_inv[r][c] for r in range(n)) for c in range(n)]
+            rows.append((a_prime[:-1], -a_prime[-1]))
+    return rows
+
+
+def _unit_difference(n, i, j):
+    row = [0] * n
+    row[i], row[j] = 1, -1
+    return row
+
+
+def braid(n):
+    """{x_i = x_j : i < j} in C^n."""
+    pairs = itertools.combinations(range(n), 2)
+    return arrangement_from_coeffs(n, [(_unit_difference(n, i, j), 0) for i, j in pairs])
+
+
+def shi(n):
+    """braid(n) plus {x_i - x_j = 1 : i < j}."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [(_unit_difference(n, i, j), c) for c in (0, 1) for i, j in pairs]
+    return arrangement_from_coeffs(n, rows)
+
+
+def essential_braid(n):
+    """braid(n) restricted to x_n = 0: central and essential in C^(n-1)."""
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        row = [0] * (n - 1)
+        row[i] = 1
+        if j < n - 1:
+            row[j] = -1
+        rows.append((row, 0))
+    return arrangement_from_coeffs(n - 1, rows)
+
+
+def generic(m, n):
+    """m hyperplanes t^0 x_1 + ... + t^(n-1) x_n = t^n, t = 1..m.
+
+    Any n + 1 augmented rows form a Vandermonde matrix, so every n of
+    the hyperplanes meet in a point and no n + 1 of them meet at all.
+    """
+    return arrangement_from_coeffs(
+        n, [([t**k for k in range(n)], t**n) for t in range(1, m + 1)]
+    )

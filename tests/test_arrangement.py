@@ -14,6 +14,7 @@ from arrcoh.arrangement import (
     arrangement_from_coeffs,
     arrangement_stats,
     build_intersection_poset,
+    essential_arrangement,
     essentialize,
     essentialize_with_chart,
     poset_subspaces_bruteforce,
@@ -21,7 +22,7 @@ from arrcoh.arrangement import (
     subarrangement_at,
     validate_arrangement,
 )
-from arrcoh.errors import InputError, ResourceCapError
+from arrcoh.errors import InputError, InternalConsistencyError, ResourceCapError
 from arrcoh.exact_linalg import (
     AffineSubspace,
     RationalMatrix,
@@ -30,6 +31,7 @@ from arrcoh.exact_linalg import (
     FlatRelation,
     solve_affine,
 )
+from helpers import braid, essential_braid, generic, shi
 
 F = Fraction
 
@@ -38,48 +40,6 @@ def subspace(rows, rhs):
     sol = solve_affine(RationalMatrix.from_rows(rows), rhs)
     assert sol is not None
     return sol
-
-
-def _unit_difference(n, i, j):
-    row = [0] * n
-    row[i], row[j] = 1, -1
-    return row
-
-
-def braid(n):
-    """{x_i = x_j : i < j} in C^n."""
-    pairs = itertools.combinations(range(n), 2)
-    return arrangement_from_coeffs(n, [(_unit_difference(n, i, j), 0) for i, j in pairs])
-
-
-def shi(n):
-    """braid(n) plus {x_i - x_j = 1 : i < j}."""
-    pairs = list(itertools.combinations(range(n), 2))
-    rows = [(_unit_difference(n, i, j), c) for c in (0, 1) for i, j in pairs]
-    return arrangement_from_coeffs(n, rows)
-
-
-def essential_braid(n):
-    """braid(n) restricted to x_n = 0: central and essential in C^(n-1)."""
-    rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        row = [0] * (n - 1)
-        row[i] = 1
-        if j < n - 1:
-            row[j] = -1
-        rows.append((row, 0))
-    return arrangement_from_coeffs(n - 1, rows)
-
-
-def generic(m, n):
-    """m hyperplanes t^0 x_1 + ... + t^(n-1) x_n = t^n, t = 1..m.
-
-    Any n + 1 augmented rows form a Vandermonde matrix, so every n of
-    the hyperplanes meet in a point and no n + 1 of them meet at all.
-    """
-    return arrangement_from_coeffs(
-        n, [([t**k for k in range(n)], t**n) for t in range(1, m + 1)]
-    )
 
 
 def assert_order_matches_flat_relation(p):
@@ -422,3 +382,25 @@ class TestEssentialize:
     def test_non_central_rejected(self, corpus):
         with pytest.raises(InputError):
             essentialize(corpus["two-points-c1"])
+
+    def test_pivot_entries_match_transposed_solve(self):
+        # The essential normal c of a hyperplane through G solves c M = a,
+        # M the system of G.
+        for a in (braid(4), shi(3), generic(8, 3)):
+            p = build_intersection_poset(a)
+            for g in p.flats:
+                sub = p.subarrangement(g)
+                mt = g.subspace.system.transpose()
+                expected = []
+                for h in sub.hyperplanes:
+                    sol = solve_affine(mt, h.normal)
+                    assert sol is not None and sol.dim == 0
+                    expected.append(Hyperplane.from_coeffs(sol.parametrize()[0], 0))
+                ess = essential_arrangement(g.subspace, sub.hyperplanes)
+                assert ess == Arrangement(g.codim, tuple(expected)), g.index
+                assert essentialize(sub) == ess, g.index
+
+    def test_hyperplane_off_center_rejected(self):
+        origin = subspace([[1, 0], [0, 1]], [0, 0])
+        with pytest.raises(InternalConsistencyError):
+            essential_arrangement(origin, [Hyperplane.from_coeffs((1, 0), 1)])

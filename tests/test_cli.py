@@ -87,6 +87,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "3 hyperplanes exceeds the cap of 2" in err
 
+    def test_cap_applies_to_every_command(self, capsys):
+        for command in cli.COMMANDS:
+            code, out, err = run_cli(
+                capsys, command, corpus_file("generic3-c2"), "--max-hyperplanes", "2"
+            )
+            assert code == 2 and out == "", command
+            assert err == "error: 3 hyperplanes exceeds the cap of 2\n", command
+
     def test_nerve_built_once(self, capsys, monkeypatch):
         calls = []
         original = nerve_homology.build_singular_nerve

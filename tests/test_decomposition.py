@@ -3,10 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
+    Arrangement,
+    Hyperplane,
     arrangement_from_coeffs,
     arrangement_stats,
     build_intersection_poset,
@@ -29,6 +31,7 @@ from arrcoh.decomposition import (
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import RationalMatrix, solve_affine
 from arrcoh.invariants import beta_all_flats
+from helpers import decone_by_inverse, essential_braid
 
 F = Fraction
 
@@ -88,6 +91,28 @@ class TestNormalize:
         assert normalize_module_expr(once) == once
 
 
+@st.composite
+def central_essential_arrangements(draw):
+    """Central essential arrangements in C^2..C^4 through a rational point."""
+    n = draw(st.integers(2, 4))
+    point = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=n, max_size=n))
+    normal = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    hyperplanes = [
+        Hyperplane.from_coeffs(v, sum(x * c for x, c in zip(v, point)))
+        for v in draw(st.lists(normal, min_size=n, max_size=n + 3))
+        if any(v)
+    ]
+    a = Arrangement(n, tuple(dict.fromkeys(hyperplanes)))
+    assume(build_intersection_poset(a).n0 == 0)
+    return a
+
+
+def assert_decone_matches_basis_change(a):
+    for h in range(len(a)):
+        expected = arrangement_from_coeffs(a.ambient_dim - 1, decone_by_inverse(a, h))
+        assert decone(a, h) == expected, (a, h)
+
+
 class TestDecone:
     def test_point_on_line(self):
         a = arrangement_from_coeffs(1, [((1,), 0)])
@@ -112,6 +137,17 @@ class TestDecone:
                 assert len(deconed) == len(a) - 1, (name, h)
                 assert deconed.ambient_dim == a.ambient_dim - 1, (name, h)
                 assert build_intersection_poset(deconed).rank_l == rank - 1, (name, h)
+
+    def test_substitution_matches_basis_change(self, corpus):
+        for name in TestDeconeInvariance.CENTRAL_ESSENTIAL:
+            assert_decone_matches_basis_change(corpus[name])
+        assert_decone_matches_basis_change(essential_braid(4))
+        assert_decone_matches_basis_change(essential_braid(5))
+
+    @given(central_essential_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_substitution_matches_basis_change_random(self, a):
+        assert_decone_matches_basis_change(a)
 
     def test_non_central_rejected(self, corpus):
         with pytest.raises(InputError):

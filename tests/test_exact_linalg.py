@@ -17,7 +17,6 @@ from arrcoh.exact_linalg import (
     flat_relation,
     from_point_and_directions,
     intersect_flats,
-    inverse,
     null_space_basis,
     rational_str,
     rref_rank,
@@ -216,22 +215,6 @@ class TestFlatRelation:
 
 
 class TestHelpers:
-    def test_inverse_roundtrip(self):
-        rng = random.Random(99)
-        found = 0
-        while found < 20:
-            rows = random_fraction_matrix(rng, 3, 3)
-            if det_cofactor(rows) == 0:
-                continue
-            found += 1
-            m = mat(rows)
-            product_rows = [m.apply(col) for col in inverse(m).transpose().entries]
-            assert RationalMatrix.from_rows(product_rows).transpose() == RationalMatrix.identity(3)
-
-    def test_inverse_singular(self):
-        with pytest.raises(InputError):
-            inverse(mat([[1, 1], [2, 2]]))
-
     def test_null_space(self):
         basis = null_space_basis(mat([[1, 1, 0]]))
         assert len(basis) == 2

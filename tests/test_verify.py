@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+from arrcoh import nerve_homology, verify
 from arrcoh.arrangement import Arrangement, Hyperplane
 from arrcoh.errors import InputError
 from arrcoh.verify import run_all_checks
@@ -51,3 +52,33 @@ def test_battery_covers_non_essential_and_non_central_inputs():
     for a in cases:
         for result in run_all_checks(a):
             assert result.passed, (a, result.name, result.detail)
+
+
+def counting(calls, original):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def test_base_decomposition_computed_once(corpus, monkeypatch):
+    # One base call, then per hyperplane one deconed and one forced-choice
+    # call: 2m + 1 for the m = 2 hyperplanes of boolean-c2.
+    calls = []
+    monkeypatch.setattr(
+        verify, "decompose_cohomology", counting(calls, verify.decompose_cohomology)
+    )
+    assert all(r.passed for r in run_all_checks(corpus["boolean-c2"]))
+    assert len(calls) == 5
+
+
+def test_arrangement_nerve_built_once(corpus, monkeypatch):
+    # A's nerve once, shared by the wedge, Euler and top-flat beta checks,
+    # then one per line of boolean-c2 for its restriction.
+    calls = []
+    wrapper = counting(calls, nerve_homology.build_singular_nerve)
+    monkeypatch.setattr(nerve_homology, "build_singular_nerve", wrapper)
+    monkeypatch.setattr(verify, "build_singular_nerve", wrapper, raising=False)
+    assert all(r.passed for r in run_all_checks(corpus["boolean-c2"]))
+    assert len(calls) == 3
