@@ -8,6 +8,8 @@ graded decomposition) is read off this poset.
 Run:  python3 demos/01_poset_and_invariants.py
 """
 
+import pathlib
+
 from arrcoh import (
     arrangement_stats,
     beta_all_flats,
@@ -17,10 +19,10 @@ from arrcoh import (
     mobius_from_top,
     poincare_polynomial,
 )
-from arrcoh.cli import equations_str
-from arrcoh.corpus import corpus_arrangement
+from arrcoh.cli import equations_str, load_arrangement
 
-a = corpus_arrangement("generic3-c2")
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+a = load_arrangement(str(CORPUS / "generic3-c2.json"))
 print(f"arrangement: {len(a)} lines in C^2")
 for h in a.hyperplanes:
     print("   ", equations_str(h.subspace()))

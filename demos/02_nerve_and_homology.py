@@ -9,6 +9,8 @@ concentrated in degree l-1.
 Run:  python3 demos/02_nerve_and_homology.py
 """
 
+import pathlib
+
 from arrcoh import (
     SimplicialComplex,
     build_intersection_poset,
@@ -17,7 +19,9 @@ from arrcoh import (
     simplicial_homology,
     smith_normal_form,
 )
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
+from arrcoh.cli import load_arrangement
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 print("Smith normal form drives all integer homology here, e.g.")
 print("  snf([[2, 4], [6, 8]]) =", smith_normal_form([[2, 4], [6, 8]]))
@@ -31,8 +35,8 @@ rp2 = SimplicialComplex.from_maximal(6, rp2_faces)
 print("  projective plane: ", [g.to_json() for g in simplicial_homology(rp2).groups])
 
 print("\nnerves of the corpus arrangements:")
-for name in CORPUS_NAMES:
-    a = corpus_arrangement(name)
+for path in sorted(CORPUS.glob("*.json")):
+    name, a = path.stem, load_arrangement(str(path))
     if not a.hyperplanes:
         print(f"  {name:16s} empty arrangement, empty singular set")
         continue

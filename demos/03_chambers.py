@@ -14,6 +14,8 @@ invariant of the whole arrangement.
 Run:  python3 demos/03_chambers.py
 """
 
+import pathlib
+
 from arrcoh import (
     arrangement_stats,
     beta_combinatorial,
@@ -22,10 +24,12 @@ from arrcoh import (
     euler_complement,
     poincare_polynomial,
 )
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
+from arrcoh.cli import load_arrangement
 
-for name in CORPUS_NAMES:
-    a = corpus_arrangement(name)
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+for path in sorted(CORPUS.glob("*.json")):
+    name, a = path.stem, load_arrangement(str(path))
     p = build_intersection_poset(a)
     stats = arrangement_stats(p)
     report = enumerate_chambers(a)
@@ -38,6 +42,6 @@ for name in CORPUS_NAMES:
     print(line)
 
 print("\nsign vectors for the three generic lines (+ means a.x > b):")
-report = enumerate_chambers(corpus_arrangement("generic3-c2"))
+report = enumerate_chambers(load_arrangement(str(CORPUS / "generic3-c2.json")))
 for c in report.chambers:
     print(f"  {c.signs}  {'bounded (the central triangle)' if c.bounded else 'unbounded'}")

@@ -11,13 +11,16 @@ free one; it is the part visible to reduced l2-cohomology.
 Run:  python3 demos/04_decomposition.py
 """
 
+import pathlib
+
 from arrcoh import build_intersection_poset, decompose_cohomology, decone
-from arrcoh.cli import equations_str, module_str
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
+from arrcoh.cli import equations_str, load_arrangement, module_str
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 print("deconing drops rank, size and degree by one, e.g. three concurrent")
 print("lines through the origin with the line {x1 = 0} sent to infinity:")
-before = corpus_arrangement("concurrent3-c2")
+before = load_arrangement(str(CORPUS / "concurrent3-c2.json"))
 after = decone(before, 0)
 print(f"  before: {len(before)} lines in C^2, rank "
       f"{build_intersection_poset(before).rank_l}")
@@ -26,8 +29,8 @@ print(f"  after:  {len(after)} points in C^1, rank "
       "; ".join(equations_str(h.subspace()) for h in after.hyperplanes))
 
 print("\ndecompositions of the corpus:")
-for name in CORPUS_NAMES:
-    a = corpus_arrangement(name)
+for path in sorted(CORPUS.glob("*.json")):
+    name, a = path.stem, load_arrangement(str(path))
     dec = decompose_cohomology(a)
     print(f"\n  {name}: concentrated in degree {dec.concentration_degree}, "
           f"free rank {dec.free_rank}")

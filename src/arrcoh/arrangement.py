@@ -28,6 +28,9 @@ on the containing sets C(G) = {H in A : H contains G}
              the flats below it of dimension exactly d(G) - 1;
   A_G        is C(G), read straight off the poset
              (`IntersectionPoset.subarrangement`);
+  A∩G        a flat K covered by G is G ∩ H for any H in C(K) - C(G),
+             so each hyperplane of the restriction is one such H's
+             equation pulled back to G's chart (`restriction_to`);
   ess. A_G   its essential coordinates are each member's entries in the
              pivot columns of G's canonical system (`essential_arrangement`).
 
@@ -55,7 +58,6 @@ from .exact_linalg import (
     dot,
     intersect_flats,
     rational_str,
-    rref_pivots,
     solve_affine,
     vector,
 )
@@ -500,40 +502,36 @@ class RestrictedArrangement:
 
 
 def restriction_to(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
-    """Flats one dimension below G, packaged as an arrangement inside G."""
+    """Flats one dimension below G, packaged as an arrangement inside G.
+
+    A flat K covered by G is G ∩ H for any H containing K but not G, so
+    its chart hyperplane is H's equation pulled back to G's chart.
+    """
     if g.index >= len(p.flats) or p.flats[g.index] != g:
         raise InputError("flat does not belong to this poset")
     chart = FlatChart.for_subspace(g.subspace)
-    candidates = [
-        j for j in p.strictly_below[g.index] if p.flats[j].dim == g.dim - 1
-    ]
-    candidates.sort(
+    covered = sorted(
+        p.covers[g.index],
         key=lambda j: (
             sorted(p.flats[j].containing_hyperplanes),
             p.flats[j].subspace.sort_key(),
-        )
+        ),
     )
     hyperplanes = []
-    for j in candidates:
-        sub = p.flats[j].subspace
-        pulled = [
-            chart.pull_equation(row, sub.rhs[i])
-            for i, row in enumerate(sub.system.entries)
+    for j in covered:
+        h = p.arrangement.hyperplanes[
+            min(p.flats[j].containing_hyperplanes - g.containing_hyperplanes)
         ]
-        rows = [list(coeffs) + [const] for coeffs, const in pulled]
-        reduced, pivots = rref_pivots(
-            RationalMatrix.from_rows(rows, cols=chart.dim + 1)
-        )
-        if len(pivots) != 1 or pivots[0] == chart.dim:
+        normal, offset = chart.pull_equation(h.normal, h.offset)
+        if all(x == 0 for x in normal):
             raise InternalConsistencyError(
                 "codimension-one flat does not restrict to a chart hyperplane"
             )
-        row = reduced.entries[0]
-        hyperplanes.append(Hyperplane.from_coeffs(row[: chart.dim], row[chart.dim]))
+        hyperplanes.append(Hyperplane.from_coeffs(normal, offset))
     return RestrictedArrangement(
         flat=g,
         arrangement=Arrangement(chart.dim, tuple(hyperplanes)),
-        flat_indices=tuple(candidates),
+        flat_indices=tuple(covered),
         chart=chart,
     )
 

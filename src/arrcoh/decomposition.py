@@ -35,7 +35,7 @@ from .arrangement import (
 )
 from .errors import InputError, InternalConsistencyError
 from .exact_linalg import AffineSubspace, intersect_flats
-from .invariants import beta_combinatorial
+from .invariants import beta_all_flats
 
 
 # --- module expressions -------------------------------------------------
@@ -328,8 +328,8 @@ def _decompose(
     summands: list[Summand] = []
     free_rank = 0
     depth = 0
-    for g in p.flats:
-        beta = beta_combinatorial(p, g).value
+    for g, b in zip(p.flats, beta_all_flats(p)):
+        beta = b.value
         if beta == 0:
             continue
         if g.is_top:
@@ -359,9 +359,10 @@ def _decompose(
             inner_trivial = True
         # A_G is the whole arrangement (subgroup = whole group).
         covers_all = len(g.containing_hyperplanes) == len(a.hyperplanes)
-        module = normalize_module_expr(
-            Copies(beta, Induced(g.subspace, TensorTrivial(inner)))
-        )
+        # Already in normal form: inner is normal and nonzero, and beta
+        # equal parts need no sorting.
+        node = Induced(g.subspace, TensorTrivial(inner))
+        module = node if beta == 1 else Sum((node,) * beta)
         summands.append(
             Summand(
                 flat_index=g.index,

@@ -14,6 +14,15 @@ contractible total space, plus additivity of chi for complex algebraic
 sets).  The nerve-homology and bounded-chamber computations elsewhere in
 the package recompute the same quantity by entirely different routes and
 are wired against this one as oracles.
+
+No Möbius function is needed for it.  Write f(G) for the sum above.
+Summing over Y <= G and swapping the sums,
+
+    sum of f(Y) over Y <= G = sum over X <= G of
+        (sum of mu(Y, X) over X <= Y <= G) = sum over X <= G of delta(X, G) = 1,
+
+so f(G) = 1 - sum of f(Y) over Y < G, and one pass over the flats by
+ascending dimension gives beta on every flat (`beta_all_flats`).
 """
 
 from __future__ import annotations
@@ -158,21 +167,33 @@ class BetaValue:
 def beta_combinatorial(p: IntersectionPoset, g: Flat) -> BetaValue:
     """beta(A∩G) = (-1)^{l(G)} * sum of mu(G, X) over flats X <= G.
 
-    Always nonnegative; a negative value means the poset is broken.
-    For a minimal flat the sum is the single term mu(G, G) = 1 and
-    l(G) = 0, giving the convention beta(empty restriction) = 1.
+    Always nonnegative.  For a minimal flat the sum is the single term
+    mu(G, G) = 1 and l(G) = 0, giving the convention beta(empty
+    restriction) = 1.  Callers that need every flat read
+    `beta_all_flats` once instead.
     """
     if g.index >= len(p.flats) or p.flats[g.index] != g:
         raise InputError("flat does not belong to this poset")
-    level = p.level(g)
-    total = sum(mobius_interval_from(p, g).values())
-    value = (-1) ** level * total
-    if value < 0:
-        raise InternalConsistencyError(
-            f"negative beta invariant {value} at flat {g.index}"
-        )
-    return BetaValue(flat=g, degree=level, value=value)
+    return beta_all_flats(p)[g.index]
 
 
 def beta_all_flats(p: IntersectionPoset) -> list[BetaValue]:
-    return [beta_combinatorial(p, f) for f in p.flats]
+    """beta(A∩G) for every flat, indexed like `p.flats`.
+
+    Flats below G have smaller dimension, so visiting them by ascending
+    dimension fills f(G) = 1 - sum of f(Y) over Y < G bottom-up (see the
+    module docstring).  A negative value means the poset is broken.
+    """
+    sums = [0] * len(p.flats)
+    for g in reversed(p.flats):
+        sums[g.index] = 1 - sum(sums[j] for j in p.strictly_below[g.index])
+    values = []
+    for g in p.flats:
+        level = p.level(g)
+        value = (-1) ** level * sums[g.index]
+        if value < 0:
+            raise InternalConsistencyError(
+                f"negative beta invariant {value} at flat {g.index}"
+            )
+        values.append(BetaValue(flat=g, degree=level, value=value))
+    return values

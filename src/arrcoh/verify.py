@@ -30,7 +30,7 @@ from .decomposition import (
 )
 from .invariants import (
     IntPolynomial,
-    beta_combinatorial,
+    beta_all_flats,
     characteristic_polynomial,
     euler_complement,
     mobius_from_top,
@@ -150,8 +150,8 @@ def check_beta_oracles(
 ) -> CheckResult:
     name = "beta-triple-oracle"
     comparisons = []
-    for f in p.flats:
-        beta = beta_combinatorial(p, f).value
+    for f, b in zip(p.flats, beta_all_flats(p)):
+        beta = b.value
         sub = restriction_to(p, f).arrangement
         if f.is_top and sub != a:
             return _result(name, False, "top flat: restriction differs from the arrangement")
@@ -205,10 +205,13 @@ def check_deconing(
         return _result(name, True, "n/a: arrangement is not central and essential")
     pi_a = poincare_polynomial(p)
     one_plus_t = IntPolynomial.from_coefficients([1, 1])
+    # p shows that A passed the caller's cap, and every arrangement built
+    # here has at most |A| hyperplanes.
+    cap = len(a)
     details = []
     for h in range(len(a)):
         deconed = decone(a, h)
-        dp = build_intersection_poset(deconed)
+        dp = build_intersection_poset(deconed, max_hyperplanes=cap)
         product = one_plus_t * poincare_polynomial(dp)
         if product != pi_a:
             return _result(
@@ -220,7 +223,7 @@ def check_deconing(
             return _result(
                 name, False, f"H_inf = {h}: rank {dp.rank_l} != {p.rank_l} - 1"
             )
-        sub_dec = decompose_cohomology(deconed)
+        sub_dec = decompose_cohomology(deconed, max_hyperplanes=cap)
         if sub_dec.concentration_degree != base.concentration_degree - 1:
             return _result(
                 name,
@@ -228,7 +231,9 @@ def check_deconing(
                 f"H_inf = {h}: decomposition degree did not drop by one",
             )
         forced = decompose_cohomology(
-            a, choose_infinity=lambda arr, h=h: min(h, len(arr.hyperplanes) - 1)
+            a,
+            choose_infinity=lambda arr, h=h: min(h, len(arr.hyperplanes) - 1),
+            max_hyperplanes=cap,
         )
         if decomposition_signature(forced) != decomposition_signature(base):
             return _result(
@@ -250,7 +255,7 @@ def check_decomposition(
             False,
             f"concentration degree {dec.concentration_degree} != rank {p.rank_l}",
         )
-    betas = [beta_combinatorial(p, f).value for f in p.flats]
+    betas = [b.value for b in beta_all_flats(p)]
     for s in dec.summands:
         expected = betas[s.flat_index]
         if s.multiplicity != expected or s.multiplicity <= 0:
@@ -298,5 +303,5 @@ def run_all_checks(
         check_beta_oracles(a, p, wedge),
     ]
     # After the checks above, so that their cap errors keep precedence.
-    dec = decompose_cohomology(a)
+    dec = decompose_cohomology(a, max_hyperplanes=max_hyperplanes)
     return results + [check_deconing(a, p, dec), check_decomposition(a, p, dec)]

@@ -3,12 +3,12 @@ from __future__ import annotations
 import pytest
 
 from arrcoh.arrangement import build_intersection_poset
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
+from helpers import load_corpus
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    return {name: corpus_arrangement(name) for name in CORPUS_NAMES}
+    return load_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,42 @@
 The oracles deliberately avoid the library's own code paths: the
 determinant is cofactor expansion and the inverse is the adjugate, not
 elimination, so rank, Smith-normal-form and deconing claims are checked
-against arithmetic the package never performs.
+against arithmetic the package never performs.  The restriction A∩G is
+re-derived by row reducing each covered flat's pulled-back system.
 """
 
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
-from arrcoh.arrangement import Arrangement, arrangement_from_coeffs
+from arrcoh.arrangement import (
+    Arrangement,
+    Flat,
+    FlatChart,
+    Hyperplane,
+    IntersectionPoset,
+    RestrictedArrangement,
+    arrangement_from_coeffs,
+)
+from arrcoh.cli import load_arrangement
+from arrcoh.exact_linalg import RationalMatrix, rref_pivots
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_file(name: str) -> str:
+    return str(CORPUS_DIR / f"{name}.json")
+
+
+def load_corpus() -> dict[str, Arrangement]:
+    """The corpus files by name, loaded as the CLI loads them."""
+    return {
+        path.stem: load_arrangement(str(path))
+        for path in sorted(CORPUS_DIR.glob("*.json"))
+    }
 
 
 # Minimal 6-vertex triangulation of the projective plane (antipodal
@@ -99,6 +125,36 @@ def decone_by_inverse(a: Arrangement, h_infinity: int) -> list[tuple[list, Fract
             a_prime = [sum(h.normal[r] * t_inv[r][c] for r in range(n)) for c in range(n)]
             rows.append((a_prime[:-1], -a_prime[-1]))
     return rows
+
+
+def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
+    """A∩G by pulling each covered flat's whole system back to G's chart
+    and row reducing it to the one equation it must leave."""
+    chart = FlatChart.for_subspace(g.subspace)
+    candidates = [j for j in p.strictly_below[g.index] if p.flats[j].dim == g.dim - 1]
+    candidates.sort(
+        key=lambda j: (
+            sorted(p.flats[j].containing_hyperplanes),
+            p.flats[j].subspace.sort_key(),
+        )
+    )
+    hyperplanes = []
+    for j in candidates:
+        sub = p.flats[j].subspace
+        rows = []
+        for row, rhs in zip(sub.system.entries, sub.rhs):
+            coeffs, const = chart.pull_equation(row, rhs)
+            rows.append(list(coeffs) + [const])
+        reduced, pivots = rref_pivots(RationalMatrix.from_rows(rows, cols=chart.dim + 1))
+        assert len(pivots) == 1 and pivots[0] < chart.dim, (g.index, j)
+        row = reduced.entries[0]
+        hyperplanes.append(Hyperplane.from_coeffs(row[: chart.dim], row[chart.dim]))
+    return RestrictedArrangement(
+        flat=g,
+        arrangement=Arrangement(chart.dim, tuple(hyperplanes)),
+        flat_indices=tuple(candidates),
+        chart=chart,
+    )
 
 
 def _unit_difference(n, i, j):

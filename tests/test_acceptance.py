@@ -8,7 +8,6 @@ C^1, Boolean in C^2 and C^3, 3 generic lines, 3 concurrent lines, and
 
 from __future__ import annotations
 
-import pathlib
 import time
 from contextlib import contextmanager
 
@@ -21,7 +20,6 @@ from arrcoh.arrangement import (
     restriction_to,
 )
 from arrcoh.chambers import enumerate_chambers
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
 from arrcoh.decomposition import (
     Free,
     Induced,
@@ -40,8 +38,7 @@ from arrcoh.nerve_homology import (
     simplicial_homology,
 )
 from arrcoh.exact_linalg import RationalMatrix, solve_affine
-
-CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+from helpers import corpus_file, load_corpus
 
 
 @contextmanager
@@ -62,7 +59,7 @@ def criterion(number: int, description: str, budget_seconds: float | None = None
 
 
 def corpus_items():
-    return [(name, corpus_arrangement(name)) for name in CORPUS_NAMES]
+    return load_corpus().items()
 
 
 def test_criterion_1_corpus_concentration():
@@ -100,7 +97,7 @@ def test_criterion_2_beta_triple_oracle():
                 if stats.is_central and a.hyperplanes:
                     assert bounded == 0, name
         for name, expected in witnesses.items():
-            a = corpus_arrangement(name)
+            a = cli.load_arrangement(corpus_file(name))
             p = build_intersection_poset(a)
             assert beta_combinatorial(p, p.top).value == expected, name
             assert enumerate_chambers(a).bounded == expected, name
@@ -178,13 +175,13 @@ def test_criterion_7_hand_checked_module_values():
 
     origin_c2 = solve_affine(RationalMatrix.from_rows([[1, 0], [0, 1]]), [0, 0])
     with criterion(7, "hand-checked modules: one point, Boolean C^2, two points"):
-        dec = decompose_cohomology(corpus_arrangement("one-point-c1"))
+        dec = decompose_cohomology(cli.load_arrangement(corpus_file("one-point-c1")))
         assert dec.concentration_degree == 1
         (s,) = dec.summands
         assert s.module == Induced(point(0), TensorTrivial(TrivialZ()))
         assert s.is_trivial_z
 
-        dec = decompose_cohomology(corpus_arrangement("boolean-c2"))
+        dec = decompose_cohomology(cli.load_arrangement(corpus_file("boolean-c2")))
         assert dec.concentration_degree == 2
         (s,) = dec.summands
         assert s.module == Induced(
@@ -192,7 +189,7 @@ def test_criterion_7_hand_checked_module_values():
         )
         assert s.is_trivial_z
 
-        dec = decompose_cohomology(corpus_arrangement("two-points-c1"))
+        dec = decompose_cohomology(cli.load_arrangement(corpus_file("two-points-c1")))
         assert dec.concentration_degree == 1 and dec.free_rank == 1
         modules = {s.subspace: s.module for s in dec.summands}
         assert modules.pop(point(0)) == Induced(point(0), TensorTrivial(TrivialZ()))
@@ -236,9 +233,8 @@ def test_criterion_9_poset_oracle_equivalence():
 
 def test_criterion_10_verify_command_on_corpus(capsys):
     with criterion(10, "arrcoh verify exits 0 on every corpus file", 60.0):
-        for name in CORPUS_NAMES:
-            path = str(CORPUS_DIR / f"{name}.json")
-            code = cli.main(["verify", path])
+        for name in load_corpus():
+            code = cli.main(["verify", corpus_file(name)])
             out = capsys.readouterr().out
             assert code == 0, name
             assert "FAIL" not in out, name

@@ -31,7 +31,8 @@ from arrcoh.exact_linalg import (
     FlatRelation,
     solve_affine,
 )
-from helpers import braid, essential_braid, generic, shi
+from arrcoh.invariants import beta_all_flats, mobius_interval_from
+from helpers import braid, essential_braid, generic, restriction_by_rref, shi
 
 F = Fraction
 
@@ -70,6 +71,17 @@ def assert_containing_sets_exact(a, p):
 def assert_subarrangements_match(a, p):
     for f in p.flats:
         assert p.subarrangement(f).hyperplanes == subarrangement_at(a, f).hyperplanes
+
+
+def assert_betas_match_mobius(p):
+    for g, b in zip(p.flats, beta_all_flats(p)):
+        expected = (-1) ** p.level(g) * sum(mobius_interval_from(p, g).values())
+        assert (b.flat, b.degree, b.value) == (g, p.level(g), expected), g.index
+
+
+def assert_restrictions_match_rref(p):
+    for g in p.flats:
+        assert restriction_to(p, g) == restriction_by_rref(p, g), g.index
 
 
 @st.composite
@@ -203,7 +215,8 @@ FAMILIES = {
 
 
 class TestOrderBeyondCorpus:
-    """The combinatorial order, covers and incidence against row reductions."""
+    """The combinatorial order, covers, incidence and restrictions against
+    row reductions, and the one-pass beta against the Möbius sums."""
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_families(self, name):
@@ -215,6 +228,8 @@ class TestOrderBeyondCorpus:
         assert_covers_are_transitive_reduction(p)
         assert_containing_sets_exact(a, p)
         assert_subarrangements_match(a, p)
+        assert_betas_match_mobius(p)
+        assert_restrictions_match_rref(p)
 
     @given(small_arrangements())
     @settings(max_examples=30, deadline=None)
@@ -225,6 +240,8 @@ class TestOrderBeyondCorpus:
         assert_covers_are_transitive_reduction(p)
         assert_containing_sets_exact(a, p)
         assert_subarrangements_match(a, p)
+        assert_betas_match_mobius(p)
+        assert_restrictions_match_rref(p)
 
 
 class TestStats:

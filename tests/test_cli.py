@@ -1,33 +1,17 @@
 from __future__ import annotations
 
 import json
-import pathlib
 
 
 from arrcoh import cli, nerve_homology
-from arrcoh.arrangement import validate_arrangement
-from arrcoh.corpus import CORPUS_NAMES, corpus_arrangement
 from arrcoh.verify import CheckResult
-
-CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-
-
-def corpus_file(name: str) -> str:
-    return str(CORPUS_DIR / f"{name}.json")
+from helpers import corpus_file
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestCorpusFiles:
-    def test_files_match_programmatic_corpus(self):
-        for name in CORPUS_NAMES:
-            with open(corpus_file(name), "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            assert validate_arrangement(raw) == corpus_arrangement(name), name
 
 
 class TestExitCodes:
@@ -94,6 +78,20 @@ class TestExitCodes:
             )
             assert code == 2 and out == "", command
             assert err == "error: 3 hyperplanes exceeds the cap of 2\n", command
+
+    def test_raised_cap_reaches_every_verify_check(self, tmp_path, capsys):
+        # 21 lines y = kx + k^2, then 21 lines y = kx through the origin; the
+        # central one reaches the deconing check and its decompositions.
+        for name, offset in (("tangents", lambda k: k * k), ("pencil", lambda k: 0)):
+            planes = [
+                {"normal": [str(k), "-1"], "offset": str(-offset(k))} for k in range(1, 22)
+            ]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"dim": 2, "hyperplanes": planes}))
+            code, out, err = run_cli(capsys, "verify", str(path), "--max-hyperplanes", "21")
+            assert (code, err) == (0, ""), name
+            assert "FAIL" not in out, name
+        assert "PASS  deconing-factorization: H_inf=0:" in out
 
     def test_nerve_built_once(self, capsys, monkeypatch):
         calls = []
