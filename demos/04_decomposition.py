@@ -31,7 +31,7 @@ print(f"  after:  {len(after)} points in C^1, rank "
 print("\ndecompositions of the corpus:")
 for path in sorted(CORPUS.glob("*.json")):
     name, a = path.stem, load_arrangement(str(path))
-    dec = decompose_cohomology(a)
+    dec = decompose_cohomology(build_intersection_poset(a))
     print(f"\n  {name}: concentrated in degree {dec.concentration_degree}, "
           f"free rank {dec.free_rank}")
     for s in dec.summands:

@@ -45,7 +45,6 @@ from .chambers import (
     fm_feasible,
 )
 from .decomposition import (
-    Copies,
     Free,
     GradedDecomposition,
     Induced,
@@ -57,6 +56,7 @@ from .decomposition import (
     decompose_cohomology,
     decomposition_signature,
     decone,
+    decone_poset,
     graded_piece_is_trivial_z,
     normalize_module_expr,
 )

@@ -290,7 +290,16 @@ def build_intersection_poset(
                     fresh.append(cut)
                 done |= inside
         frontier = fresh
+    return assemble_poset(a, containing)
 
+
+def assemble_poset(
+    a: Arrangement, containing: Mapping[AffineSubspace, frozenset[int]]
+) -> IntersectionPoset:
+    """The poset of all flats of `a`, given as a map from each flat
+    (the top included) to its containing set.  The order, covers and n0
+    are read off the containing sets and dimensions alone."""
+    n = a.ambient_dim
     ordered = sorted(containing, key=lambda s: (-s.dim, s.sort_key()))
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])

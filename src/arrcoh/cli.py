@@ -26,7 +26,6 @@ from .arrangement import (
 )
 from .chambers import enumerate_chambers
 from .decomposition import (
-    Copies,
     Free,
     GradedDecomposition,
     Induced,
@@ -86,8 +85,6 @@ def module_str(m: ModuleExpr) -> str:
         return f"({module_str(m.inner)} (x) Z[triv])"
     if isinstance(m, Induced):
         return f"Ind[{equations_str(m.flat)}]({module_str(m.inner)})"
-    if isinstance(m, Copies):
-        return f"{m.mult}.({module_str(m.inner)})"
     if isinstance(m, Sum):
         return "(" + " (+) ".join(module_str(p) for p in m.parts) + ")"
     raise InputError(f"not a module expression: {m!r}")
@@ -279,9 +276,6 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
         verify_ok = True
         if command == "chambers":
             obj, text = chambers_report(a)
-        elif command == "decompose":
-            dec = decompose_cohomology(a, max_hyperplanes=max_hyperplanes)
-            obj, text = decompose_report(a, dec)
         elif command == "verify":
             obj, text, verify_ok = verify_report(a, max_hyperplanes)
         else:
@@ -294,6 +288,8 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
                 obj, text = beta_report(a, p)
             elif command == "nerve":
                 obj, text = nerve_report(a, p)
+            elif command == "decompose":
+                obj, text = decompose_report(a, decompose_cohomology(p))
             else:
                 raise InputError(f"unknown command {command!r}")
     except InputError as exc:

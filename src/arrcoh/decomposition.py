@@ -11,8 +11,14 @@ sent to infinity (deconing, which splits off a C^* factor and drops the
 degree and the rank by one), and the construction recurses on the
 resulting affine arrangement of strictly smaller rank.
 
+The recursion never rebuilds a poset from geometry.  The flats of the
+decone of ess(A_G) at H_inf are the traces of the flats Y > G with
+H_inf not in C(Y), with the same containing sets (Orlik-Terao ch. 1-2),
+so each decone's poset is read off the poset above it; linear algebra
+only writes each trace's canonical equations in the decone's chart.
+
 The emitted object is symbolic: a tree of module expressions (FREE,
-TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, COPIES, SUM) over the group ring,
+TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring,
 graded by the concentration degree.  The summand at G = C^n is the only
 free one, of rank beta(A); every other summand carries a TENSOR_TRIVIAL
 node (an infinite cyclic factor acting trivially), which is exactly why
@@ -24,17 +30,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .arrangement import (
-    DEFAULT_MAX_HYPERPLANES,
     Arrangement,
+    Flat,
     Hyperplane,
-    build_intersection_poset,
+    IntersectionPoset,
+    assemble_poset,
     essential_arrangement,
 )
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import AffineSubspace, intersect_flats
+from .exact_linalg import AffineSubspace, RationalMatrix, intersect_flats, solve_affine
 from .invariants import beta_all_flats
 
 
@@ -69,19 +75,11 @@ class Induced:
 
 
 @dataclass(frozen=True)
-class Copies:
-    """mult copies of inner; flattened into SUM by normalization."""
-
-    mult: int
-    inner: "ModuleExpr"
-
-
-@dataclass(frozen=True)
 class Sum:
     parts: tuple["ModuleExpr", ...]
 
 
-ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Copies | Sum
+ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum
 
 ZERO = Free(0)
 
@@ -95,15 +93,13 @@ def module_to_json(m: ModuleExpr) -> dict:
         return {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner)}
     if isinstance(m, Induced):
         return {"kind": "INDUCED", "flat": m.flat.to_json(), "inner": module_to_json(m.inner)}
-    if isinstance(m, Copies):
-        return {"kind": "COPIES", "mult": m.mult, "inner": module_to_json(m.inner)}
     if isinstance(m, Sum):
         return {"kind": "SUM", "parts": [module_to_json(x) for x in m.parts]}
     raise InputError(f"not a module expression: {m!r}")
 
 
 def _expr_key(m: ModuleExpr) -> tuple[int, str]:
-    kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Copies: 4, Sum: 5}
+    kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
     return (kind_rank[type(m)], json.dumps(module_to_json(m), sort_keys=True))
 
 
@@ -127,10 +123,9 @@ def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
 
 
 def normalize_module_expr(m: ModuleExpr) -> ModuleExpr:
-    """Canonical form: COPIES flattened into SUM, zero modules and empty
-    sums eliminated, nested sums flattened, FREE parts merged, parts in a
-    deterministic order.  Idempotent; expressions are compared for
-    equality only in this form."""
+    """Canonical form: zero modules and empty sums eliminated, nested
+    sums flattened, FREE parts merged, parts in a deterministic order.
+    Idempotent; expressions are compared for equality only in this form."""
     if isinstance(m, (Free, TrivialZ)):
         return m
     if isinstance(m, TensorTrivial):
@@ -139,22 +134,13 @@ def normalize_module_expr(m: ModuleExpr) -> ModuleExpr:
     if isinstance(m, Induced):
         inner = normalize_module_expr(m.inner)
         return ZERO if inner == ZERO else Induced(m.flat, inner)
-    if isinstance(m, Copies):
-        if m.mult < 0:
-            raise InputError(f"negative multiplicity {m.mult}")
-        inner = normalize_module_expr(m.inner)
-        if m.mult == 0 or inner == ZERO:
-            return ZERO
-        if m.mult == 1:
-            return inner
-        return _sum_of_normalized([inner] * m.mult)
     if isinstance(m, Sum):
         return _sum_of_normalized([normalize_module_expr(p) for p in m.parts])
     raise InputError(f"not a module expression: {m!r}")
 
 
 def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
-    """FREE nodes reachable through SUM/COPIES only.
+    """FREE nodes reachable through SUM only.
 
     These are free direct summands over the ambient group ring; FREE
     nodes below an INDUCED or TENSOR_TRIVIAL boundary refer to smaller
@@ -162,8 +148,6 @@ def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
     """
     if isinstance(m, Free):
         return [m]
-    if isinstance(m, Copies):
-        return top_level_free_nodes(m.inner)
     if isinstance(m, Sum):
         return [f for part in m.parts for f in top_level_free_nodes(part)]
     return []
@@ -172,7 +156,7 @@ def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
 def contains_tensor_trivial(m: ModuleExpr) -> bool:
     if isinstance(m, TensorTrivial):
         return True
-    if isinstance(m, (Copies, Induced)):
+    if isinstance(m, Induced):
         return contains_tensor_trivial(m.inner)
     if isinstance(m, Sum):
         return any(contains_tensor_trivial(p) for p in m.parts)
@@ -220,6 +204,31 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
             )
         hyperplanes.append(Hyperplane.from_coeffs(head, -last))
     return Arrangement(a.ambient_dim - 1, tuple(hyperplanes))
+
+
+def decone_poset(
+    p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement
+) -> IntersectionPoset:
+    """The poset of `deconed` = decone(ess(A_G), h_infinity), read off p.
+
+    With H_inf at position `h_infinity` of sorted C(G), its flats are the
+    chart traces of the flats Y > G with H_inf not in C(Y), and each keeps
+    C(Y), renumbered to the decone's hyperplanes (Orlik-Terao ch. 1-2).
+    Linear algebra only solves Y's hyperplanes in the decone's chart.
+    """
+    kept = sorted(g.containing_hyperplanes)
+    h_index = kept.pop(h_infinity)
+    position = {i: j for j, i in enumerate(kept)}
+    containing: dict[AffineSubspace, frozenset[int]] = {}
+    for y in p.strictly_above[g.index]:
+        c = p.flats[y].containing_hyperplanes
+        if h_index in c:
+            continue
+        rows = [deconed.hyperplanes[position[i]] for i in c]
+        system = RationalMatrix(tuple(h.normal for h in rows), deconed.ambient_dim)
+        trace = solve_affine(system, [h.offset for h in rows])
+        containing[trace] = frozenset(position[i] for i in c)
+    return assemble_poset(deconed, containing)
 
 
 # --- the graded decomposition -------------------------------------------
@@ -278,13 +287,6 @@ DUALITY_NOTE = (
     "asphericity is not decided here"
 )
 
-PickInfinity = Callable[[Arrangement], int]
-
-
-def _pick_lowest(a: Arrangement) -> int:
-    return 0
-
-
 def graded_piece_is_trivial_z(d: GradedDecomposition) -> bool:
     """True iff the concentrated degree is Z with trivial group action."""
     if not d.arrangement.hyperplanes:
@@ -297,34 +299,26 @@ def graded_piece_is_trivial_z(d: GradedDecomposition) -> bool:
     )
 
 
-def decompose_cohomology(
-    a: Arrangement,
-    *,
-    choose_infinity: PickInfinity | None = None,
-    max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES,
-) -> GradedDecomposition:
+def decompose_cohomology(p: IntersectionPoset, *, infinity: int = 0) -> GradedDecomposition:
     """Symbolic graded decomposition of the concentrated cohomology degree.
 
     One summand per flat with positive beta invariant; the summand at the
     top is FREE(beta(A)), every other is beta copies of an induced
-    tensored-trivial module built recursively through deconing.
-    Decompositions of sub-arrangements are memoized per call.
+    tensored-trivial module built recursively through deconing.  At a
+    flat G the hyperplane sent to infinity is the one at position
+    min(infinity, |A_G| - 1) of sorted C(G).  Every decone's poset is
+    read off the poset above it (`decone_poset`), so no poset is built
+    here; decompositions of sub-arrangements are memoized per call.
     """
-    pick = choose_infinity or _pick_lowest
-    memo: dict[Arrangement, GradedDecomposition] = {}
-    return _decompose(a, pick, memo, max_hyperplanes)
+    return _decompose(p, infinity, {})
 
 
 def _decompose(
-    a: Arrangement,
-    pick: PickInfinity,
+    p: IntersectionPoset,
+    infinity: int,
     memo: dict[Arrangement, GradedDecomposition],
-    max_hyperplanes: int,
 ) -> GradedDecomposition:
-    cached = memo.get(a)
-    if cached is not None:
-        return cached
-    p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
+    a = p.arrangement
     summands: list[Summand] = []
     free_rank = 0
     depth = 0
@@ -346,9 +340,12 @@ def _decompose(
             free_rank = beta
             continue
         ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
-        h_inf = pick(ess)
+        h_inf = min(infinity, len(ess.hyperplanes) - 1)
         deconed = decone(ess, h_inf)
-        inner_dec = _decompose(deconed, pick, memo, max_hyperplanes)
+        # Charts depend on the path, so the memo is keyed by the decone.
+        inner_dec = memo.get(deconed)
+        if inner_dec is None:
+            inner_dec = _decompose(decone_poset(p, g, h_inf, deconed), infinity, memo)
         depth = max(depth, inner_dec.recursion_depth + 1)
         if deconed.hyperplanes:
             inner = inner_dec.module_expression()

@@ -205,13 +205,12 @@ def check_deconing(
         return _result(name, True, "n/a: arrangement is not central and essential")
     pi_a = poincare_polynomial(p)
     one_plus_t = IntPolynomial.from_coefficients([1, 1])
-    # p shows that A passed the caller's cap, and every arrangement built
-    # here has at most |A| hyperplanes.
-    cap = len(a)
     details = []
     for h in range(len(a)):
+        # Geometry, not the view `decompose_cohomology` reads off p; A
+        # passed the caller's cap (p exists), and the decone is smaller.
         deconed = decone(a, h)
-        dp = build_intersection_poset(deconed, max_hyperplanes=cap)
+        dp = build_intersection_poset(deconed, max_hyperplanes=len(a))
         product = one_plus_t * poincare_polynomial(dp)
         if product != pi_a:
             return _result(
@@ -223,18 +222,14 @@ def check_deconing(
             return _result(
                 name, False, f"H_inf = {h}: rank {dp.rank_l} != {p.rank_l} - 1"
             )
-        sub_dec = decompose_cohomology(deconed, max_hyperplanes=cap)
+        sub_dec = decompose_cohomology(dp)
         if sub_dec.concentration_degree != base.concentration_degree - 1:
             return _result(
                 name,
                 False,
                 f"H_inf = {h}: decomposition degree did not drop by one",
             )
-        forced = decompose_cohomology(
-            a,
-            choose_infinity=lambda arr, h=h: min(h, len(arr.hyperplanes) - 1),
-            max_hyperplanes=cap,
-        )
+        forced = decompose_cohomology(p, infinity=h)
         if decomposition_signature(forced) != decomposition_signature(base):
             return _result(
                 name,
@@ -302,6 +297,5 @@ def run_all_checks(
         check_nerve_euler(a, p, wedge),
         check_beta_oracles(a, p, wedge),
     ]
-    # After the checks above, so that their cap errors keep precedence.
-    dec = decompose_cohomology(a, max_hyperplanes=max_hyperplanes)
+    dec = decompose_cohomology(p)
     return results + [check_deconing(a, p, dec), check_decomposition(a, p, dec)]

@@ -62,11 +62,16 @@ def corpus_items():
     return load_corpus().items()
 
 
+def decompose_corpus_file(name):
+    a = cli.load_arrangement(corpus_file(name))
+    return decompose_cohomology(build_intersection_poset(a))
+
+
 def test_criterion_1_corpus_concentration():
     with criterion(1, "decomposition concentrated in degree rank(A), whole corpus", 5.0):
         for name, a in corpus_items():
             p = build_intersection_poset(a)
-            dec = decompose_cohomology(a)
+            dec = decompose_cohomology(p)
             assert dec.concentration_degree == p.rank_l, name
             # Exactly one nonzero degree: the graded object carries a single
             # degree and it is nonzero (at least one summand, all positive).
@@ -133,7 +138,7 @@ def test_criterion_5_deconing_shadows():
             stats = arrangement_stats(p)
             if not (stats.is_central and stats.is_essential and a.hyperplanes):
                 continue
-            base = decompose_cohomology(a)
+            base = decompose_cohomology(p)
             signatures = set()
             for h in range(len(a)):
                 deconed = decone(a, h)
@@ -144,13 +149,10 @@ def test_criterion_5_deconing_shadows():
                 )
                 assert dp.rank_l == p.rank_l - 1, (name, h)
                 assert (
-                    decompose_cohomology(deconed).concentration_degree
+                    decompose_cohomology(dp).concentration_degree
                     == base.concentration_degree - 1
                 ), (name, h)
-                forced = decompose_cohomology(
-                    a,
-                    choose_infinity=lambda arr, h=h: min(h, len(arr.hyperplanes) - 1),
-                )
+                forced = decompose_cohomology(p, infinity=h)
                 signatures.add(decomposition_signature(forced))
             assert len(signatures) == 1, name
 
@@ -158,7 +160,7 @@ def test_criterion_5_deconing_shadows():
 def test_criterion_6_free_summand_structure():
     with criterion(6, "FREE only in the top summand; TENSOR_TRIVIAL below it"):
         for name, a in corpus_items():
-            dec = decompose_cohomology(a)
+            dec = decompose_cohomology(build_intersection_poset(a))
             for s in dec.summands:
                 free = top_level_free_nodes(s.module)
                 if s.subspace.is_whole_space:
@@ -175,13 +177,13 @@ def test_criterion_7_hand_checked_module_values():
 
     origin_c2 = solve_affine(RationalMatrix.from_rows([[1, 0], [0, 1]]), [0, 0])
     with criterion(7, "hand-checked modules: one point, Boolean C^2, two points"):
-        dec = decompose_cohomology(cli.load_arrangement(corpus_file("one-point-c1")))
+        dec = decompose_corpus_file("one-point-c1")
         assert dec.concentration_degree == 1
         (s,) = dec.summands
         assert s.module == Induced(point(0), TensorTrivial(TrivialZ()))
         assert s.is_trivial_z
 
-        dec = decompose_cohomology(cli.load_arrangement(corpus_file("boolean-c2")))
+        dec = decompose_corpus_file("boolean-c2")
         assert dec.concentration_degree == 2
         (s,) = dec.summands
         assert s.module == Induced(
@@ -189,7 +191,7 @@ def test_criterion_7_hand_checked_module_values():
         )
         assert s.is_trivial_z
 
-        dec = decompose_cohomology(cli.load_arrangement(corpus_file("two-points-c1")))
+        dec = decompose_corpus_file("two-points-c1")
         assert dec.concentration_degree == 1 and dec.free_rank == 1
         modules = {s.subspace: s.module for s in dec.summands}
         assert modules.pop(point(0)) == Induced(point(0), TensorTrivial(TrivialZ()))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
 
 from arrcoh import cli, nerve_homology
 from arrcoh.verify import CheckResult
-from helpers import corpus_file
+from helpers import braid, corpus_file, essential_braid, generic, shi
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -184,7 +186,6 @@ class TestReports:
                 "TRIVIAL_Z",
                 "TENSOR_TRIVIAL",
                 "INDUCED",
-                "COPIES",
                 "SUM",
             )
 
@@ -229,6 +230,38 @@ class TestReports:
         report = json.loads(out)
         assert report["total"] == 7 and report["bounded"] == 1
         assert all(set(c) == {"signs", "bounded"} for c in report["chambers"])
+
+
+# SHA-256 of `arrcoh decompose` stdout, recorded when every decone's poset
+# was still rebuilt from geometry; reading the posets off the poset above
+# must not move a byte.
+DECOMPOSE_DIGESTS = {
+    ("braid-5", "json"): "497ecc0cd8aab2eb61769f3cc486428a0e194f7ebbc197f60baba5a82d6ea10e",
+    ("braid-5", "text"): "b8a074737fbdf84138c530b6aa758dd7b7eb035a2e9fcefa44a64904a52fe3ea",
+    ("shi-4", "json"): "0c853a48088f4a309811f3c60ec7e6da0174a956544549ea810f82fa1a34f97a",
+    ("shi-4", "text"): "75103a04ff449bdfe70efb3134f833d71879a037ccd9e53fede913667d05307e",
+    ("planes-8", "json"): "0b015f83e00ffe2669a5494d3a86738479cd46bc3cabc621ab21a08bde8027e1",
+    ("planes-8", "text"): "15a4cf234a97c485d40036dc7e43fb655b6bb1aec6c40d1cd60394801db8fcd7",
+    ("essential-braid-5", "json"):
+        "f707b133edcdaf913ab1f40355f50acff0c6dd46bcacf3c0c79a3b2f130c903b",
+    ("essential-braid-5", "text"):
+        "82c3d573a292b3aaba29a1146478790b0655804f1a450582f3463ae444762ccf",
+}
+DIGEST_INPUTS = {
+    "braid-5": lambda: braid(5),
+    "shi-4": lambda: shi(4),
+    "planes-8": lambda: generic(8, 3),
+    "essential-braid-5": lambda: essential_braid(5),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(DECOMPOSE_DIGESTS))
+def test_decompose_output_bytes_pinned(name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DIGEST_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, "decompose", str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[name, fmt]
 
 
 class TestVerifyCommand:

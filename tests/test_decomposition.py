@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrcoh import arrangement, decomposition
 from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
     arrangement_from_coeffs,
     arrangement_stats,
     build_intersection_poset,
+    essential_arrangement,
 )
 from arrcoh.decomposition import (
-    Copies,
     Free,
     Induced,
     Sum,
@@ -24,6 +26,7 @@ from arrcoh.decomposition import (
     decompose_cohomology,
     decomposition_signature,
     decone,
+    decone_poset,
     graded_piece_is_trivial_z,
     normalize_module_expr,
     top_level_free_nodes,
@@ -52,17 +55,6 @@ class TestNormalize:
         x = TrivialZ()
         assert normalize_module_expr(Sum((Free(0), x))) == x
 
-    def test_copies_flatten_to_sum(self):
-        assert normalize_module_expr(Copies(2, TrivialZ())) == Sum(
-            (TrivialZ(), TrivialZ())
-        )
-
-    def test_single_copy_unwraps(self):
-        assert normalize_module_expr(Copies(1, TrivialZ())) == TrivialZ()
-
-    def test_zero_copies_vanish(self):
-        assert normalize_module_expr(Copies(0, TrivialZ())) == Free(0)
-
     def test_nested_sums_flatten(self):
         inner = Sum((TrivialZ(), Free(2)))
         outer = Sum((Free(1), inner))
@@ -71,14 +63,12 @@ class TestNormalize:
     def test_tensor_of_zero_is_zero(self):
         assert normalize_module_expr(TensorTrivial(Free(0))) == Free(0)
 
-    # Bounded recursion: nested COPIES multiply expression sizes when
-    # flattened into SUM, so cap leaves and multiplicities.
+    # Bounded recursion: cap the leaves.
     exprs = st.recursive(
         st.one_of(st.builds(Free, st.integers(0, 3)), st.builds(TrivialZ)),
         lambda children: st.one_of(
             st.builds(TensorTrivial, children),
             st.builds(Induced, st.sampled_from([POINT_0_C1, ORIGIN_C2]), children),
-            st.builds(Copies, st.integers(0, 2), children),
             st.builds(Sum, st.lists(children, min_size=1, max_size=3).map(tuple)),
         ),
         max_leaves=12,
@@ -180,48 +170,46 @@ EXPECTED_FREE_RANK = {
 
 
 class TestDecomposition:
-    def test_degree_is_rank(self, corpus, corpus_posets):
-        for name, a in corpus.items():
-            dec = decompose_cohomology(a)
+    def test_degree_is_rank(self, corpus_posets):
+        for name, p in corpus_posets.items():
+            dec = decompose_cohomology(p)
             assert dec.concentration_degree == corpus_posets[name].rank_l, name
 
-    def test_free_rank(self, corpus):
+    def test_free_rank(self, corpus_posets):
         for name, expected in EXPECTED_FREE_RANK.items():
-            assert decompose_cohomology(corpus[name]).free_rank == expected, name
+            assert decompose_cohomology(corpus_posets[name]).free_rank == expected, name
 
-    def test_multiplicities_are_betas(self, corpus, corpus_posets):
-        for name, a in corpus.items():
-            p = corpus_posets[name]
-            dec = decompose_cohomology(a)
+    def test_multiplicities_are_betas(self, corpus_posets):
+        for name, p in corpus_posets.items():
+            dec = decompose_cohomology(p)
             betas = {b.flat.index: b.value for b in beta_all_flats(p)}
             listed = {s.flat_index: s.multiplicity for s in dec.summands}
             assert listed == {i: v for i, v in betas.items() if v > 0}, name
 
-    def test_recursion_depth_equals_rank(self, corpus, corpus_posets):
-        for name, a in corpus.items():
-            dec = decompose_cohomology(a)
-            assert dec.recursion_depth == corpus_posets[name].rank_l, name
+    def test_recursion_depth_equals_rank(self, corpus_posets):
+        for name, p in corpus_posets.items():
+            assert decompose_cohomology(p).recursion_depth == p.rank_l, name
 
-    def test_empty_arrangement(self, corpus):
-        dec = decompose_cohomology(corpus["empty-c1"])
+    def test_empty_arrangement(self, corpus_posets):
+        dec = decompose_cohomology(corpus_posets["empty-c1"])
         assert dec.concentration_degree == 0
         assert len(dec.summands) == 1
         assert dec.summands[0].module == Free(1)
         assert graded_piece_is_trivial_z(dec)
 
-    def test_one_point_hand_value(self, corpus):
+    def test_one_point_hand_value(self, corpus_posets):
         # H^1 of the circle with group-ring coefficients, via the two-term
         # resolution of the infinite cyclic group: Z with trivial action.
-        dec = decompose_cohomology(corpus["one-point-c1"])
+        dec = decompose_cohomology(corpus_posets["one-point-c1"])
         assert dec.concentration_degree == 1 and dec.free_rank == 0
         (summand,) = dec.summands
         assert summand.module == Induced(POINT_0_C1, TensorTrivial(TrivialZ()))
         assert summand.is_trivial_z
 
-    def test_boolean_hand_value(self, corpus):
+    def test_boolean_hand_value(self, corpus_posets):
         # Koszul resolution of the rank-2 free abelian group: top cohomology
         # with group-ring coefficients is the trivial module Z.
-        dec = decompose_cohomology(corpus["boolean-c2"])
+        dec = decompose_cohomology(corpus_posets["boolean-c2"])
         assert dec.concentration_degree == 2 and dec.free_rank == 0
         (summand,) = dec.summands
         assert summand.subspace == ORIGIN_C2
@@ -230,8 +218,8 @@ class TestDecomposition:
         )
         assert summand.is_trivial_z
 
-    def test_two_points_hand_value(self, corpus):
-        dec = decompose_cohomology(corpus["two-points-c1"])
+    def test_two_points_hand_value(self, corpus_posets):
+        dec = decompose_cohomology(corpus_posets["two-points-c1"])
         assert dec.concentration_degree == 1 and dec.free_rank == 1
         by_subspace = {s.subspace: s for s in dec.summands}
         top = next(s for s in dec.summands if s.subspace.is_whole_space)
@@ -245,9 +233,9 @@ class TestDecomposition:
         # Induced from a proper subgroup: not the trivial module.
         assert not by_subspace[POINT_0_C1].is_trivial_z
 
-    def test_free_nodes_only_at_top(self, corpus):
-        for name, a in corpus.items():
-            dec = decompose_cohomology(a)
+    def test_free_nodes_only_at_top(self, corpus_posets):
+        for name, p in corpus_posets.items():
+            dec = decompose_cohomology(p)
             for s in dec.summands:
                 free = top_level_free_nodes(s.module)
                 if s.subspace.is_whole_space:
@@ -260,38 +248,34 @@ class TestDecomposition:
         # The three families add summands with beta > 1 below the top.
         families = {"braid-4": braid(4), "shi-3": shi(3), "planes-8": generic(8, 3)}
         for name, a in {**corpus, **families}.items():
-            for s in decompose_cohomology(a).summands:
+            for s in decompose_cohomology(build_intersection_poset(a)).summands:
                 assert normalize_module_expr(s.module) == s.module, name
 
     def test_deterministic(self, corpus):
         for name, a in corpus.items():
-            assert decompose_cohomology(a) == decompose_cohomology(a), name
+            first = decompose_cohomology(build_intersection_poset(a))
+            assert first == decompose_cohomology(build_intersection_poset(a)), name
 
 
 class TestDeconeInvariance:
     CENTRAL_ESSENTIAL = ("one-point-c1", "boolean-c2", "boolean-c3", "concurrent3-c2")
 
-    def test_signature_independent_of_infinity_choice(self, corpus):
+    def test_signature_independent_of_infinity_choice(self, corpus_posets):
         for name in self.CENTRAL_ESSENTIAL:
-            a = corpus[name]
-            signatures = set()
-            for k in range(len(a)):
-                dec = decompose_cohomology(
-                    a,
-                    choose_infinity=lambda arr, k=k: min(
-                        k, len(arr.hyperplanes) - 1
-                    ),
-                )
-                signatures.add(decomposition_signature(dec))
+            p = corpus_posets[name]
+            signatures = {
+                decomposition_signature(decompose_cohomology(p, infinity=k))
+                for k in range(len(p.arrangement))
+            }
             assert len(signatures) == 1, name
 
-    def test_degree_shift(self, corpus):
+    def test_degree_shift(self, corpus, corpus_posets):
         for name in self.CENTRAL_ESSENTIAL:
             a = corpus[name]
-            degree = decompose_cohomology(a).concentration_degree
+            degree = decompose_cohomology(corpus_posets[name]).concentration_degree
             for h in range(len(a)):
                 deconed_degree = decompose_cohomology(
-                    decone(a, h)
+                    build_intersection_poset(decone(a, h))
                 ).concentration_degree
                 assert deconed_degree == degree - 1, (name, h)
 
@@ -300,9 +284,56 @@ class TestDeconeInvariance:
         # original flats that survive (those not inside H_inf).
         a = corpus["concurrent3-c2"]
         deconed = decone(a, 0)
-        dec = decompose_cohomology(deconed)
+        dec = decompose_cohomology(build_intersection_poset(deconed))
         assert {s.subspace for s in dec.summands} == {
             subspace([[1]], [0]),
             subspace([[1]], [-1]),
             subspace([], [], cols=1),
         }
+
+
+def assert_decone_posets_match_geometry(a):
+    """The decone poset read off A's poset equals the one rebuilt from
+    the deconed arrangement, at every non-top flat and every H_inf."""
+    p = build_intersection_poset(a)
+    for g in p.flats[1:]:
+        ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
+        for h in range(len(ess)):
+            deconed = decone(ess, h)
+            view = decone_poset(p, g, h, deconed)
+            built = build_intersection_poset(deconed)
+            for field in dataclasses.fields(built):
+                assert getattr(view, field.name) == getattr(built, field.name), (
+                    g.index, h, field.name,
+                )
+
+
+class TestDeconePoset:
+    def test_corpus(self, corpus):
+        for name in TestDeconeInvariance.CENTRAL_ESSENTIAL:
+            assert_decone_posets_match_geometry(corpus[name])
+
+    def test_families(self):
+        for a in (braid(4), shi(3), essential_braid(4), generic(8, 3)):
+            assert_decone_posets_match_geometry(a)
+
+    @given(central_essential_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_random(self, a):
+        assert_decone_posets_match_geometry(a)
+
+    def test_decompose_builds_no_poset(self, monkeypatch):
+        posets = [build_intersection_poset(a) for a in (braid(4), shi(3), generic(8, 3))]
+
+        def no_poset(*args, **kwargs):
+            raise AssertionError("decompose_cohomology built a poset")
+
+        monkeypatch.setattr(arrangement, "build_intersection_poset", no_poset)
+        monkeypatch.setattr(decomposition, "build_intersection_poset", no_poset, raising=False)
+        for p in posets:
+            for h in range(3):
+                assert decompose_cohomology(p, infinity=h).summands
+
+    def test_negative_infinity_rejected(self, corpus_posets):
+        with pytest.raises(InputError):
+            decompose_cohomology(corpus_posets["boolean-c2"], infinity=-1)
