@@ -2,8 +2,10 @@
 
 Rational input data is real data, so the complement of the realified
 arrangement decomposes into open chambers, one per feasible sign vector.
-Feasibility and boundedness are decided exactly by Fourier-Motzkin
-elimination.  Two classical identities tie the counts back to the poset:
+They are found exactly by splitting regions one hyperplane at a time,
+each region carrying a rational witness point, and a chamber is bounded
+unless one of finitely many candidate rays keeps its signs.  Two
+classical identities tie the counts back to the poset:
 
   total chambers   = poincare polynomial evaluated at 1
   bounded chambers = |euler characteristic of the complement|   (essential)

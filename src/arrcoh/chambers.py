@@ -1,17 +1,27 @@
 """Real-geometry oracle: chambers of the realified arrangement.
 
 A chamber is a sign vector s in {+,-}^|A| whose open region
-{x : sign(a_i.x - b_i) = s_i for all i} is nonempty.  Feasibility of
-the strict rational system is decided exactly by Fourier-Motzkin
+{x : sign(a_i.x - b_i) = s_i for all i} is nonempty.  Chambers are found
+by deletion-restriction (Zaslavsky 1975; Orlik-Terao ch. 2): the
+hyperplanes are added in input order, each region keeps one rational
+interior witness, and H_k splits exactly the regions that some chamber
+of the restriction to H_k meets; those chambers come from the same
+routine one dimension down.  Boundedness needs no solver: when the
+normals have full rank, a chamber is unbounded iff one of the finitely
+many candidate extreme rays of the recession cones (+-d, d spanning the
+null space of n - 1 independent normals) keeps its signs.
+
+`LinearSystem`, `fm_feasible`, `feasible_point` and `chamber_bounded`
+decide one strict rational system at a time by Fourier-Motzkin
 elimination (combining each lower bound with each upper bound preserves
-strictness), and boundedness by eliminating over the homogenized weak
-system: a chamber is bounded iff its recession cone is {0}.
+strictness; a region is bounded iff its recession cone is {0}).  They
+are the single-system reference the enumeration is tested against, and
+are not on its path.
 
 For an essential arrangement defined over the reals the bounded-chamber
 count is a classical third route to the beta invariant of the whole
 arrangement; it is wired as a cross-check elsewhere, never as the
-definition.  Enumeration is the plain 2^|A| sweep; the cap keeps that
-honest.
+definition.
 """
 
 from __future__ import annotations
@@ -23,7 +33,15 @@ from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .errors import InputError, ResourceCapError
-from .exact_linalg import Vector, as_rational, dot, vector
+from .exact_linalg import (
+    RationalMatrix,
+    Vector,
+    as_rational,
+    dot,
+    null_space_basis,
+    rref_rank,
+    vector,
+)
 
 MAX_FM_DIM = 6
 MAX_FM_CONSTRAINTS = 24
@@ -263,6 +281,91 @@ def chamber_system(a: Arrangement, signs: Sequence[str]) -> LinearSystem:
     return LinearSystem.from_relations(a.ambient_dim, relations)
 
 
+def _restriction_points(
+    rows: Sequence[tuple[Vector, Fraction]], normal: Vector, offset: Fraction
+) -> list[Vector]:
+    """A point of every region of `rows` cut down to {normal.x = offset}.
+
+    The hyperplane is charted by eliminating its first nonzero coordinate
+    p.  Hyperplanes parallel to it leave no trace; traces that coincide
+    are merged, so the restriction is again a set of distinct hyperplanes,
+    one dimension down.
+    """
+    p = next(i for i, c in enumerate(normal) if c != 0)
+    rest = [i for i in range(len(normal)) if i != p]
+    traces: dict[tuple[Vector, Fraction], None] = {}
+    for a, b in rows:
+        ratio = a[p] / normal[p]
+        trace = tuple(a[i] - ratio * normal[i] for i in rest)
+        lead = next((c for c in trace if c != 0), None)
+        if lead is not None:
+            key = (tuple(c / lead for c in trace), (b - ratio * offset) / lead)
+            traces.setdefault(key)
+    points = []
+    for y in _region_witnesses(list(traces), len(rest)).values():
+        off_pivot = sum((normal[i] * v for i, v in zip(rest, y)), Fraction(0))
+        points.append(y[:p] + ((offset - off_pivot) / normal[p],) + y[p:])
+    return points
+
+
+def _region_witnesses(rows: Sequence[tuple[Vector, Fraction]], n: int) -> dict[str, Vector]:
+    """An interior rational point of every region of the real arrangement
+    `rows` (distinct hyperplanes a.x = b in Q^n), keyed by sign vector.
+
+    Deletion-restriction: H_k splits exactly the regions that meet it,
+    and those are the regions holding a point of some region of the
+    restriction to H_k.  Each such point x on H_k gives the two new
+    witnesses x +- delta a_k, with delta short enough not to reach any
+    earlier hyperplane.  A region that H_k does not split keeps its
+    witness, which then lies off H_k.
+    """
+    regions: dict[str, Vector] = {"": (Fraction(0),) * n}
+    for k, (a_k, b_k) in enumerate(rows):
+        earlier = rows[:k]
+        slopes = [dot(a, a_k) for a, _ in earlier]
+        split: dict[str, Vector] = {}
+        for x in _restriction_points(earlier, a_k, b_k):
+            values = [dot(a, x) - b for a, b in earlier]
+            signs = "".join("+" if v > 0 else "-" for v in values)
+            reach = [abs(v / slope) for v, slope in zip(values, slopes) if slope != 0]
+            delta = min(reach) / 2 if reach else Fraction(1)
+            split[signs + "+"] = tuple(v + delta * c for v, c in zip(x, a_k))
+            split[signs + "-"] = tuple(v - delta * c for v, c in zip(x, a_k))
+        regions = {
+            signs + ("+" if dot(a_k, w) > b_k else "-"): w
+            for signs, w in regions.items()
+            if signs + "+" not in split
+        } | split
+    return regions
+
+
+def _recession_rays(normals: Sequence[Vector], n: int) -> set[tuple[int, int]] | None:
+    """The candidate extreme rays of every chamber's recession cone, as
+    (mask of i with a_i.d > 0, mask of i with a_i.d < 0); None when the
+    normals have rank < n, so that every chamber holds a line.
+
+    With rank n each recession cone {d : s_i a_i.d >= 0} is pointed, so
+    it is nonzero iff it has an extreme ray; such a ray is cut out by
+    n - 1 independent tight constraints, hence is +-d for d spanning the
+    null space of n - 1 independent normals.
+    """
+    distinct = list(dict.fromkeys(normals))
+    if rref_rank(RationalMatrix(tuple(distinct), n))[1] < n:
+        return None
+    rays: set[tuple[int, int]] = set()
+    for subset in itertools.combinations(distinct, n - 1) if n else ():  # Q^0 is a point
+        basis = null_space_basis(RationalMatrix(subset, n))
+        if len(basis) != 1:
+            continue
+        for d in (basis[0], tuple(-c for c in basis[0])):
+            values = [dot(a, d) for a in normals]
+            rays.add((
+                sum(1 << i for i, v in enumerate(values) if v > 0),
+                sum(1 << i for i, v in enumerate(values) if v < 0),
+            ))
+    return rays
+
+
 def enumerate_chambers(a: Arrangement) -> ChamberReport:
     """All feasible sign vectors of the real arrangement, with boundedness."""
     m = len(a)
@@ -270,13 +373,16 @@ def enumerate_chambers(a: Arrangement) -> ChamberReport:
         raise ResourceCapError(
             f"{m} hyperplanes exceeds the chamber cap of {MAX_CHAMBER_HYPERPLANES}"
         )
+    if a.ambient_dim > MAX_FM_DIM:
+        raise ResourceCapError(f"dimension {a.ambient_dim} exceeds the cap of {MAX_FM_DIM}")
+    rows = [(h.normal, h.offset) for h in a.hyperplanes]
+    rays = _recession_rays([h.normal for h in a.hyperplanes], a.ambient_dim)
     chambers = []
-    bounded_count = 0
-    for signs in itertools.product("+-", repeat=m):
-        system = chamber_system(a, signs)
-        if not fm_feasible(system):
-            continue
-        bounded = chamber_bounded(system)
-        bounded_count += int(bounded)
-        chambers.append(Chamber("".join(signs), bounded))
+    for signs in sorted(_region_witnesses(rows, a.ambient_dim)):
+        plus = sum(1 << i for i, s in enumerate(signs) if s == "+")
+        bounded = rays is not None and not any(
+            up & ~plus == 0 and down & plus == 0 for up, down in rays
+        )
+        chambers.append(Chamber(signs, bounded))
+    bounded_count = sum(c.bounded for c in chambers)
     return ChamberReport(len(chambers), bounded_count, tuple(chambers))

@@ -14,6 +14,8 @@ import pathlib
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from arrcoh.arrangement import (
     Arrangement,
     Flat,
@@ -197,3 +199,20 @@ def generic(m, n):
     return arrangement_from_coeffs(
         n, [([t**k for k in range(n)], t**n) for t in range(1, m + 1)]
     )
+
+
+@st.composite
+def small_arrangements(draw):
+    """Rational arrangements in C^1..C^3 with up to 6 hyperplanes, drawn as
+    parallel classes: each normal carries one or more offsets."""
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        normal = draw(st.lists(coeff, min_size=n, max_size=n))
+        if all(x == 0 for x in normal):
+            continue
+        for b in draw(st.lists(coeff, min_size=1, max_size=3, unique=True)):
+            rows.append(Hyperplane.from_coeffs(normal, b))
+    unique = tuple(dict.fromkeys(rows))[:6]
+    return Arrangement(n, unique)

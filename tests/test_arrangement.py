@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
     Arrangement,
@@ -32,7 +31,14 @@ from arrcoh.exact_linalg import (
     solve_affine,
 )
 from arrcoh.invariants import beta_all_flats, mobius_interval_from
-from helpers import braid, essential_braid, generic, restriction_by_rref, shi
+from helpers import (
+    braid,
+    essential_braid,
+    generic,
+    restriction_by_rref,
+    shi,
+    small_arrangements,
+)
 
 F = Fraction
 
@@ -82,23 +88,6 @@ def assert_betas_match_mobius(p):
 def assert_restrictions_match_rref(p):
     for g in p.flats:
         assert restriction_to(p, g) == restriction_by_rref(p, g), g.index
-
-
-@st.composite
-def small_arrangements(draw):
-    """Rational arrangements in C^1..C^3 with up to 6 hyperplanes, drawn as
-    parallel classes: each normal carries one or more offsets."""
-    n = draw(st.integers(1, 3))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    rows = []
-    for _ in range(draw(st.integers(0, 4))):
-        normal = draw(st.lists(coeff, min_size=n, max_size=n))
-        if all(x == 0 for x in normal):
-            continue
-        for b in draw(st.lists(coeff, min_size=1, max_size=3, unique=True)):
-            rows.append(Hyperplane.from_coeffs(normal, b))
-    unique = tuple(dict.fromkeys(rows))[:6]
-    return Arrangement(n, unique)
 
 
 class TestValidation:

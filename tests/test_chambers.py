@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrcoh.arrangement import arrangement_from_coeffs, arrangement_stats
+from arrcoh.arrangement import (
+    Arrangement,
+    Hyperplane,
+    arrangement_from_coeffs,
+    arrangement_stats,
+    build_intersection_poset,
+)
 from arrcoh.chambers import (
+    Chamber,
     LinearSystem,
     chamber_bounded,
+    chamber_system,
     enumerate_chambers,
     feasible_point,
     fm_feasible,
@@ -16,6 +27,7 @@ from arrcoh.chambers import (
 )
 from arrcoh.errors import InputError, ResourceCapError
 from arrcoh.invariants import euler_complement, mobius_from_top, poincare_polynomial
+from helpers import essential_braid, generic, shi, small_arrangements
 
 F = Fraction
 
@@ -144,3 +156,65 @@ class TestEnumeration:
         a = arrangement_from_coeffs(1, [((1,), k) for k in range(13)])
         with pytest.raises(ResourceCapError):
             enumerate_chambers(a)
+        c7 = arrangement_from_coeffs(7, [((1,) + (0,) * 6, 0)])
+        with pytest.raises(ResourceCapError, match="dimension 7 exceeds the cap of 6"):
+            enumerate_chambers(c7)
+
+
+def sweep_chambers(a):
+    """The 2^m reference: every sign vector's system decided by Fourier-Motzkin."""
+    chambers = []
+    for signs in itertools.product("+-", repeat=len(a)):
+        s = chamber_system(a, signs)
+        if fm_feasible(s):
+            chambers.append(Chamber("".join(signs), chamber_bounded(s)))
+    return tuple(chambers)
+
+
+def centralize(a):
+    """Every hyperplane moved through the origin, coinciding ones merged."""
+    moved = (Hyperplane(h.normal, Fraction(0)) for h in a.hyperplanes)
+    return Arrangement(a.ambient_dim, tuple(dict.fromkeys(moved)))
+
+
+class TestSplittingMatchesSweep:
+    def test_corpus(self, corpus):
+        for name, a in corpus.items():
+            assert enumerate_chambers(a).chambers == sweep_chambers(a), name
+
+    @pytest.mark.parametrize(
+        "a", [essential_braid(4), generic(7, 2)], ids=["essential-braid-4", "lines-7"]
+    )
+    def test_families(self, a):
+        assert enumerate_chambers(a).chambers == sweep_chambers(a)
+
+    @given(st.one_of(small_arrangements(), small_arrangements().map(centralize)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_arrangements(self, a):
+        assert enumerate_chambers(a).chambers == sweep_chambers(a)
+
+
+class TestBeyondTheSweep:
+    """Sizes the 2^m sweep cannot reach, against Zaslavsky's counts:
+    pi(A, 1) regions and, when A is essential, |chi(M)| bounded ones."""
+
+    @pytest.mark.parametrize(
+        "build, total, bounded",
+        [
+            (lambda: generic(12, 3), 299, 165),
+            (lambda: generic(8, 4), 163, 35),
+            (lambda: essential_braid(5), 120, 0),
+            (lambda: shi(4), 125, 0),
+        ],
+        ids=["planes-12", "generic-8-in-C4", "essential-braid-5", "shi-4"],
+    )
+    def test_counts(self, build, total, bounded):
+        a = build()
+        p = build_intersection_poset(a)
+        report = enumerate_chambers(a)
+        assert (report.total, report.bounded) == (total, bounded)
+        assert report.total == poincare_polynomial(p)(1)
+        if arrangement_stats(p).is_essential:
+            assert report.bounded == abs(euler_complement(p))
+        else:
+            assert report.bounded == 0  # every region holds a line

@@ -264,6 +264,48 @@ def test_decompose_output_bytes_pinned(name, fmt, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[name, fmt]
 
 
+
+# SHA-256 of `arrcoh chambers` and `arrcoh verify` stdout, recorded when
+# chambers were still found by sweeping all 2^m sign vectors with
+# Fourier-Motzkin; splitting regions hyperplane by hyperplane must not
+# move a byte.
+CHAMBER_DIGESTS = {
+    ("chambers", "planes-8", "json"):
+        "707824592548a10f0fd5b9bda84eea8d48c298419722c7612082721133fdc716",
+    ("chambers", "planes-8", "text"):
+        "6161a847382a5142b86c4e238d0bf0e7a7b0b48ad25099954011529282b481f2",
+    ("chambers", "lines-8", "json"):
+        "75ebc0991205d67265349af43f22463d18e48f15dd9ea2c896f78b92f058d99b",
+    ("chambers", "lines-8", "text"):
+        "6b9ba43d1c4cbf1b83dc6da767a172a11953fb02bf7c02e5032ef1cc6d1d62cc",
+    ("chambers", "essential-braid-5", "json"):
+        "611b6563eb080f2b1de3f303af2146310dfd0d6523c9314cbc3e5b7f6616b00e",
+    ("chambers", "essential-braid-5", "text"):
+        "31d14076d05b3dd2922f34730e21aab9250b678fb3b6115977fa4034da007b29",
+    ("chambers", "shi-3", "json"):
+        "0dde5dc468f54ffa78aa0dfbc2529afa53115984d19cd7dda9c485034cb98f6f",
+    ("chambers", "shi-3", "text"):
+        "24a03653709b30f84bea4f5b93e5c31c5c0596d9eb620f8a26452d8fe1b1db9a",
+    ("verify", "planes-8", "json"):
+        "67ad7ad57d46111368c6ce5a619f153dd7e5960c5a277a8a1c0b4c51e70aebe1",
+}
+CHAMBER_INPUTS = {
+    "planes-8": lambda: generic(8, 3),
+    "lines-8": lambda: generic(8, 2),
+    "essential-braid-5": lambda: essential_braid(5),
+    "shi-3": lambda: shi(3),
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", sorted(CHAMBER_DIGESTS))
+def test_chambers_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CHAMBER_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CHAMBER_DIGESTS[command, name, fmt]
+
 class TestVerifyCommand:
     def test_check_order_and_values(self, capsys):
         _, out, _ = run_cli(capsys, "verify", corpus_file("boolean-c2"))
