@@ -306,6 +306,40 @@ def test_chambers_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == CHAMBER_DIGESTS[command, name, fmt]
 
+
+# SHA-256 of `arrcoh nerve` and `arrcoh verify` stdout, recorded when
+# Smith normal form was still dense elimination on the whole matrix;
+# eliminating the unit pivots sparsely first must not move a byte.
+# braid(5) and essential_braid(5) have the same nerve, so their reports
+# match.
+NERVE_DIGESTS = {
+    ("nerve", "braid-5", "json"):
+        "d7e75c65b53ad2d2e85feea38c3f17e4e7fbb81f24f757fe2c5116c401a08d71",
+    ("nerve", "braid-5", "text"):
+        "2a686d9371a763d9d51bc8a71138aed90bf136012c1edeeac353e264af8e6e3f",
+    ("nerve", "shi-4", "json"):
+        "b0d372316233ff00ab4c1ea933bbe9fb2effdf8450d16635610cd550105d3278",
+    ("nerve", "shi-4", "text"):
+        "d068da0ad98b91acf3d9e55db175f43dd88fa0eb7e09369439eb919cf51f1a64",
+    ("nerve", "essential-braid-5", "json"):
+        "d7e75c65b53ad2d2e85feea38c3f17e4e7fbb81f24f757fe2c5116c401a08d71",
+    ("nerve", "essential-braid-5", "text"):
+        "2a686d9371a763d9d51bc8a71138aed90bf136012c1edeeac353e264af8e6e3f",
+    ("verify", "braid-5", "json"):
+        "64d163599470ed150b2071a236c59b09ac4569e03561287b05bd6a7762d38cfd",
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", sorted(NERVE_DIGESTS))
+def test_nerve_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DIGEST_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == NERVE_DIGESTS[command, name, fmt]
+
+
 class TestVerifyCommand:
     def test_check_order_and_values(self, capsys):
         _, out, _ = run_cli(capsys, "verify", corpus_file("boolean-c2"))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.arrangement import arrangement_from_coeffs, build_intersection_poset
 from arrcoh.errors import InputError, ResourceCapError
@@ -10,6 +14,7 @@ from arrcoh.exact_linalg import RationalMatrix, rref_rank
 from arrcoh.invariants import euler_complement
 from arrcoh.nerve_homology import (
     SimplicialComplex,
+    _dense_smith_normal_form,
     boundary_matrix,
     build_singular_nerve,
     nerve_is_truncated,
@@ -17,7 +22,7 @@ from arrcoh.nerve_homology import (
     simplicial_homology,
     smith_normal_form,
 )
-from helpers import PROJECTIVE_PLANE_FACES, det_cofactor, random_int_matrix
+from helpers import PROJECTIVE_PLANE_FACES, braid, det_cofactor, random_int_matrix
 
 
 class TestNerve:
@@ -131,6 +136,105 @@ class TestSmithNormalForm:
             factors = smith_normal_form(m)
             _, rank = rref_rank(RationalMatrix.from_rows(m))
             assert len(factors) == rank
+
+
+def determinantal_factors(m: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors d_k = D_k / D_(k-1), where D_k is the gcd of the
+    k x k minors (cofactor determinants) and D_0 = 1."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, int(det_cofactor([[m[i][j] for j in cs] for i in rs])))
+        if d == 0:
+            break
+        divisors.append(d)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
+
+
+def mixed_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Mostly zero and +-1 entries with some non-units, and sometimes a
+    zero row or a zero column."""
+    values = [0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6]
+    m = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        m[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def nerve_boundary_matrices(c: SimplicialComplex) -> list[list[list[int]]]:
+    return [boundary_matrix(c, k) for k in range(1, c.max_dim + 1)]
+
+
+def int_matrices(side: int):
+    """Matrices of at most side x side small entries, 0 x k and k x 0 included."""
+    entries = st.sampled_from([0, 0, 1, -1, 2, -2, 3, -6])
+    return st.integers(0, side).flatmap(
+        lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=side)
+    )
+
+
+class TestSparseMatchesDense:
+    """The sparse unit-pivot elimination must give the factors of the
+    dense elimination it replaced, and of the determinantal divisors."""
+
+    def test_random_mixed(self):
+        rng = random.Random(2001)
+        for _ in range(400):
+            m = mixed_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+            assert smith_normal_form(m) == _dense_smith_normal_form(m), m
+
+    def test_degenerate_shapes(self):
+        for m in ([], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[0, 1], [0, 0]]):
+            assert smith_normal_form(m) == _dense_smith_normal_form(m), m
+
+    def test_corpus_nerves(self, corpus_posets):
+        for name, p in corpus_posets.items():
+            if not p.arrangement.hyperplanes:
+                continue
+            for m in nerve_boundary_matrices(build_singular_nerve(p)):
+                assert smith_normal_form(m) == _dense_smith_normal_form(m), name
+
+    def test_braid_nerve(self):
+        nerve = build_singular_nerve(build_intersection_poset(braid(5)))
+        for m in nerve_boundary_matrices(nerve):
+            assert smith_normal_form(m) == _dense_smith_normal_form(m)
+
+    def test_projective_plane(self):
+        rp2 = SimplicialComplex.from_maximal(6, PROJECTIVE_PLANE_FACES)
+        d1, d2 = nerve_boundary_matrices(rp2)
+        assert smith_normal_form(d1) == _dense_smith_normal_form(d1) == (1,) * 5
+        # The Z/2 survives every unit pivot and comes out of the remainder.
+        assert smith_normal_form(d2) == _dense_smith_normal_form(d2) == (1,) * 9 + (2,)
+
+    def test_simplex_skeleton(self):
+        # 6-skeleton of the simplex on 11 vertices: matrices up to 462 x 462.
+        skeleton = SimplicialComplex.from_maximal(11, list(itertools.combinations(range(11), 7)))
+        for m in nerve_boundary_matrices(skeleton):
+            assert smith_normal_form(m) == _dense_smith_normal_form(m)
+
+    @given(int_matrices(5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_hypothesis(self, m):
+        assert smith_normal_form(m) == _dense_smith_normal_form(m)
+
+    def test_determinantal_divisors(self):
+        rng = random.Random(1998)
+        for _ in range(150):
+            m = mixed_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            assert smith_normal_form(m) == determinantal_factors(m), m
+
+    @given(int_matrices(4))
+    @settings(max_examples=100, deadline=None)
+    def test_determinantal_divisors_hypothesis(self, m):
+        assert smith_normal_form(m) == determinantal_factors(m)
 
 
 class TestHomology:
