@@ -54,7 +54,6 @@ from .decomposition import (
     TensorTrivial,
     TrivialZ,
     decompose_cohomology,
-    decomposition_signature,
     decone,
     decone_poset,
     graded_piece_is_trivial_z,

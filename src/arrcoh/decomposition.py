@@ -299,24 +299,22 @@ def graded_piece_is_trivial_z(d: GradedDecomposition) -> bool:
     )
 
 
-def decompose_cohomology(p: IntersectionPoset, *, infinity: int = 0) -> GradedDecomposition:
+def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     """Symbolic graded decomposition of the concentrated cohomology degree.
 
     One summand per flat with positive beta invariant; the summand at the
     top is FREE(beta(A)), every other is beta copies of an induced
     tensored-trivial module built recursively through deconing.  At a
-    flat G the hyperplane sent to infinity is the one at position
-    min(infinity, |A_G| - 1) of sorted C(G).  Every decone's poset is
-    read off the poset above it (`decone_poset`), so no poset is built
-    here; decompositions of sub-arrangements are memoized per call.
+    flat G the hyperplane sent to infinity is the lowest-indexed member
+    of C(G).  Every decone's poset is read off the poset above it
+    (`decone_poset`), so no poset is built here; decompositions of
+    sub-arrangements are memoized per call.
     """
-    return _decompose(p, infinity, {})
+    return _decompose(p, {})
 
 
 def _decompose(
-    p: IntersectionPoset,
-    infinity: int,
-    memo: dict[Arrangement, GradedDecomposition],
+    p: IntersectionPoset, memo: dict[Arrangement, GradedDecomposition]
 ) -> GradedDecomposition:
     a = p.arrangement
     summands: list[Summand] = []
@@ -340,12 +338,11 @@ def _decompose(
             free_rank = beta
             continue
         ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
-        h_inf = min(infinity, len(ess.hyperplanes) - 1)
-        deconed = decone(ess, h_inf)
+        deconed = decone(ess, 0)
         # Charts depend on the path, so the memo is keyed by the decone.
         inner_dec = memo.get(deconed)
         if inner_dec is None:
-            inner_dec = _decompose(decone_poset(p, g, h_inf, deconed), infinity, memo)
+            inner_dec = _decompose(decone_poset(p, g, 0, deconed), memo)
         depth = max(depth, inner_dec.recursion_depth + 1)
         if deconed.hyperplanes:
             inner = inner_dec.module_expression()
@@ -379,14 +376,3 @@ def _decompose(
     memo[a] = result
     return result
 
-
-def decomposition_signature(
-    d: GradedDecomposition,
-) -> tuple[int, int, tuple[tuple[tuple, int], ...]]:
-    """(degree, free_rank, per-flat multiplicities) for invariance checks."""
-    mults = tuple(
-        sorted(
-            (s.subspace.sort_key(), s.multiplicity) for s in d.summands
-        )
-    )
-    return (d.concentration_degree, d.free_rank, mults)

@@ -343,13 +343,15 @@ def sigma_wedge_check(p: IntersectionPoset) -> WedgeCheck:
 
     is_wedge is true iff reduced nerve homology in degrees 0..l is
     torsion-free and vanishes outside degree l-1; beta is the free rank
-    in degree l-1 (for l = 1 this is components - 1).  A false result is
-    reportable, not an error; the empty arrangement and one above the
-    nerve cap are rejected by `build_singular_nerve`.
+    in degree l-1 (for l = 1 this is components - 1).  `homology` keeps
+    degrees 0..l only: the nerve is truncated above dimension l+1, so
+    its degree-(l+1) group is not homology of the singular set.  A false
+    result is reportable, not an error; the empty arrangement and one
+    above the nerve cap are rejected by `build_singular_nerve`.
     """
     nerve = build_singular_nerve(p)
-    hom = simplicial_homology(nerve)
     l = p.rank_l
+    hom = HomologyResult(simplicial_homology(nerve).groups[: l + 1])
     is_wedge = True
     for k in range(l + 1):
         if hom.torsion(k):

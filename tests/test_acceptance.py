@@ -27,8 +27,8 @@ from arrcoh.decomposition import (
     TrivialZ,
     contains_tensor_trivial,
     decompose_cohomology,
-    decomposition_signature,
     decone,
+    decone_poset,
     top_level_free_nodes,
 )
 from arrcoh.invariants import IntPolynomial, beta_combinatorial, poincare_polynomial
@@ -131,7 +131,7 @@ def test_criterion_4_rank_identity():
 
 
 def test_criterion_5_deconing_shadows():
-    with criterion(5, "deconing: Poincare factorization, rank/degree drop, choice invariance"):
+    with criterion(5, "deconing: Poincare factorization, rank/degree drop, decone view = geometry"):
         one_plus_t = IntPolynomial.from_coefficients([1, 1])
         for name, a in corpus_items():
             p = build_intersection_poset(a)
@@ -139,7 +139,7 @@ def test_criterion_5_deconing_shadows():
             if not (stats.is_central and stats.is_essential and a.hyperplanes):
                 continue
             base = decompose_cohomology(p)
-            signatures = set()
+            center = p.flats[min(p.minimal_flats)]
             for h in range(len(a)):
                 deconed = decone(a, h)
                 dp = build_intersection_poset(deconed)
@@ -152,9 +152,7 @@ def test_criterion_5_deconing_shadows():
                     decompose_cohomology(dp).concentration_degree
                     == base.concentration_degree - 1
                 ), (name, h)
-                forced = decompose_cohomology(p, infinity=h)
-                signatures.add(decomposition_signature(forced))
-            assert len(signatures) == 1, name
+                assert decone_poset(p, center, h, deconed) == dp, (name, h)
 
 
 def test_criterion_6_free_summand_structure():

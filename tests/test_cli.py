@@ -83,7 +83,8 @@ class TestExitCodes:
 
     def test_raised_cap_reaches_every_verify_check(self, tmp_path, capsys):
         # 21 lines y = kx + k^2, then 21 lines y = kx through the origin; the
-        # central one reaches the deconing check and its decompositions.
+        # central one reaches the deconing check, whose decone posets are
+        # built under the raised cap.
         for name, offset in (("tangents", lambda k: k * k), ("pencil", lambda k: 0)):
             planes = [
                 {"normal": [str(k), "-1"], "offset": str(-offset(k))} for k in range(1, 22)
@@ -307,24 +308,26 @@ def test_chambers_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
     assert digest == CHAMBER_DIGESTS[command, name, fmt]
 
 
-# SHA-256 of `arrcoh nerve` and `arrcoh verify` stdout, recorded when
-# Smith normal form was still dense elimination on the whole matrix;
-# eliminating the unit pivots sparsely first must not move a byte.
+# SHA-256 of `arrcoh nerve` and `arrcoh verify` stdout.  The `verify` pin
+# was recorded when Smith normal form was still dense elimination on the
+# whole matrix.  The `nerve` pins were re-recorded when the report
+# stopped listing the degree-(l+1) group of the truncated nerve, which is
+# not homology of the singular set; that group is the only difference.
 # braid(5) and essential_braid(5) have the same nerve, so their reports
 # match.
 NERVE_DIGESTS = {
     ("nerve", "braid-5", "json"):
-        "d7e75c65b53ad2d2e85feea38c3f17e4e7fbb81f24f757fe2c5116c401a08d71",
+        "b5a7777846121d41fde1281615d4765fa03d156992cb3c6ed0937e044f777424",
     ("nerve", "braid-5", "text"):
-        "2a686d9371a763d9d51bc8a71138aed90bf136012c1edeeac353e264af8e6e3f",
+        "0273f05ee3a34c380ed6af56fdab921c1913a4d61f666da4b7e0a942c94ad752",
     ("nerve", "shi-4", "json"):
-        "b0d372316233ff00ab4c1ea933bbe9fb2effdf8450d16635610cd550105d3278",
+        "19835f825847872cc0ec07f876b2477e7cc3fbff1dffe163d57d5f7e3d194fd0",
     ("nerve", "shi-4", "text"):
-        "d068da0ad98b91acf3d9e55db175f43dd88fa0eb7e09369439eb919cf51f1a64",
+        "a92e905a5c5013f67b1798b6203e7f2ebdd8595f9289f6c904fb341b10976bee",
     ("nerve", "essential-braid-5", "json"):
-        "d7e75c65b53ad2d2e85feea38c3f17e4e7fbb81f24f757fe2c5116c401a08d71",
+        "b5a7777846121d41fde1281615d4765fa03d156992cb3c6ed0937e044f777424",
     ("nerve", "essential-braid-5", "text"):
-        "2a686d9371a763d9d51bc8a71138aed90bf136012c1edeeac353e264af8e6e3f",
+        "0273f05ee3a34c380ed6af56fdab921c1913a4d61f666da4b7e0a942c94ad752",
     ("verify", "braid-5", "json"):
         "64d163599470ed150b2071a236c59b09ac4569e03561287b05bd6a7762d38cfd",
 }
@@ -338,6 +341,27 @@ def test_nerve_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == NERVE_DIGESTS[command, name, fmt]
+
+
+# SHA-256 of `arrcoh verify` stdout, recorded when the deconing check ran
+# two decompositions per hyperplane; comparing the decone poset read off
+# A's poset with the one built from geometry must not move a byte.
+# essential_braid(5) is central and essential, so the check runs in full.
+VERIFY_DIGESTS = {
+    ("essential-braid-5", "json"):
+        "e62812fa2c7687e7528868849493da04ad1cee9d0709151310d654df90a35b9b",
+    ("essential-braid-5", "text"):
+        "57231a23a9cba32d3398c9597ca567eeeed9e4ccd12c830115832fd4157bcdf4",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(VERIFY_DIGESTS))
+def test_verify_output_bytes_pinned(name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DIGEST_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, "verify", str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[name, fmt]
 
 
 class TestVerifyCommand:

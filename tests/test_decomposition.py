@@ -24,7 +24,6 @@ from arrcoh.decomposition import (
     TrivialZ,
     contains_tensor_trivial,
     decompose_cohomology,
-    decomposition_signature,
     decone,
     decone_poset,
     graded_piece_is_trivial_z,
@@ -260,15 +259,6 @@ class TestDecomposition:
 class TestDeconeInvariance:
     CENTRAL_ESSENTIAL = ("one-point-c1", "boolean-c2", "boolean-c3", "concurrent3-c2")
 
-    def test_signature_independent_of_infinity_choice(self, corpus_posets):
-        for name in self.CENTRAL_ESSENTIAL:
-            p = corpus_posets[name]
-            signatures = {
-                decomposition_signature(decompose_cohomology(p, infinity=k))
-                for k in range(len(p.arrangement))
-            }
-            assert len(signatures) == 1, name
-
     def test_degree_shift(self, corpus, corpus_posets):
         for name in self.CENTRAL_ESSENTIAL:
             a = corpus[name]
@@ -331,9 +321,4 @@ class TestDeconePoset:
         monkeypatch.setattr(arrangement, "build_intersection_poset", no_poset)
         monkeypatch.setattr(decomposition, "build_intersection_poset", no_poset, raising=False)
         for p in posets:
-            for h in range(3):
-                assert decompose_cohomology(p, infinity=h).summands
-
-    def test_negative_infinity_rejected(self, corpus_posets):
-        with pytest.raises(InputError):
-            decompose_cohomology(corpus_posets["boolean-c2"], infinity=-1)
+            assert decompose_cohomology(p).summands

@@ -22,7 +22,7 @@ from arrcoh.nerve_homology import (
     simplicial_homology,
     smith_normal_form,
 )
-from helpers import PROJECTIVE_PLANE_FACES, braid, det_cofactor, random_int_matrix
+from helpers import PROJECTIVE_PLANE_FACES, braid, det_cofactor, random_int_matrix, shi
 
 
 class TestNerve:
@@ -299,6 +299,20 @@ class TestWedgeCheck:
                 assert w.homology.torsion(k) == (), name
                 if k != p.rank_l - 1:
                     assert w.homology.reduced_rank(k) == 0, (name, k)
+
+    def test_reported_degrees_stop_at_rank(self, corpus_posets):
+        # The nerve is truncated above dimension l + 1, which determines
+        # homology in degrees 0..l only; braid(4), shi(4) and braid(5)
+        # have a nonzero degree-(l+1) group in the truncated complex.
+        posets = list(corpus_posets.values()) + [
+            build_intersection_poset(a) for a in (braid(4), shi(4), braid(5))
+        ]
+        for p in posets:
+            if not p.arrangement.hyperplanes:
+                continue
+            degrees = [g.degree for g in sigma_wedge_check(p).homology.groups]
+            assert degrees == list(range(len(degrees))), p.arrangement
+            assert max(degrees) <= p.rank_l, p.arrangement
 
     def test_nerve_euler_additivity(self, corpus_posets):
         # chi(nerve) = chi(singular set) = 1 - chi(complement).

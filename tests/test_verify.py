@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 from arrcoh import nerve_homology, verify
-from arrcoh.arrangement import Arrangement, Hyperplane
+from arrcoh.arrangement import Arrangement, Hyperplane, assemble_poset
 from arrcoh.errors import InputError
 from arrcoh.verify import run_all_checks
+from helpers import essential_braid
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:
@@ -63,14 +64,14 @@ def counting(calls, original):
 
 
 def test_base_decomposition_computed_once(corpus, monkeypatch):
-    # One base call, then per hyperplane one deconed and one forced-choice
-    # call: 2m + 1 for the m = 2 hyperplanes of boolean-c2.
+    # One call, for the decomposition-structure check; the deconing check
+    # compares posets and decomposes nothing.
     calls = []
     monkeypatch.setattr(
         verify, "decompose_cohomology", counting(calls, verify.decompose_cohomology)
     )
     assert all(r.passed for r in run_all_checks(corpus["boolean-c2"]))
-    assert len(calls) == 5
+    assert len(calls) == 1
 
 
 def test_arrangement_nerve_built_once(corpus, monkeypatch):
@@ -82,3 +83,26 @@ def test_arrangement_nerve_built_once(corpus, monkeypatch):
     monkeypatch.setattr(verify, "build_singular_nerve", wrapper, raising=False)
     assert all(r.passed for r in run_all_checks(corpus["boolean-c2"]))
     assert len(calls) == 3
+
+
+def test_deconing_check_catches_a_wrong_decone_view(monkeypatch):
+    # A view that loses one minimal flat of the decone must no longer
+    # match the decone poset built from geometry.
+    original = verify.decone_poset
+
+    def dropping_a_minimal_flat(p, g, h_infinity, deconed):
+        view = original(p, g, h_infinity, deconed)
+        dropped = min(view.minimal_flats)
+        return assemble_poset(
+            deconed,
+            {f.subspace: f.containing_hyperplanes for f in view.flats if f.index != dropped},
+        )
+
+    monkeypatch.setattr(verify, "decone_poset", dropping_a_minimal_flat)
+    results = {r.name: r for r in run_all_checks(essential_braid(4))}
+    deconing = results.pop("deconing-factorization")
+    assert not deconing.passed
+    assert deconing.detail == (
+        "H_inf = 0: decone poset read off A's poset differs from geometry"
+    )
+    assert all(r.passed for r in results.values())
