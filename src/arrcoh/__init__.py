@@ -55,7 +55,7 @@ from .decomposition import (
     TrivialZ,
     decompose_cohomology,
     decone,
-    decone_poset,
+    decone_flats,
     graded_piece_is_trivial_z,
     normalize_module_expr,
 )

@@ -26,8 +26,7 @@ on the containing sets C(G) = {H in A : H contains G}
              G < G' iff C(G) strictly contains C(G');
   covers     the poset is ranked by dimension, so the covers of G are
              the flats below it of dimension exactly d(G) - 1;
-  A_G        is C(G), read straight off the poset
-             (`IntersectionPoset.subarrangement`);
+  A_G        is C(G), read straight off the poset;
   A∩G        a flat K covered by G is G ∩ H for any H in C(K) - C(G),
              so each hyperplane of the restriction is one such H's
              equation pulled back to G's chart (`restriction_to`);
@@ -98,9 +97,6 @@ class Hyperplane:
         # Canonical scaling makes the row (normal | offset) its own rref.
         n = len(self.normal)
         return AffineSubspace(n, RationalMatrix((self.normal,), n), (self.offset,))
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return dot(self.normal, point) - self.offset
 
 
 @dataclass(frozen=True)
@@ -239,14 +235,6 @@ class IntersectionPoset:
         """Relative level l(G) = d(G) - n0."""
         return g.dim - self.n0
 
-    def subarrangement(self, g: Flat) -> Arrangement:
-        """The central sub-arrangement A_G, read off G's containing set."""
-        a = self.arrangement
-        return Arrangement(
-            a.ambient_dim,
-            tuple(a.hyperplanes[i] for i in sorted(g.containing_hyperplanes)),
-        )
-
     def flat_for(self, subspace: AffineSubspace) -> Flat | None:
         for f in self.flats:
             if f.subspace == subspace:
@@ -290,16 +278,7 @@ def build_intersection_poset(
                     fresh.append(cut)
                 done |= inside
         frontier = fresh
-    return assemble_poset(a, containing)
 
-
-def assemble_poset(
-    a: Arrangement, containing: Mapping[AffineSubspace, frozenset[int]]
-) -> IntersectionPoset:
-    """The poset of all flats of `a`, given as a map from each flat
-    (the top included) to its containing set.  The order, covers and n0
-    are read off the containing sets and dimensions alone."""
-    n = a.ambient_dim
     ordered = sorted(containing, key=lambda s: (-s.dim, s.sort_key()))
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])

@@ -11,11 +11,13 @@ sent to infinity (deconing, which splits off a C^* factor and drops the
 degree and the rank by one), and the construction recurses on the
 resulting affine arrangement of strictly smaller rank.
 
-The recursion never rebuilds a poset from geometry.  The flats of the
-decone of ess(A_G) at H_inf are the traces of the flats Y > G with
+The recursion walks A's poset and builds no other.  The flats of the
+decone of ess(A_G) at H_inf are the traces of the flats Y > G of A with
 H_inf not in C(Y), with the same containing sets (Orlik-Terao ch. 1-2),
-so each decone's poset is read off the poset above it; linear algebra
-only writes each trace's canonical equations in the decone's chart.
+and a nested decone's flats are again such a set of A's flats.  So each
+subproblem is a view of A's poset, a list of its flat indices, whose
+beta comes from A's order (`beta_all_flats`); linear algebra only writes
+each trace's canonical equations in the decone's chart.
 
 The emitted object is symbolic: a tree of module expressions (FREE,
 TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring,
@@ -30,13 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .arrangement import (
     Arrangement,
     Flat,
     Hyperplane,
     IntersectionPoset,
-    assemble_poset,
     essential_arrangement,
 )
 from .errors import InputError, InternalConsistencyError
@@ -206,29 +208,29 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
     return Arrangement(a.ambient_dim - 1, tuple(hyperplanes))
 
 
-def decone_poset(
+def decone_flats(
     p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement
-) -> IntersectionPoset:
-    """The poset of `deconed` = decone(ess(A_G), h_infinity), read off p.
+) -> list[tuple[int, AffineSubspace, int]]:
+    """The flats of `deconed` = decone(ess(A_G), h_infinity) as a view of p.
 
-    With H_inf at position `h_infinity` of sorted C(G), its flats are the
-    chart traces of the flats Y > G with H_inf not in C(Y), and each keeps
-    C(Y), renumbered to the decone's hyperplanes (Orlik-Terao ch. 1-2).
-    Linear algebra only solves Y's hyperplanes in the decone's chart.
+    With H_inf at position `h_infinity` of sorted C(G), they are the
+    traces of the flats Y > G with H_inf not in C(Y), and keep C(Y)
+    (Orlik-Terao ch. 1-2).  Returns (index of Y in p, trace in the
+    decone's chart, beta), ordered like the flats of the decone's poset.
     """
     kept = sorted(g.containing_hyperplanes)
     h_index = kept.pop(h_infinity)
     position = {i: j for j, i in enumerate(kept)}
-    containing: dict[AffineSubspace, frozenset[int]] = {}
+    traces = {}
     for y in p.strictly_above[g.index]:
         c = p.flats[y].containing_hyperplanes
         if h_index in c:
             continue
         rows = [deconed.hyperplanes[position[i]] for i in c]
         system = RationalMatrix(tuple(h.normal for h in rows), deconed.ambient_dim)
-        trace = solve_affine(system, [h.offset for h in rows])
-        containing[trace] = frozenset(position[i] for i in c)
-    return assemble_poset(deconed, containing)
+        traces[y] = solve_affine(system, [h.offset for h in rows])
+    members = sorted(traces, key=lambda y: (-traces[y].dim, traces[y].sort_key()))
+    return [(y, traces[y], b.value) for y, b in zip(members, beta_all_flats(p, members))]
 
 
 # --- the graded decomposition -------------------------------------------
@@ -306,73 +308,69 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     top is FREE(beta(A)), every other is beta copies of an induced
     tensored-trivial module built recursively through deconing.  At a
     flat G the hyperplane sent to infinity is the lowest-indexed member
-    of C(G).  Every decone's poset is read off the poset above it
-    (`decone_poset`), so no poset is built here; decompositions of
-    sub-arrangements are memoized per call.
+    of C(G).  Every decone's flats are a view of p (`decone_flats`), so
+    no poset is built here; decompositions of sub-arrangements are
+    memoized per call.
     """
-    return _decompose(p, {})
+    flats = [(f.index, f.subspace, b.value) for f, b in zip(p.flats, beta_all_flats(p))]
+    return _decompose(p, p.arrangement, range(len(p.arrangement)), flats, {})
 
 
 def _decompose(
-    p: IntersectionPoset, memo: dict[Arrangement, GradedDecomposition]
+    p: IntersectionPoset,
+    a: Arrangement,
+    labels: Sequence[int],
+    flats: list[tuple[int, AffineSubspace, int]],
+    memo: dict[Arrangement, GradedDecomposition],
 ) -> GradedDecomposition:
-    a = p.arrangement
+    """Decompose `a`, whose hyperplane j is p's hyperplane labels[j] in the
+    current chart, and whose flats are the view `flats` of p."""
+    position = {i: j for j, i in enumerate(labels)}
     summands: list[Summand] = []
     free_rank = 0
     depth = 0
-    for g, b in zip(p.flats, beta_all_flats(p)):
-        beta = b.value
+    for y, trace, beta in flats:
         if beta == 0:
             continue
-        if g.is_top:
-            covers_all = not a.hyperplanes
-            summands.append(
-                Summand(
-                    flat_index=g.index,
-                    subspace=g.subspace,
-                    multiplicity=beta,
-                    module=Free(beta),
-                    is_trivial_z=covers_all and beta == 1,
-                )
-            )
+        if trace.is_whole_space:
             free_rank = beta
-            continue
-        ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
-        deconed = decone(ess, 0)
-        # Charts depend on the path, so the memo is keyed by the decone.
-        inner_dec = memo.get(deconed)
-        if inner_dec is None:
-            inner_dec = _decompose(decone_poset(p, g, 0, deconed), memo)
-        depth = max(depth, inner_dec.recursion_depth + 1)
-        if deconed.hyperplanes:
-            inner = inner_dec.module_expression()
-            inner_trivial = graded_piece_is_trivial_z(inner_dec)
+            module = Free(beta)
+            trivial = beta == 1 and not a.hyperplanes
         else:
-            # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
-            inner = TrivialZ()
-            inner_trivial = True
-        # A_G is the whole arrangement (subgroup = whole group).
-        covers_all = len(g.containing_hyperplanes) == len(a.hyperplanes)
-        # Already in normal form: inner is normal and nonzero, and beta
-        # equal parts need no sorting.
-        node = Induced(g.subspace, TensorTrivial(inner))
-        module = node if beta == 1 else Sum((node,) * beta)
-        summands.append(
-            Summand(
-                flat_index=g.index,
-                subspace=g.subspace,
-                multiplicity=beta,
-                module=module,
-                is_trivial_z=beta == 1 and covers_all and inner_trivial,
-            )
-        )
+            g = p.flats[y]
+            kept = sorted(g.containing_hyperplanes)
+            ess = essential_arrangement(trace, [a.hyperplanes[position[i]] for i in kept])
+            deconed = decone(ess, 0)
+            # Keyed by the decone, not by G: charts depend on the path, and the
+            # INDUCED flats are printed in each chart, so one G can stand for
+            # several distinct decones.
+            inner_dec = memo.get(deconed)
+            if inner_dec is None:
+                inner_dec = _decompose(
+                    p, deconed, kept[1:], decone_flats(p, g, 0, deconed), memo
+                )
+            depth = max(depth, inner_dec.recursion_depth + 1)
+            if deconed.hyperplanes:
+                inner = inner_dec.module_expression()
+                inner_trivial = graded_piece_is_trivial_z(inner_dec)
+            else:
+                # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
+                inner = TrivialZ()
+                inner_trivial = True
+            # Already in normal form: inner is normal and nonzero, and beta
+            # equal parts need no sorting.
+            node = Induced(trace, TensorTrivial(inner))
+            module = node if beta == 1 else Sum((node,) * beta)
+            # A_G is the whole arrangement (subgroup = whole group).
+            trivial = beta == 1 and len(kept) == len(a.hyperplanes) and inner_trivial
+        summands.append(Summand(y, trace, beta, module, trivial))
+    # The view lists flats by descending dimension: the last is minimal.
     result = GradedDecomposition(
         arrangement=a,
-        concentration_degree=p.rank_l,
+        concentration_degree=a.ambient_dim - flats[-1][1].dim,
         summands=tuple(summands),
         free_rank=free_rank,
         recursion_depth=depth,
     )
     memo[a] = result
     return result
-

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .arrangement import Flat, IntersectionPoset
 from .errors import InputError, InternalConsistencyError
@@ -177,23 +178,38 @@ def beta_combinatorial(p: IntersectionPoset, g: Flat) -> BetaValue:
     return beta_all_flats(p)[g.index]
 
 
-def beta_all_flats(p: IntersectionPoset) -> list[BetaValue]:
-    """beta(A∩G) for every flat, indexed like `p.flats`.
+def beta_all_flats(
+    p: IntersectionPoset, members: Sequence[int] | None = None
+) -> list[BetaValue]:
+    """beta(A∩G) for every flat, indexed like `p.flats`, or for the view
+    `members` (flat indices by descending dimension), indexed like it.
 
-    Flats below G have smaller dimension, so visiting them by ascending
-    dimension fills f(G) = 1 - sum of f(Y) over Y < G bottom-up (see the
-    module docstring).  A negative value means the poset is broken.
+    A view is ordered as in p, and its levels start at the dimension of
+    its minimal flats.  Flats below G have smaller dimension, so visiting
+    them by ascending dimension fills f(G) = 1 - sum of f(Y) over Y < G
+    bottom-up (see the module docstring).  A negative value, or minimal
+    flats of unequal dimension, means the poset or the view is broken.
     """
-    sums = [0] * len(p.flats)
-    for g in reversed(p.flats):
-        sums[g.index] = 1 - sum(sums[j] for j in p.strictly_below[g.index])
+    if members is None:
+        members = range(len(p.flats))
+    inside = frozenset(members)
+    base = p.flats[members[-1]].dim
+    sums: dict[int, int] = {}
+    for y in reversed(members):
+        below = p.strictly_below[y] & inside
+        if not below and p.flats[y].dim != base:
+            raise InternalConsistencyError(
+                f"minimal flats have unequal dimensions {base} and {p.flats[y].dim}"
+            )
+        sums[y] = 1 - sum(sums[j] for j in below)
     values = []
-    for g in p.flats:
-        level = p.level(g)
-        value = (-1) ** level * sums[g.index]
+    for y in members:
+        g = p.flats[y]
+        level = g.dim - base
+        value = (-1) ** level * sums[y]
         if value < 0:
             raise InternalConsistencyError(
-                f"negative beta invariant {value} at flat {g.index}"
+                f"negative beta invariant {value} at flat {y}"
             )
         values.append(BetaValue(flat=g, degree=level, value=value))
     return values

@@ -24,7 +24,7 @@ from .decomposition import (
     GradedDecomposition,
     decompose_cohomology,
     decone,
-    decone_poset,
+    decone_flats,
     top_level_free_nodes,
     contains_tensor_trivial,
 )
@@ -53,17 +53,14 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail)
-
-
-def check_poset_bruteforce(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_poset_bruteforce(p: IntersectionPoset) -> CheckResult:
+    a = p.arrangement
     name = "poset-bruteforce-agreement"
     if len(a) > BRUTEFORCE_CAP:
-        return _result(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap {BRUTEFORCE_CAP}")
+        return CheckResult(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap {BRUTEFORCE_CAP}")
     expected = poset_subspaces_bruteforce(a)
     actual = frozenset(f.subspace for f in p.flats)
-    return _result(
+    return CheckResult(
         name,
         actual == expected,
         f"breadth-first flats = {len(actual)}, subset-enumeration flats = {len(expected)}",
@@ -78,8 +75,8 @@ def check_rank_identity(p: IntersectionPoset) -> CheckResult:
         if p.level(f) + f.codim != p.rank_l
     ]
     if bad:
-        return _result(name, False, f"l(G) + gr(G) != l at flats {bad}")
-    return _result(name, True, f"l(G) + gr(G) = {p.rank_l} on all {len(p.flats)} flats")
+        return CheckResult(name, False, f"l(G) + gr(G) != l at flats {bad}")
+    return CheckResult(name, True, f"l(G) + gr(G) = {p.rank_l} on all {len(p.flats)} flats")
 
 
 def check_mobius_sign(p: IntersectionPoset) -> CheckResult:
@@ -91,8 +88,8 @@ def check_mobius_sign(p: IntersectionPoset) -> CheckResult:
         if mu[f.index] * (-1) ** f.codim <= 0
     ]
     if bad:
-        return _result(name, False, f"sign(mu) != (-1)^gr at flats {bad}")
-    return _result(name, True, f"sign(mu(top, G)) = (-1)^gr(G) on all {len(p.flats)} flats")
+        return CheckResult(name, False, f"sign(mu) != (-1)^gr at flats {bad}")
+    return CheckResult(name, True, f"sign(mu(top, G)) = (-1)^gr(G) on all {len(p.flats)} flats")
 
 
 def check_reciprocity(p: IntersectionPoset) -> CheckResult:
@@ -103,22 +100,21 @@ def check_reciprocity(p: IntersectionPoset) -> CheckResult:
     flipped = IntPolynomial.from_coefficients(
         [(-1) ** (n - d) * chi.coefficient(d) for d in range(n, -1, -1)]
     )
-    return _result(
+    return CheckResult(
         name,
         pi == flipped,
         f"pi(A, t) = {pi}; (-t)^n chi(A, -1/t) = {flipped}",
     )
 
 
-def check_sigma_wedge(
-    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
-) -> CheckResult:
+def check_sigma_wedge(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
+    a = p.arrangement
     name = "sigma-wedge"
     if not a.hyperplanes:
-        return _result(name, True, "n/a: empty arrangement has an empty singular set")
+        return CheckResult(name, True, "n/a: empty arrangement has an empty singular set")
     if len(a) > DEFAULT_NERVE_ORACLE_CAP:
-        return _result(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
-    return _result(
+        return CheckResult(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
+    return CheckResult(
         name,
         wedge.is_wedge,
         f"reduced nerve homology concentrated in degree {p.rank_l - 1}, "
@@ -126,39 +122,37 @@ def check_sigma_wedge(
     )
 
 
-def check_nerve_euler(
-    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
-) -> CheckResult:
+def check_nerve_euler(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
+    a = p.arrangement
     name = "nerve-euler-additivity"
     if not a.hyperplanes:
-        return _result(name, True, "n/a: empty arrangement")
+        return CheckResult(name, True, "n/a: empty arrangement")
     if len(a) > DEFAULT_NERVE_ORACLE_CAP:
-        return _result(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
+        return CheckResult(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap")
     if nerve_is_truncated(p):
-        return _result(name, True, "n/a: nerve truncated above the checked range")
+        return CheckResult(name, True, "n/a: nerve truncated above the checked range")
     nerve_chi = wedge.nerve.euler_characteristic()
     expected = 1 - euler_complement(p)
-    return _result(
+    return CheckResult(
         name,
         nerve_chi == expected,
         f"chi(nerve) = {nerve_chi}, 1 - chi(complement) = {expected}",
     )
 
 
-def check_beta_oracles(
-    a: Arrangement, p: IntersectionPoset, wedge: WedgeCheck | None
-) -> CheckResult:
+def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
+    a = p.arrangement
     name = "beta-triple-oracle"
     comparisons = []
     for f, b in zip(p.flats, beta_all_flats(p)):
         beta = b.value
         sub = restriction_to(p, f).arrangement
         if f.is_top and sub != a:
-            return _result(name, False, "top flat: restriction differs from the arrangement")
+            return CheckResult(name, False, "top flat: restriction differs from the arrangement")
         if not sub.hyperplanes:
             comparisons.append((f.index, beta, 1 if beta == 1 else None))
             if beta != 1:
-                return _result(
+                return CheckResult(
                     name, False, f"flat {f.index}: empty restriction but beta = {beta}"
                 )
             continue
@@ -170,7 +164,7 @@ def check_beta_oracles(
             sub_poset = build_intersection_poset(sub)
             nerve_beta = sigma_wedge_check(sub_poset).beta
         if nerve_beta != beta:
-            return _result(
+            return CheckResult(
                 name,
                 False,
                 f"flat {f.index}: combinatorial beta {beta} != nerve beta {nerve_beta}",
@@ -180,13 +174,13 @@ def check_beta_oracles(
             chambers = enumerate_chambers(sub)
             entry.append(chambers.bounded)
             if chambers.bounded != beta:
-                return _result(
+                return CheckResult(
                     name,
                     False,
                     f"flat {f.index}: beta {beta} != bounded chambers {chambers.bounded}",
                 )
         comparisons.append(tuple(entry))
-    return _result(
+    return CheckResult(
         name,
         True,
         "per-flat (index, combinatorial, nerve[, chambers]): "
@@ -194,19 +188,20 @@ def check_beta_oracles(
     )
 
 
-def check_deconing(a: Arrangement, p: IntersectionPoset) -> CheckResult:
+def check_deconing(p: IntersectionPoset) -> CheckResult:
+    a = p.arrangement
     name = "deconing-factorization"
     stats = arrangement_stats(p)
     if not a.hyperplanes:
-        return _result(name, True, "n/a: empty arrangement")
+        return CheckResult(name, True, "n/a: empty arrangement")
     if not (stats.is_central and stats.is_essential):
-        return _result(name, True, "n/a: arrangement is not central and essential")
+        return CheckResult(name, True, "n/a: arrangement is not central and essential")
     pi_a = poincare_polynomial(p)
     one_plus_t = IntPolynomial.from_coefficients([1, 1])
     center = p.flats[min(p.minimal_flats)]
     details = []
     for h in range(len(a)):
-        # Geometry: the independent route the `decone_poset` view is
+        # Geometry: the independent route the `decone_flats` view is
         # checked against.  A passed the caller's cap (p exists), and the
         # decone is smaller.  A is central and essential, so decone(a, h)
         # is the decone of ess(A_center) that the view describes.
@@ -215,31 +210,38 @@ def check_deconing(a: Arrangement, p: IntersectionPoset) -> CheckResult:
         pi_deconed = poincare_polynomial(dp)
         product = one_plus_t * pi_deconed
         if product != pi_a:
-            return _result(
+            return CheckResult(
                 name,
                 False,
                 f"H_inf = {h}: (1+t) * pi(A') = {product} != pi(A) = {pi_a}",
             )
         if dp.rank_l != p.rank_l - 1:
-            return _result(
+            return CheckResult(
                 name, False, f"H_inf = {h}: rank {dp.rank_l} != {p.rank_l} - 1"
             )
-        if decone_poset(p, center, h, deconed) != dp:
-            return _result(
+        # C(center) is all of A: labels above h move down one.
+        view = [
+            (trace, frozenset(i - (i > h) for i in p.flats[y].containing_hyperplanes), b)
+            for y, trace, b in decone_flats(p, center, h, deconed)
+        ]
+        built = [
+            (f.subspace, f.containing_hyperplanes, b.value)
+            for f, b in zip(dp.flats, beta_all_flats(dp))
+        ]
+        if view != built:
+            return CheckResult(
                 name,
                 False,
-                f"H_inf = {h}: decone poset read off A's poset differs from geometry",
+                f"H_inf = {h}: decone view read off A's poset differs from geometry",
             )
         details.append(f"H_inf={h}: pi(A)=(1+t)*({pi_deconed})")
-    return _result(name, True, "; ".join(details))
+    return CheckResult(name, True, "; ".join(details))
 
 
-def check_decomposition(
-    a: Arrangement, p: IntersectionPoset, dec: GradedDecomposition
-) -> CheckResult:
+def check_decomposition(p: IntersectionPoset, dec: GradedDecomposition) -> CheckResult:
     name = "decomposition-structure"
     if dec.concentration_degree != p.rank_l:
-        return _result(
+        return CheckResult(
             name,
             False,
             f"concentration degree {dec.concentration_degree} != rank {p.rank_l}",
@@ -248,7 +250,7 @@ def check_decomposition(
     for s in dec.summands:
         expected = betas[s.flat_index]
         if s.multiplicity != expected or s.multiplicity <= 0:
-            return _result(
+            return CheckResult(
                 name,
                 False,
                 f"flat {s.flat_index}: multiplicity {s.multiplicity} != beta {expected}",
@@ -256,18 +258,18 @@ def check_decomposition(
         if s.subspace.is_whole_space:
             free = top_level_free_nodes(s.module)
             if len(free) != 1 or free[0].rank != dec.free_rank:
-                return _result(name, False, "top summand is not FREE(beta(A))")
+                return CheckResult(name, False, "top summand is not FREE(beta(A))")
         else:
             if top_level_free_nodes(s.module):
-                return _result(
+                return CheckResult(
                     name, False, f"flat {s.flat_index}: free node outside the top summand"
                 )
             if not contains_tensor_trivial(s.module):
-                return _result(
+                return CheckResult(
                     name, False, f"flat {s.flat_index}: missing TENSOR_TRIVIAL node"
                 )
     zero_beta = betas.count(0)
-    return _result(
+    return CheckResult(
         name,
         True,
         f"degree {dec.concentration_degree}, free rank {dec.free_rank}, "
@@ -283,15 +285,15 @@ def run_all_checks(
     p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
     wedge = sigma_wedge_check(p) if 0 < len(a) <= DEFAULT_NERVE_ORACLE_CAP else None
     results = [
-        check_poset_bruteforce(a, p),
+        check_poset_bruteforce(p),
         check_rank_identity(p),
         check_mobius_sign(p),
         check_reciprocity(p),
-        check_sigma_wedge(a, p, wedge),
-        check_nerve_euler(a, p, wedge),
-        check_beta_oracles(a, p, wedge),
+        check_sigma_wedge(p, wedge),
+        check_nerve_euler(p, wedge),
+        check_beta_oracles(p, wedge),
     ]
     return results + [
-        check_deconing(a, p),
-        check_decomposition(a, p, decompose_cohomology(p)),
+        check_deconing(p),
+        check_decomposition(p, decompose_cohomology(p)),
     ]

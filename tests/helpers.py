@@ -26,7 +26,9 @@ from arrcoh.arrangement import (
     arrangement_from_coeffs,
 )
 from arrcoh.cli import load_arrangement
+from arrcoh.decomposition import decone_flats
 from arrcoh.exact_linalg import RationalMatrix, rref_pivots
+from arrcoh.invariants import beta_all_flats
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -157,6 +159,33 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
         flat_indices=tuple(candidates),
         chart=chart,
     )
+
+
+def containing_subarrangement(p: IntersectionPoset, g: Flat) -> Arrangement:
+    """A_G in A's coordinates: the hyperplanes of G's containing set, in order."""
+    a = p.arrangement
+    return Arrangement(
+        a.ambient_dim, tuple(a.hyperplanes[i] for i in sorted(g.containing_hyperplanes))
+    )
+
+
+def decone_view_rows(p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement):
+    """`decone_flats` as (trace, containing set, beta) rows, with the
+    containing sets renumbered to the decone's hyperplanes."""
+    labels = sorted(g.containing_hyperplanes)
+    del labels[h_infinity]
+    return [
+        (trace, frozenset(labels.index(i) for i in p.flats[y].containing_hyperplanes), beta)
+        for y, trace, beta in decone_flats(p, g, h_infinity, deconed)
+    ]
+
+
+def poset_rows(p: IntersectionPoset):
+    """Every flat of p as a (subspace, containing set, beta) row."""
+    return [
+        (f.subspace, f.containing_hyperplanes, b.value)
+        for f, b in zip(p.flats, beta_all_flats(p))
+    ]
 
 
 def _unit_difference(n, i, j):

@@ -247,9 +247,18 @@ DECOMPOSE_DIGESTS = {
         "f707b133edcdaf913ab1f40355f50acff0c6dd46bcacf3c0c79a3b2f130c903b",
     ("essential-braid-5", "text"):
         "82c3d573a292b3aaba29a1146478790b0655804f1a450582f3463ae444762ccf",
+    # Recorded while each decone still got a poset of its own; the walk
+    # over views of A's poset must not move a byte.  braid(6) has the
+    # deepest recursion here (rank 5), generic(12, 2) is lines.
+    ("braid-6", "json"): "7243563935065ee73aadba2c601d0b0a585d220f663a83fce87f74ffa410a086",
+    ("braid-6", "text"): "fa51ead5a12157ae49df003185c387cd19615c3a224a376d225c51e309626eb8",
+    ("lines-12", "json"): "b3ebef24eb39d160eb831f4b7a89dabbd178aac20b29f85e19672b40e8e95acf",
+    ("lines-12", "text"): "124cf108f172335521d7cebe193ee39348653f92f85099de0400434d791de3bc",
 }
 DIGEST_INPUTS = {
     "braid-5": lambda: braid(5),
+    "braid-6": lambda: braid(6),
+    "lines-12": lambda: generic(12, 2),
     "shi-4": lambda: shi(4),
     "planes-8": lambda: generic(8, 3),
     "essential-braid-5": lambda: essential_braid(5),

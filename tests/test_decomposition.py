@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrcoh import arrangement, decomposition
+from arrcoh import arrangement
 from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
@@ -25,7 +25,6 @@ from arrcoh.decomposition import (
     contains_tensor_trivial,
     decompose_cohomology,
     decone,
-    decone_poset,
     graded_piece_is_trivial_z,
     normalize_module_expr,
     top_level_free_nodes,
@@ -33,7 +32,17 @@ from arrcoh.decomposition import (
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import RationalMatrix, solve_affine
 from arrcoh.invariants import beta_all_flats
-from helpers import braid, decone_by_inverse, essential_braid, generic, shi
+from helpers import (
+    braid,
+    containing_subarrangement,
+    decone_by_inverse,
+    decone_view_rows,
+    essential_braid,
+    generic,
+    poset_rows,
+    shi,
+    small_arrangements,
+)
 
 F = Fraction
 
@@ -282,43 +291,83 @@ class TestDeconeInvariance:
         }
 
 
-def assert_decone_posets_match_geometry(a):
-    """The decone poset read off A's poset equals the one rebuilt from
-    the deconed arrangement, at every non-top flat and every H_inf."""
+def assert_decone_views_match_geometry(a):
+    """At every non-top flat G and every H_inf in C(G), the decone's flats
+    read off A's poset have the traces, containing sets and beta of the
+    decone's poset rebuilt from geometry."""
     p = build_intersection_poset(a)
     for g in p.flats[1:]:
-        ess = essential_arrangement(g.subspace, p.subarrangement(g).hyperplanes)
+        ess = essential_arrangement(g.subspace, containing_subarrangement(p, g).hyperplanes)
         for h in range(len(ess)):
             deconed = decone(ess, h)
-            view = decone_poset(p, g, h, deconed)
-            built = build_intersection_poset(deconed)
-            for field in dataclasses.fields(built):
-                assert getattr(view, field.name) == getattr(built, field.name), (
-                    g.index, h, field.name,
-                )
+            view = decone_view_rows(p, g, h, deconed)
+            assert view == poset_rows(build_intersection_poset(deconed)), (g.index, h)
 
 
 class TestDeconePoset:
     def test_corpus(self, corpus):
         for name in TestDeconeInvariance.CENTRAL_ESSENTIAL:
-            assert_decone_posets_match_geometry(corpus[name])
+            assert_decone_views_match_geometry(corpus[name])
 
     def test_families(self):
         for a in (braid(4), shi(3), essential_braid(4), generic(8, 3)):
-            assert_decone_posets_match_geometry(a)
+            assert_decone_views_match_geometry(a)
 
     @given(central_essential_arrangements())
     @settings(max_examples=40, deadline=None)
     def test_random(self, a):
-        assert_decone_posets_match_geometry(a)
+        assert_decone_views_match_geometry(a)
 
     def test_decompose_builds_no_poset(self, monkeypatch):
-        posets = [build_intersection_poset(a) for a in (braid(4), shi(3), generic(8, 3))]
+        posets = [build_intersection_poset(a) for a in (braid(5), shi(4), generic(8, 3))]
 
         def no_poset(*args, **kwargs):
-            raise AssertionError("decompose_cohomology built a poset")
+            raise AssertionError("decompose_cohomology constructed a poset")
 
-        monkeypatch.setattr(arrangement, "build_intersection_poset", no_poset)
-        monkeypatch.setattr(decomposition, "build_intersection_poset", no_poset, raising=False)
+        monkeypatch.setattr(arrangement.IntersectionPoset, "__init__", no_poset)
         for p in posets:
             assert decompose_cohomology(p).summands
+
+
+def permuted_and_rescaled(a, order, scales):
+    """The same arrangement listed in `order`, each equation times a scale."""
+    rows = [(a.hyperplanes[i], c) for i, c in zip(order, scales)]
+    return Arrangement(
+        a.ambient_dim,
+        tuple(Hyperplane.from_coeffs([x * c for x in h.normal], h.offset * c) for h, c in rows),
+    )
+
+
+def decomposition_invariants(a):
+    dec = decompose_cohomology(build_intersection_poset(a))
+    return (
+        dec.concentration_degree,
+        dec.free_rank,
+        dec.recursion_depth,
+        sorted(s.multiplicity for s in dec.summands),
+    )
+
+
+class TestMetamorphic:
+    """Relisting and rescaling the hyperplanes moves every H_inf = min C(G)
+    and every chart of the recursion, but not the decomposition's degree,
+    free rank, recursion depth or multiplicities."""
+
+    def test_families(self):
+        rng = random.Random(20100216)
+        for a in (braid(5), shi(4), generic(8, 3), generic(8, 4)):
+            expected = decomposition_invariants(a)
+            for _ in range(2):
+                order = rng.sample(range(len(a)), len(a))
+                scales = [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in order]
+                moved = permuted_and_rescaled(a, order, scales)
+                assert decomposition_invariants(moved) == expected, (a, order)
+
+    @given(small_arrangements(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random(self, a, data):
+        order = data.draw(st.permutations(range(len(a))))
+        scale = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+        scales = data.draw(st.lists(scale, min_size=len(a), max_size=len(a)))
+        moved = permuted_and_rescaled(a, order, scales)
+        assert decomposition_invariants(moved) == decomposition_invariants(a)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import pytest
 
 from arrcoh.arrangement import arrangement_stats
+from arrcoh.errors import InternalConsistencyError
 from arrcoh.invariants import (
     IntPolynomial,
     beta_all_flats,
@@ -135,3 +137,26 @@ class TestBeta:
         for name, p in corpus_posets.items():
             expected = (-1) ** p.rank_l * euler_complement(p)
             assert beta_combinatorial(p, p.top).value == expected, name
+
+    def test_view_levels_start_at_its_minimal_flats(self, corpus_posets):
+        # The top and the three lines of generic3-c2, without the points:
+        # the lines are minimal, as three points are in C^1, so beta(top) = 2
+        # at level 1.
+        p = corpus_posets["generic3-c2"]
+        view = [f.index for f in p.flats if f.dim >= 1]
+        values = [(b.flat.index, b.degree, b.value) for b in beta_all_flats(p, view)]
+        assert values == [(0, 1, 2)] + [(i, 0, 1) for i in view[1:]]
+
+    def test_view_with_minimal_flats_of_unequal_dimension_rejected(self, corpus_posets):
+        p = corpus_posets["generic3-c2"]
+        line = next(f.index for f in p.flats if f.dim == 1)
+        point = next(f.index for f in p.flats if f.dim == 0 and f.index not in p.strictly_below[line])
+        with pytest.raises(InternalConsistencyError, match="unequal dimensions"):
+            beta_all_flats(p, [0, line, point])
+
+    def test_view_with_negative_beta_rejected(self, corpus_posets):
+        # Two points under the top with no line between: f(top) = 1 - 2.
+        p = corpus_posets["generic3-c2"]
+        points = [f.index for f in p.flats if f.dim == 0][:2]
+        with pytest.raises(InternalConsistencyError, match="negative beta invariant -1"):
+            beta_all_flats(p, [0, *points])

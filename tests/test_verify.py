@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 from arrcoh import nerve_homology, verify
-from arrcoh.arrangement import Arrangement, Hyperplane, assemble_poset
+from arrcoh.arrangement import Arrangement, Hyperplane
 from arrcoh.errors import InputError
 from arrcoh.verify import run_all_checks
 from helpers import essential_braid
@@ -85,24 +85,34 @@ def test_arrangement_nerve_built_once(corpus, monkeypatch):
     assert len(calls) == 3
 
 
-def test_deconing_check_catches_a_wrong_decone_view(monkeypatch):
-    # A view that loses one minimal flat of the decone must no longer
-    # match the decone poset built from geometry.
-    original = verify.decone_poset
-
-    def dropping_a_minimal_flat(p, g, h_infinity, deconed):
-        view = original(p, g, h_infinity, deconed)
-        dropped = min(view.minimal_flats)
-        return assemble_poset(
-            deconed,
-            {f.subspace: f.containing_hyperplanes for f in view.flats if f.index != dropped},
-        )
-
-    monkeypatch.setattr(verify, "decone_poset", dropping_a_minimal_flat)
+def assert_only_deconing_fails(monkeypatch, planted):
+    # A decone view with one planted fault must no longer match the decone
+    # poset built from geometry, and no other check may notice.
+    monkeypatch.setattr(verify, "decone_flats", planted)
     results = {r.name: r for r in run_all_checks(essential_braid(4))}
     deconing = results.pop("deconing-factorization")
     assert not deconing.passed
     assert deconing.detail == (
-        "H_inf = 0: decone poset read off A's poset differs from geometry"
+        "H_inf = 0: decone view read off A's poset differs from geometry"
     )
     assert all(r.passed for r in results.values())
+
+
+def test_deconing_check_catches_a_dropped_minimal_flat(monkeypatch):
+    original = verify.decone_flats
+
+    def dropping_a_minimal_flat(p, g, h_infinity, deconed):
+        view = original(p, g, h_infinity, deconed)
+        return view[:-1]  # ordered like the decone's poset: the last is minimal
+
+    assert_only_deconing_fails(monkeypatch, dropping_a_minimal_flat)
+
+
+def test_deconing_check_catches_a_beta_off_by_one(monkeypatch):
+    original = verify.decone_flats
+
+    def shifting_the_top_beta(p, g, h_infinity, deconed):
+        (y, trace, beta), *rest = original(p, g, h_infinity, deconed)
+        return [(y, trace, beta + 1), *rest]
+
+    assert_only_deconing_fails(monkeypatch, shifting_the_top_beta)
