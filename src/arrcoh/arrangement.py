@@ -31,7 +31,8 @@ on the containing sets C(G) = {H in A : H contains G}
              so each hyperplane of the restriction is one such H's
              equation pulled back to G's chart (`restriction_to`);
   ess. A_G   its essential coordinates are each member's entries in the
-             pivot columns of G's canonical system (`essential_arrangement`).
+             pivot columns of G's canonical system; `decompose` reads them
+             there and never builds ess(A_G) (`essential_arrangement` does).
 
 `AffineSubspace.contains`, `subarrangement_at` and the 2^|A| subset
 enumeration `poset_subspaces_bruteforce` re-derive the same facts by
@@ -555,11 +556,10 @@ def essentialize_with_chart(
     becomes {u : c.u = 0}.  The intersection poset maps isomorphically
     under u (flats map to flats through the affine image).
     """
-    center: AffineSubspace | None = AffineSubspace.whole_space(a.ambient_dim)
-    for h in a.hyperplanes:
-        center = intersect_flats(center, h.subspace())
-        if center is None:
-            raise InputError("arrangement is not central")
+    normals = tuple(h.normal for h in a.hyperplanes)
+    center = solve_affine(RationalMatrix(normals, a.ambient_dim), [h.offset for h in a.hyperplanes])
+    if center is None:
+        raise InputError("arrangement is not central")
     shift = tuple(-b for b in center.rhs)
     return essential_arrangement(center, a.hyperplanes), center.system, shift
 

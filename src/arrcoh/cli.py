@@ -257,7 +257,7 @@ def load_arrangement(path: str) -> Arrangement:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer over the digit limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return validate_arrangement(raw)
 

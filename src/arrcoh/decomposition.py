@@ -6,10 +6,11 @@ group-ring coefficients lives entirely in degree l, and its associated
 graded module splits as a direct sum with one summand per flat G:
 beta(A∩G) copies of the module induced up from the subgroup attached to
 the central sub-arrangement A_G.  Each induced coefficient module is
-itself computed recursively: A_G is essentialized, one hyperplane is
-sent to infinity (deconing, which splits off a C^* factor and drops the
-degree and the rank by one), and the construction recurses on the
-resulting affine arrangement of strictly smaller rank.
+itself computed recursively: in G's pivot coordinates A_G is central and
+essential, one member H_inf is sent to infinity (deconing, which splits
+off a C^* factor and drops the degree and the rank by one), and the
+construction recurses on the affine arrangement of strictly smaller rank
+that the others cut on {H_inf = 1}: each equation pulled back to it.
 
 The recursion walks A's poset and builds no other.  The flats of the
 decone of ess(A_G) at H_inf are the traces of the flats Y > G of A with
@@ -37,12 +38,12 @@ from typing import Sequence
 from .arrangement import (
     Arrangement,
     Flat,
+    FlatChart,
     Hyperplane,
     IntersectionPoset,
-    essential_arrangement,
 )
-from .errors import InputError, InternalConsistencyError
-from .exact_linalg import AffineSubspace, RationalMatrix, intersect_flats, solve_affine
+from .errors import InputError
+from .exact_linalg import AffineSubspace, RationalMatrix, Vector, solve_affine
 from .invariants import beta_all_flats
 
 
@@ -168,44 +169,35 @@ def contains_tensor_trivial(m: ModuleExpr) -> bool:
 # --- deconing -----------------------------------------------------------
 
 
+def _pull_back(normals: Sequence[Vector]) -> Arrangement:
+    """Decone of the central essential arrangement {c.u = 0 : c in normals}
+    at H_inf = normals[0]: every other equation pulled back to the chart
+    {H_inf = 1}.  Normals must be canonically scaled."""
+    chart = FlatChart.for_subspace(Hyperplane(normals[0], 1).subspace())
+    return Arrangement(
+        chart.dim, tuple(Hyperplane.from_coeffs(*chart.pull_equation(c, 0)) for c in normals[1:])
+    )
+
+
 def decone(a: Arrangement, h_infinity: int) -> Arrangement:
     """Associated affine arrangement of a central essential arrangement.
 
-    With p the first nonzero column of the chosen normal a_inf (a_inf[p]
-    = 1 by canonical scaling), the chart is x' = (z without z_p, a_inf.z)
-    for z = x - center.  A hyperplane h.z = 0 becomes the substitution
-    head.y = -h_p on {x'_n = 1}, head_j = h_j - h_p a_inf[j] for j != p:
-    |A| - 1 hyperplanes in C^{n-1}, with the rank dropped by one.
+    With z = x - center, each other h.z = 0 is pulled back to the chart
+    {a_inf.z = 1} with coordinates z minus z_p, p the pivot of a_inf:
+    head.y = -h_p, head_j = h_j - h_p a_inf[j] (a_inf[p] = 1 by canonical
+    scaling).  |A| - 1 hyperplanes in C^{n-1}, with the rank dropped by one.
     """
     if not a.hyperplanes:
         raise InputError("cannot decone an empty arrangement")
     if not 0 <= h_infinity < len(a.hyperplanes):
         raise InputError(f"hyperplane index {h_infinity} out of range")
-    center = AffineSubspace.whole_space(a.ambient_dim)
-    for h in a.hyperplanes:
-        cut = intersect_flats(center, h.subspace())
-        if cut is None:
-            raise InputError("deconing requires a central arrangement")
-        center = cut
+    normals = tuple(h.normal for h in a.hyperplanes)
+    center = solve_affine(RationalMatrix(normals, a.ambient_dim), [h.offset for h in a.hyperplanes])
+    if center is None:
+        raise InputError("deconing requires a central arrangement")
     if center.dim != 0:
         raise InputError("deconing requires an essential arrangement")
-
-    a_inf = a.hyperplanes[h_infinity].normal
-    pivot = next(j for j, x in enumerate(a_inf) if x != 0)
-    hyperplanes = []
-    for i, h in enumerate(a.hyperplanes):
-        if i == h_infinity:
-            continue
-        last = h.normal[pivot] / a_inf[pivot]
-        head = tuple(
-            x - last * y for j, (x, y) in enumerate(zip(h.normal, a_inf)) if j != pivot
-        )
-        if all(x == 0 for x in head):
-            raise InternalConsistencyError(
-                "non-infinity hyperplane became parallel to the chart"
-            )
-        hyperplanes.append(Hyperplane.from_coeffs(head, -last))
-    return Arrangement(a.ambient_dim - 1, tuple(hyperplanes))
+    return _pull_back((normals[h_infinity],) + normals[:h_infinity] + normals[h_infinity + 1:])
 
 
 def decone_flats(
@@ -339,8 +331,11 @@ def _decompose(
         else:
             g = p.flats[y]
             kept = sorted(g.containing_hyperplanes)
-            ess = essential_arrangement(trace, [a.hyperplanes[position[i]] for i in kept])
-            deconed = decone(ess, 0)
+            # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first.
+            pivots = trace.pivot_columns()
+            deconed = _pull_back(
+                [tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept]
+            )
             # Keyed by the decone, not by G: charts depend on the path, and the
             # INDUCED flats are printed in each chart, so one G can stand for
             # several distinct decones.

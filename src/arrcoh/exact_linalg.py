@@ -20,6 +20,7 @@ complex arithmetic.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,13 +31,19 @@ from .errors import InputError
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, 'p/q' string, or Fraction; floats and bools are rejected."""
+    """Coerce an int, 'p/q' string, or Fraction; floats, bools and
+    exponent notation ('1e9', which can expand to millions of digits) are
+    rejected."""
     if isinstance(value, float):
         raise InputError(f"floating point value not allowed: {value!r}")
     if isinstance(value, bool):
         raise InputError(f"boolean value not allowed: {value!r}")
+    if isinstance(value, str) and _EXPONENT.search(value):
+        raise InputError(f"exponent notation not allowed: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -52,6 +53,29 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, "poset", str(path))
             assert code == 1 and out == "", plane
             assert err.startswith("error: hyperplanes[0]: boolean value"), plane
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter has no integer digit limit",
+    )
+    def test_integer_over_digit_limit_is_input_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError, not JSONDecodeError, for it.
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "long.json"
+        path.write_text('{"dim": 1, "hyperplanes": [{"normal": [1], "offset": %s}]}' % digits)
+        code, out, err = run_cli(capsys, "poset", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: invalid JSON in {path}: ") and "Traceback" not in err
+
+    def test_exponent_notation_is_input_error(self, tmp_path, capsys):
+        # Parsed, "1e2000000" would be a two-million-digit integer.
+        plane = {"normal": ["1"], "offset": "1e2000000"}
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({"dim": 1, "hyperplanes": [plane]}))
+        code, out, err = run_cli(capsys, "poset", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: hyperplanes[0]: exponent notation not allowed: '1e2000000'")
+        assert "Traceback" not in err
 
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
@@ -254,6 +278,13 @@ DECOMPOSE_DIGESTS = {
     ("braid-6", "text"): "fa51ead5a12157ae49df003185c387cd19615c3a224a376d225c51e309626eb8",
     ("lines-12", "json"): "b3ebef24eb39d160eb831f4b7a89dabbd178aac20b29f85e19672b40e8e95acf",
     ("lines-12", "text"): "124cf108f172335521d7cebe193ee39348653f92f85099de0400434d791de3bc",
+    # Recorded while the recursion still essentialized A_G and deconed it
+    # with the checked `decone`; one pull-back per step must not move a
+    # byte.  generic(8, 4) has rank 4: four nested rational charts.
+    ("generic-8-c4", "json"):
+        "361e8c5988462aead5a0f698a0bf9a03685cb79c6ef203b72373c0e9d973e47c",
+    ("generic-8-c4", "text"):
+        "3c5f03d941151aeef3c0e13c84c78b90cb903e461f7eb81b73fbc7d05b0e264d",
 }
 DIGEST_INPUTS = {
     "braid-5": lambda: braid(5),
@@ -262,6 +293,7 @@ DIGEST_INPUTS = {
     "shi-4": lambda: shi(4),
     "planes-8": lambda: generic(8, 3),
     "essential-braid-5": lambda: essential_braid(5),
+    "generic-8-c4": lambda: generic(8, 4),
 }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from arrcoh.decomposition import (
     Sum,
     TensorTrivial,
     TrivialZ,
+    _pull_back,
     contains_tensor_trivial,
     decompose_cohomology,
     decone,
@@ -30,7 +32,7 @@ from arrcoh.decomposition import (
     top_level_free_nodes,
 )
 from arrcoh.errors import InputError
-from arrcoh.exact_linalg import RationalMatrix, solve_affine
+from arrcoh.exact_linalg import RationalMatrix, intersect_flats, solve_affine
 from arrcoh.invariants import beta_all_flats
 from helpers import (
     braid,
@@ -292,14 +294,20 @@ class TestDeconeInvariance:
 
 
 def assert_decone_views_match_geometry(a):
-    """At every non-top flat G and every H_inf in C(G), the decone's flats
-    read off A's poset have the traces, containing sets and beta of the
-    decone's poset rebuilt from geometry."""
+    """At every non-top flat G and every H_inf in C(G), the pull-back of
+    A_G's pivot-column normals is the checked decone of ess(A_G), and the
+    decone's flats read off A's poset have the traces, containing sets and
+    beta of the decone's poset rebuilt from geometry."""
     p = build_intersection_poset(a)
     for g in p.flats[1:]:
-        ess = essential_arrangement(g.subspace, containing_subarrangement(p, g).hyperplanes)
+        members = containing_subarrangement(p, g).hyperplanes
+        ess = essential_arrangement(g.subspace, members)
+        pivots = g.subspace.pivot_columns()
+        normals = [tuple(h.normal[c] for c in pivots) for h in members]
         for h in range(len(ess)):
             deconed = decone(ess, h)
+            moved = [normals[h]] + normals[:h] + normals[h + 1:]
+            assert _pull_back(moved) == deconed, (g.index, h)
             view = decone_view_rows(p, g, h, deconed)
             assert view == poset_rows(build_intersection_poset(deconed)), (g.index, h)
 
@@ -310,7 +318,7 @@ class TestDeconePoset:
             assert_decone_views_match_geometry(corpus[name])
 
     def test_families(self):
-        for a in (braid(4), shi(3), essential_braid(4), generic(8, 3)):
+        for a in (braid(4), shi(3), essential_braid(4), generic(8, 3), generic(8, 4)):
             assert_decone_views_match_geometry(a)
 
     @given(central_essential_arrangements())
@@ -319,12 +327,25 @@ class TestDeconePoset:
         assert_decone_views_match_geometry(a)
 
     def test_decompose_builds_no_poset(self, monkeypatch):
-        posets = [build_intersection_poset(a) for a in (braid(5), shi(4), generic(8, 3))]
+        """Nor does it intersect flats, essentialize or call the checked
+        `decone`: every recursion step is one pull-back."""
+        families = (braid(5), shi(4), generic(8, 3), generic(8, 4))
+        posets = [build_intersection_poset(a) for a in families]
 
-        def no_poset(*args, **kwargs):
-            raise AssertionError("decompose_cohomology constructed a poset")
+        def forbidden(what):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"decompose_cohomology {what}")
+            return raising
 
-        monkeypatch.setattr(arrangement.IntersectionPoset, "__init__", no_poset)
+        monkeypatch.setattr(
+            arrangement.IntersectionPoset, "__init__", forbidden("constructed a poset")
+        )
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "arrcoh"]
+        for original in (intersect_flats, essential_arrangement, decone):
+            for module in modules:
+                for bound, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, bound, forbidden(f"called {bound}"))
         for p in posets:
             assert decompose_cohomology(p).summands
 
