@@ -20,6 +20,10 @@ subproblem is a view of A's poset, a list of its flat indices, whose
 beta comes from A's order (`beta_all_flats`); linear algebra only writes
 each trace's canonical equations in the decone's chart.
 
+The recursion returns the module printed for each flat, and a memo maps
+each decone to its normalized module.  Depth and triviality are facts of
+the rank, proved in `decompose_cohomology`.
+
 The emitted object is symbolic: a tree of module expressions (FREE,
 TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring,
 graded by the concentration degree.  The summand at G = C^n is the only
@@ -241,15 +245,9 @@ class Summand:
 
 @dataclass(frozen=True)
 class GradedDecomposition:
-    arrangement: Arrangement
     concentration_degree: int
     summands: tuple[Summand, ...]
     free_rank: int
-    recursion_depth: int
-
-    def module_expression(self) -> ModuleExpr:
-        """The whole concentrated degree as one normalized expression."""
-        return _sum_of_normalized([s.module for s in self.summands])
 
     def to_json(self) -> dict:
         return {
@@ -283,14 +281,7 @@ DUALITY_NOTE = (
 
 def graded_piece_is_trivial_z(d: GradedDecomposition) -> bool:
     """True iff the concentrated degree is Z with trivial group action."""
-    if not d.arrangement.hyperplanes:
-        return d.free_rank == 1  # rank 0: the group is trivial, Z[pi] = Z
-    return (
-        d.free_rank == 0
-        and len(d.summands) == 1
-        and d.summands[0].multiplicity == 1
-        and d.summands[0].is_trivial_z
-    )
+    return any(s.is_trivial_z for s in d.summands)
 
 
 def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
@@ -301,71 +292,73 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     tensored-trivial module built recursively through deconing.  At a
     flat G the hyperplane sent to infinity is the lowest-indexed member
     of C(G).  Every decone's flats are a view of p (`decone_flats`), so
-    no poset is built here; decompositions of sub-arrangements are
-    memoized per call.
+    no poset is built here.  The recursion returns modules, memoized per
+    decone; the summands and the decomposition are built only here.
+
+    Depth: INDUCED nests exactly l = rank(A) deep.  The summand at G below
+    C^n is one INDUCED over the module of a decone of rank codim G - 1,
+    so by induction on rank it is codim G deep; a minimal flat has codim
+    l and beta 1, and no flat has codim above l.
+
+    Triviality: a summand is Z with trivial action iff beta = 1, C(G) = A
+    and the decone's piece is trivial.  C(G) = A makes A central with
+    center G, and then that is the only summand: every other restriction
+    is central and nonempty, so its beta is 0.  The decone of ess(A) has
+    |A| - 1 hyperplanes and rank l - 1, so by induction its piece is
+    trivial iff |A| = l.  Hence the test |C(G)| = |A| = codim G: G is the
+    center of a boolean A.  At rank 0 it holds at G = C^n, where FREE(1)
+    over the trivial group is Z.
     """
-    flats = [(f.index, f.subspace, b.value) for f, b in zip(p.flats, beta_all_flats(p))]
-    return _decompose(p, p.arrangement, range(len(p.arrangement)), flats, {})
+    a = p.arrangement
+    betas = beta_all_flats(p)
+    memo: dict[Arrangement, ModuleExpr] = {}
+    summands = []
+    for f, b in zip(p.flats, betas):
+        if b.value:
+            module = _summand_module(p, a, range(len(a)), f.index, f.subspace, b.value, memo)
+            trivial = len(f.containing_hyperplanes) == len(a) == f.codim
+            summands.append(Summand(f.index, f.subspace, b.value, module, trivial))
+    return GradedDecomposition(p.rank_l, tuple(summands), free_rank=betas[0].value)
 
 
-def _decompose(
+def _summand_module(
     p: IntersectionPoset,
     a: Arrangement,
-    labels: Sequence[int],
-    flats: list[tuple[int, AffineSubspace, int]],
-    memo: dict[Arrangement, GradedDecomposition],
-) -> GradedDecomposition:
-    """Decompose `a`, whose hyperplane j is p's hyperplane labels[j] in the
-    current chart, and whose flats are the view `flats` of p."""
-    position = {i: j for j, i in enumerate(labels)}
-    summands: list[Summand] = []
-    free_rank = 0
-    depth = 0
-    for y, trace, beta in flats:
-        if beta == 0:
-            continue
-        if trace.is_whole_space:
-            free_rank = beta
-            module = Free(beta)
-            trivial = beta == 1 and not a.hyperplanes
-        else:
-            g = p.flats[y]
-            kept = sorted(g.containing_hyperplanes)
-            # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first.
-            pivots = trace.pivot_columns()
-            deconed = _pull_back(
-                [tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept]
-            )
-            # Keyed by the decone, not by G: charts depend on the path, and the
-            # INDUCED flats are printed in each chart, so one G can stand for
-            # several distinct decones.
-            inner_dec = memo.get(deconed)
-            if inner_dec is None:
-                inner_dec = _decompose(
-                    p, deconed, kept[1:], decone_flats(p, g, 0, deconed), memo
-                )
-            depth = max(depth, inner_dec.recursion_depth + 1)
-            if deconed.hyperplanes:
-                inner = inner_dec.module_expression()
-                inner_trivial = graded_piece_is_trivial_z(inner_dec)
-            else:
-                # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
-                inner = TrivialZ()
-                inner_trivial = True
-            # Already in normal form: inner is normal and nonzero, and beta
-            # equal parts need no sorting.
-            node = Induced(trace, TensorTrivial(inner))
-            module = node if beta == 1 else Sum((node,) * beta)
-            # A_G is the whole arrangement (subgroup = whole group).
-            trivial = beta == 1 and len(kept) == len(a.hyperplanes) and inner_trivial
-        summands.append(Summand(y, trace, beta, module, trivial))
-    # The view lists flats by descending dimension: the last is minimal.
-    result = GradedDecomposition(
-        arrangement=a,
-        concentration_degree=a.ambient_dim - flats[-1][1].dim,
-        summands=tuple(summands),
-        free_rank=free_rank,
-        recursion_depth=depth,
+    position: dict[int, int] | range,
+    y: int,
+    trace: AffineSubspace,
+    beta: int,
+    memo: dict[Arrangement, ModuleExpr],
+) -> ModuleExpr:
+    """The module printed for p's flat y, seen as the flat `trace` of `a`
+    with positive beta; p's hyperplane i is a's hyperplane position[i] in
+    a's chart.  `memo` maps each decone to its normalized module."""
+    if trace.is_whole_space:
+        return Free(beta)
+    g = p.flats[y]
+    kept = sorted(g.containing_hyperplanes)
+    # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first.
+    pivots = trace.pivot_columns()
+    deconed = _pull_back(
+        [tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept]
     )
-    memo[a] = result
-    return result
+    # Keyed by the decone, not by G: charts depend on the path, and the
+    # INDUCED flats are printed in each chart, so one G can stand for
+    # several distinct decones.
+    inner = memo.get(deconed)
+    if inner is None:
+        if deconed.hyperplanes:
+            inner_position = {i: j for j, i in enumerate(kept[1:])}
+            inner = _sum_of_normalized([
+                _summand_module(p, deconed, inner_position, z, z_trace, z_beta, memo)
+                for z, z_trace, z_beta in decone_flats(p, g, 0, deconed)
+                if z_beta
+            ])
+        else:
+            # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
+            inner = TrivialZ()
+        memo[deconed] = inner
+    # Already in normal form: inner is normal and nonzero, and beta
+    # equal parts need no sorting.
+    node = Induced(trace, TensorTrivial(inner))
+    return node if beta == 1 else Sum((node,) * beta)

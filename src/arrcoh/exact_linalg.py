@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import bisect
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -51,10 +52,18 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    """Serialize as 'p/q', or just 'p' when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize as 'p/q', or just 'p' when the denominator is 1.  A number
+    with more digits than the interpreter's integer digit limit cannot be
+    written: that is a ResourceCapError."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise ResourceCapError(
+            f"a computed number has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's integer digit limit"
+        ) from exc
 
 
 def vector(values: Iterable[int | str | Fraction]) -> Vector:

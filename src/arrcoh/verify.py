@@ -144,6 +144,7 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
     a = p.arrangement
     name = "beta-triple-oracle"
     comparisons = []
+    skipped = []
     for f, b in zip(p.flats, beta_all_flats(p)):
         beta = b.value
         sub = restriction_to(p, f).arrangement
@@ -157,6 +158,7 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
                 )
             continue
         if len(sub) > DEFAULT_NERVE_ORACLE_CAP:
+            skipped.append(f.index)
             continue
         if f.is_top:
             sub_poset, nerve_beta = p, wedge.beta
@@ -180,12 +182,15 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
                     f"flat {f.index}: beta {beta} != bounded chambers {chambers.bounded}",
                 )
         comparisons.append(tuple(entry))
-    return CheckResult(
-        name,
-        True,
-        "per-flat (index, combinatorial, nerve[, chambers]): "
-        + "; ".join(str(c) for c in comparisons),
+    detail = "per-flat (index, combinatorial, nerve[, chambers]): " + "; ".join(
+        str(c) for c in comparisons
     )
+    if skipped:
+        detail += (
+            "; not compared, restriction above the oracle cap of "
+            f"{DEFAULT_NERVE_ORACLE_CAP}: {skipped}"
+        )
+    return CheckResult(name, True, detail)
 
 
 def check_deconing(p: IntersectionPoset) -> CheckResult:

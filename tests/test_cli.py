@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -66,6 +67,31 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "poset", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: invalid JSON in {path}: ") and "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter has no integer digit limit",
+    )
+    def test_number_over_digit_limit_in_output_is_cap_error(self, tmp_path, capsys):
+        # 3000-digit coefficients are in schema, but the two lines meet in a
+        # point whose coordinates have about twice as many digits.
+        rng = random.Random(3000)
+
+        def number():
+            return str(rng.choice((-1, 1)) * rng.randrange(10**2999, 10**3000))
+
+        planes = [{"normal": [number(), number()], "offset": number()} for _ in range(2)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"dim": 2, "hyperplanes": planes}))
+        limit = sys.get_int_max_str_digits()
+        for command in ("poset", "invariants", "beta", "decompose", "verify"):
+            for fmt in ("text", "json"):
+                code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
+                assert code == 2 and out == "", (command, fmt)
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, fmt)
+                assert f"{limit} digits" in err and "digit limit" in err, (command, fmt)
+        code, out, _ = run_cli(capsys, "chambers", str(path))
+        assert code == 0 and out.startswith("chambers: 4 total, 0 bounded")
 
     def test_exponent_notation_is_input_error(self, tmp_path, capsys):
         # Parsed, "1e2000000" would be a two-million-digit integer.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrcoh import arrangement
+from arrcoh import arrangement, decomposition
 from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
@@ -196,9 +196,25 @@ class TestDecomposition:
             listed = {s.flat_index: s.multiplicity for s in dec.summands}
             assert listed == {i: v for i, v in betas.items() if v > 0}, name
 
-    def test_recursion_depth_equals_rank(self, corpus_posets):
-        for name, p in corpus_posets.items():
-            assert decompose_cohomology(p).recursion_depth == p.rank_l, name
+    def test_repeated_decone_is_a_lookup(self, monkeypatch):
+        """The memo holds each decone's normalized module: only the first
+        occurrence of a nonempty decone sums and sorts its parts."""
+        decones, sums = [], []
+        pull_back, sum_of_normalized = decomposition._pull_back, decomposition._sum_of_normalized
+
+        def recording_pull_back(normals):
+            decones.append(pull_back(normals))
+            return decones[-1]
+
+        def counting_sum(parts):
+            sums.append(parts)
+            return sum_of_normalized(parts)
+
+        monkeypatch.setattr(decomposition, "_pull_back", recording_pull_back)
+        monkeypatch.setattr(decomposition, "_sum_of_normalized", counting_sum)
+        decompose_cohomology(build_intersection_poset(braid(5)))
+        assert len(decones) > len(set(decones))
+        assert len(sums) == len({d for d in decones if d.hyperplanes})
 
     def test_empty_arrangement(self, corpus_posets):
         dec = decompose_cohomology(corpus_posets["empty-c1"])
@@ -265,6 +281,80 @@ class TestDecomposition:
         for name, a in corpus.items():
             first = decompose_cohomology(build_intersection_poset(a))
             assert first == decompose_cohomology(build_intersection_poset(a)), name
+
+
+def induced_depth(m):
+    """Deepest INDUCED nesting in a module expression."""
+    if isinstance(m, Induced):
+        return 1 + induced_depth(m.inner)
+    if isinstance(m, TensorTrivial):
+        return induced_depth(m.inner)
+    if isinstance(m, Sum):
+        return max(induced_depth(x) for x in m.parts)
+    return 0
+
+
+def is_trivial_chain(m):
+    """INDUCED -> TENSOR_TRIVIAL -> ... -> TRIVIAL_Z, with no SUM or FREE node."""
+    if not isinstance(m, Induced):
+        return False
+    while isinstance(m, Induced) and isinstance(m.inner, TensorTrivial):
+        m = m.inner.inner
+    return isinstance(m, TrivialZ)
+
+
+def assert_depth_and_triviality_read_off(a):
+    """The emitted modules nest INDUCED exactly rank(A) deep, and a summand
+    is flagged trivial iff it is the only summand, of multiplicity 1, and
+    its module is FREE(1) in degree 0 or a chain ending in TRIVIAL_Z."""
+    p = build_intersection_poset(a)
+    dec = decompose_cohomology(p)
+    assert max(induced_depth(s.module) for s in dec.summands) == p.rank_l, a
+    trivial = [
+        len(dec.summands) == 1
+        and s.multiplicity == 1
+        and (s.module == Free(1) if p.rank_l == 0 else is_trivial_chain(s.module))
+        for s in dec.summands
+    ]
+    assert [s.is_trivial_z for s in dec.summands] == trivial, a
+    assert graded_piece_is_trivial_z(dec) == any(trivial), a
+
+
+def boolean(k, n, extra=None):
+    """B_k in C^n (x_1, ..., x_k = 0), plus sum(x) = extra when given."""
+    rows = [([int(i == j) for j in range(n)], 0) for i in range(k)]
+    if extra is not None:
+        rows.append(([1] * n, extra))
+    return arrangement_from_coeffs(n, rows)
+
+
+class TestReadOffTheRank:
+    """Depth and triviality are facts of the rank, checked on the tree the
+    decomposition emits."""
+
+    def test_corpus(self, corpus):
+        for a in corpus.values():
+            assert_depth_and_triviality_read_off(a)
+
+    def test_families(self):
+        for a in (braid(5), shi(4), generic(8, 3), generic(8, 4)):
+            assert_depth_and_triviality_read_off(a)
+
+    def test_boolean(self):
+        # With the extra hyperplane, B_k stays boolean for k < n (central
+        # or not); at k = n it is not boolean, and central only for extra = 0.
+        # In C^1 the only hyperplane through the origin is x_1 = 0 itself.
+        for n in range(6):
+            for k in range(n + 1):
+                assert_depth_and_triviality_read_off(boolean(k, n))
+                for extra in (0, 1):
+                    if n and (n, k, extra) != (1, 1, 0):
+                        assert_depth_and_triviality_read_off(boolean(k, n, extra))
+
+    @given(small_arrangements())
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, a):
+        assert_depth_and_triviality_read_off(a)
 
 
 class TestDeconeInvariance:
@@ -364,7 +454,7 @@ def decomposition_invariants(a):
     return (
         dec.concentration_degree,
         dec.free_rank,
-        dec.recursion_depth,
+        max(induced_depth(s.module) for s in dec.summands),
         sorted(s.multiplicity for s in dec.summands),
     )
 
@@ -372,7 +462,7 @@ def decomposition_invariants(a):
 class TestMetamorphic:
     """Relisting and rescaling the hyperplanes moves every H_inf = min C(G)
     and every chart of the recursion, but not the decomposition's degree,
-    free rank, recursion depth or multiplicities."""
+    free rank, INDUCED nesting depth or multiplicities."""
 
     def test_families(self):
         rng = random.Random(20100216)

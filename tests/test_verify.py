@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 from arrcoh import nerve_homology, verify
-from arrcoh.arrangement import Arrangement, Hyperplane
+from arrcoh.arrangement import Arrangement, Hyperplane, build_intersection_poset
 from arrcoh.errors import InputError
 from arrcoh.verify import run_all_checks
-from helpers import essential_braid
+from helpers import essential_braid, generic
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:
@@ -116,3 +117,22 @@ def test_deconing_check_catches_a_beta_off_by_one(monkeypatch):
         return [(y, trace, beta + 1), *rest]
 
     assert_only_deconing_fails(monkeypatch, shifting_the_top_beta)
+
+
+def assert_beta_oracle_names_every_flat(a, skipped):
+    """Every flat is either compared or listed as not compared."""
+    p = build_intersection_poset(a)
+    result = verify.check_beta_oracles(p, None)
+    assert result.passed, result.detail
+    compared, suffix = result.detail.split("; not compared, ")
+    assert suffix == f"restriction above the oracle cap of 12: {skipped}"
+    indices = [int(i) for i in re.findall(r"\((\d+),", compared)]
+    assert sorted(indices + skipped) == list(range(len(p.flats)))
+
+
+def test_beta_oracle_lists_the_flats_above_its_cap():
+    # 13 points on a line: only the top's restriction is over 12.
+    points = Arrangement(1, tuple(Hyperplane.from_coeffs((1,), c) for c in range(13)))
+    assert_beta_oracle_names_every_flat(points, [0])
+    # 13 generic lines: each line meets the other 12 in 12 points.
+    assert_beta_oracle_names_every_flat(generic(13, 2), [0])
