@@ -212,20 +212,22 @@ def decone_flats(
     With H_inf at position `h_infinity` of sorted C(G), they are the
     traces of the flats Y > G with H_inf not in C(Y), and keep C(Y)
     (Orlik-Terao ch. 1-2).  Returns (index of Y in p, trace in the
-    decone's chart, beta), ordered like the flats of the decone's poset.
+    decone's chart, beta), in p's order: by descending dimension, but not
+    necessarily in the order of the decone's own poset, whose ties are
+    broken by the traces' equations.
     """
     kept = sorted(g.containing_hyperplanes)
     h_index = kept.pop(h_infinity)
     position = {i: j for j, i in enumerate(kept)}
     traces = {}
-    for y in p.strictly_above[g.index]:
+    for y in sorted(p.strictly_above[g.index]):
         c = p.flats[y].containing_hyperplanes
         if h_index in c:
             continue
         rows = [deconed.hyperplanes[position[i]] for i in c]
         system = RationalMatrix(tuple(h.normal for h in rows), deconed.ambient_dim)
         traces[y] = solve_affine(system, [h.offset for h in rows])
-    members = sorted(traces, key=lambda y: (-traces[y].dim, traces[y].sort_key()))
+    members = list(traces)
     return [(y, traces[y], b.value) for y, b in zip(members, beta_all_flats(p, members))]
 
 

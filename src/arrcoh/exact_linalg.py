@@ -9,12 +9,13 @@ floating point anywhere.
 
 The canonical form of an affine subspace {x : A x = b} is the reduced
 row echelon form of the augmented system [A | b] with zero rows dropped.
-Two subspaces are equal iff their canonical forms are bit-equal, which
-makes them hashable dict keys and exact poset elements.  A rational
-system also cuts out a subspace of C^n, and all incidence questions
-(containment, intersection, dimension) for such complex flats are
-decided by the same rational eliminations, so nothing here ever needs
-complex arithmetic.
+RREF is unique, so one routine (`_insert_row`) builds every such form,
+joining rows in any order.  Two subspaces are equal iff their canonical
+forms are bit-equal: hashable dict keys and exact poset elements.  A
+rational system also cuts out a subspace of C^n, and every incidence
+question (containment, intersection, dimension) about such complex flats
+is decided by the same rational eliminations, so nothing here ever
+needs complex arithmetic.
 """
 
 from __future__ import annotations
@@ -130,27 +131,60 @@ class RationalMatrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
+def _insert_row(
+    rows: list[list[Fraction]], pivots: list[int], new: list[Fraction], stop: int
+) -> int | None:
+    """Join `new` to the reduced system (rows, ascending pivots) in place;
+    return its pivot, or None when it reduces to zero (it is dependent).
+
+    A leading column at or after `stop` (an augmented system's rhs column:
+    0 = nonzero) is returned without joining, so it costs no clearing.
+    RREF is unique, so the order rows are joined in cannot change it.
+    """
+    for row, p in zip(rows, pivots):
+        c = new[p]
+        if c != 0:
+            new = [a - c * b for a, b in zip(new, row)]
+    lead = next((j for j, x in enumerate(new) if x != 0), None)
+    if lead is None or lead >= stop:
+        return lead
+    pv = new[lead]
+    if pv != 1:
+        new = [x / pv for x in new]
+    for i, row in enumerate(rows):
+        c = row[lead]
+        if c != 0:
+            rows[i] = [a - c * b for a, b in zip(row, new)]
+    k = bisect.bisect(pivots, lead)
+    rows.insert(k, new)
+    pivots.insert(k, lead)
+    return lead
+
+
 def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan elimination; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
+    """Reduced row echelon form of `rows`, padded with zero rows to their
+    count; returns (rows, pivot columns)."""
+    reduced, pivots = [], []
+    for row in rows:
+        _insert_row(reduced, pivots, row, cols)
+    reduced += [[Fraction(0)] * cols for _ in range(len(rows) - len(reduced))]
+    return reduced, pivots
+
+
+def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[Vector, ...]:
+    """Kernel of a reduced system: per free column f, ascending, 1 at f and
+    minus the pivot rows' entries in column f at their pivots."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int]:
@@ -167,16 +201,7 @@ def rref_pivots(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 def null_space_basis(m: RationalMatrix) -> tuple[Vector, ...]:
     """Basis of {x : m x = 0}, one vector per free column of the rref."""
     reduced, pivots = rref_pivots(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return _kernel(reduced.entries, pivots, m.cols)
 
 
 class FlatRelation(Enum):
@@ -255,19 +280,10 @@ class AffineSubspace:
     def parametrize(self) -> tuple[Vector, tuple[Vector, ...]]:
         """A point of the subspace plus a basis of its direction space."""
         pivots = self.pivot_columns()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ambient_dim) if c not in pivot_set]
         point = [Fraction(0)] * self.ambient_dim
         for i, p in enumerate(pivots):
             point[p] = self.rhs[i]
-        directions = []
-        for f in free:
-            d = [Fraction(0)] * self.ambient_dim
-            d[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                d[p] = -self.system.entries[i][f]
-            directions.append(tuple(d))
-        return tuple(point), tuple(directions)
+        return tuple(point), _kernel(self.system.entries, pivots, self.ambient_dim)
 
     def sort_key(self) -> tuple:
         return (self.ambient_dim, self.system.entries, self.rhs)
@@ -291,22 +307,21 @@ def solve_affine(
             f"rhs length {len(b)} does not match {system.rows} equations"
         )
     n = system.cols
-    aug = [list(row) + [b[i]] for i, row in enumerate(system.entries)]
-    reduced, pivots = _rref(aug, n + 1)
-    if any(p == n for p in pivots):
-        return None  # a pivot in the rhs column: 0 = 1
-    kept = [row for row in reduced if any(x != 0 for x in row)]
-    sys_rows = tuple(tuple(row[:n]) for row in kept)
-    rhs_out = tuple(row[n] for row in kept)
-    return AffineSubspace(n, RationalMatrix(sys_rows, n), rhs_out)
+    rows, pivots = [], []
+    for i, row in enumerate(system.entries):
+        if _insert_row(rows, pivots, list(row) + [b[i]], n) == n:
+            return None  # 0 = nonzero: no solution
+    system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
+    return AffineSubspace(n, system, tuple(r[n] for r in rows))
 
 
 def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | None:
     """Canonical form of f1 ∩ f2; None when disjoint.
 
-    f1's system is already reduced, so each equation of f2 is reduced
-    against it and, when independent, joined to it as one more pivot row;
-    the stacked system is never eliminated again in full.
+    f1's augmented system is already reduced, so f2's equations are joined
+    to it one row at a time (`_insert_row`) and the stacked system is never
+    eliminated in full.  RREF is unique, so the result is the canonical
+    form `solve_affine` gives for the stacked equations.
     """
     if f1.ambient_dim != f2.ambient_dim:
         raise InputError("cannot intersect flats of different ambient dimension")
@@ -314,25 +329,8 @@ def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | 
     rows = f1.augmented_rows()
     pivots = list(f1.pivot_columns())
     for new in f2.augmented_rows():
-        for row, p in zip(rows, pivots):
-            c = new[p]
-            if c != 0:
-                new = [a - c * b for a, b in zip(new, row)]
-        lead = next((j for j, x in enumerate(new) if x != 0), None)
-        if lead is None:
-            continue  # implied by the equations so far
-        if lead == n:
+        if _insert_row(rows, pivots, new, n) == n:
             return None  # 0 = nonzero: disjoint
-        pv = new[lead]
-        if pv != 1:
-            new = [x / pv for x in new]
-        for i, row in enumerate(rows):
-            c = row[lead]
-            if c != 0:
-                rows[i] = [a - c * b for a, b in zip(row, new)]
-        k = bisect.bisect(pivots, lead)
-        rows.insert(k, new)
-        pivots.insert(k, lead)
     system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
     return AffineSubspace(n, system, tuple(r[n] for r in rows))
 

@@ -19,7 +19,7 @@ from .arrangement import (
     poset_subspaces_bruteforce,
     restriction_to,
 )
-from .chambers import MAX_CHAMBER_HYPERPLANES, enumerate_chambers
+from .chambers import MAX_CHAMBER_HYPERPLANES, MAX_FM_DIM, enumerate_chambers
 from .decomposition import (
     GradedDecomposition,
     decompose_cohomology,
@@ -172,7 +172,8 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
                 f"flat {f.index}: combinatorial beta {beta} != nerve beta {nerve_beta}",
             )
         entry = [f.index, beta, nerve_beta]
-        if sub_poset.n0 == 0 and len(sub) <= MAX_CHAMBER_HYPERPLANES:
+        in_chamber_caps = len(sub) <= MAX_CHAMBER_HYPERPLANES and sub.ambient_dim <= MAX_FM_DIM
+        if sub_poset.n0 == 0 and in_chamber_caps:
             chambers = enumerate_chambers(sub)
             entry.append(chambers.bounded)
             if chambers.bounded != beta:
@@ -224,11 +225,13 @@ def check_deconing(p: IntersectionPoset) -> CheckResult:
             return CheckResult(
                 name, False, f"H_inf = {h}: rank {dp.rank_l} != {p.rank_l} - 1"
             )
-        # C(center) is all of A: labels above h move down one.
+        # C(center) is all of A: labels above h move down one.  The view
+        # is in A's order; sort it like the decone's poset.
         view = [
             (trace, frozenset(i - (i > h) for i in p.flats[y].containing_hyperplanes), b)
             for y, trace, b in decone_flats(p, center, h, deconed)
         ]
+        view.sort(key=lambda row: (-row[0].dim, row[0].sort_key()))
         built = [
             (f.subspace, f.containing_hyperplanes, b.value)
             for f, b in zip(dp.flats, beta_all_flats(dp))

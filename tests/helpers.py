@@ -171,13 +171,16 @@ def containing_subarrangement(p: IntersectionPoset, g: Flat) -> Arrangement:
 
 def decone_view_rows(p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement):
     """`decone_flats` as (trace, containing set, beta) rows, with the
-    containing sets renumbered to the decone's hyperplanes."""
+    containing sets renumbered to the decone's hyperplanes, sorted like
+    the flats of the decone's own poset."""
     labels = sorted(g.containing_hyperplanes)
     del labels[h_infinity]
-    return [
+    rows = [
         (trace, frozenset(labels.index(i) for i in p.flats[y].containing_hyperplanes), beta)
         for y, trace, beta in decone_flats(p, g, h_infinity, deconed)
     ]
+    rows.sort(key=lambda row: (-row[0].dim, row[0].sort_key()))
+    return rows
 
 
 def poset_rows(p: IntersectionPoset):

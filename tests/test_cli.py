@@ -197,6 +197,19 @@ class TestExitCodes:
         assert "FAIL" not in out
         assert out.count("PASS") == 9
 
+    def test_verify_above_chamber_dimension_cap(self, tmp_path, capsys):
+        # B_7, the coordinate hyperplanes of C^7: inside every cap of
+        # `verify`, but above the chamber cap of dimension 6, so the
+        # beta oracle leaves out its chambers column instead of exiting 2.
+        planes = [
+            {"normal": [str(int(i == j)) for j in range(7)], "offset": "0"} for i in range(7)
+        ]
+        path = tmp_path / "boolean7.json"
+        path.write_text(json.dumps({"dim": 7, "hyperplanes": planes}))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert out.count("PASS") == 9 and "FAIL" not in out
+
 
 class TestReports:
     def test_json_outputs_are_byte_stable(self, capsys):
@@ -330,6 +343,40 @@ def test_decompose_output_bytes_pinned(name, fmt, tmp_path, capsys):
     code, out, err = run_cli(capsys, "decompose", str(path), "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[name, fmt]
+
+
+# SHA-256 of `arrcoh poset` stdout, recorded while `intersect_flats` and
+# `solve_affine` still ran separate eliminations; reduced row echelon
+# form is unique, so sharing one must not move a byte.
+POSET_DIGESTS = {
+    ("braid-5", "json"): "0133aef56277022577fff1d2cd61ddd20dcd16e2aeb17e900f38ac6c9e8786bd",
+    ("braid-5", "text"): "71e35a8dc918e746a05a1e18241e2a6d5aa08ebc5c229c622a5e33e656215b4d",
+    ("braid-6", "json"): "e491997749c8b735390be6998ee842101f9d20af35cc54d1316ab9e4482adccd",
+    ("braid-6", "text"): "031c323ffbcef743e3ba3983cb0debdb8b82805d12e8670b91f9d640dc04438c",
+    ("essential-braid-5", "json"):
+        "aab5d3e74f5322cf4737727fbee690b07db4a0225509dba7274686aa5cca3e70",
+    ("essential-braid-5", "text"):
+        "bb309b5d489776a252abd68fa9b0dd03575d14c6f563bf427bf4b7b3972d0b22",
+    ("generic-8-c4", "json"):
+        "f9b62d8c0fe1e9913d9631632aa7863c3370c975db7b75992a7f383c540019d7",
+    ("generic-8-c4", "text"):
+        "41d051be226f1703a355cefae876b2845d868b46b956e970a5dc1af484011921",
+    ("lines-12", "json"): "76d285224feca9c5f717e131cd0e0fbe57396ec9ec1c5b781b75bf280b1172a1",
+    ("lines-12", "text"): "185bdff6db455c1cd712fefcb79fb44545c50517b4e0600a85d8925e8878c2ca",
+    ("planes-8", "json"): "52cd76301a1407450d0da4caa3d9023950e522a18a99a9c6b6f03ef87d17cdb5",
+    ("planes-8", "text"): "ed2f1cce26e5fd2dbe4e8b5bce094c544a280c2cce7943857d538297da97eb74",
+    ("shi-4", "json"): "e9e6acef74dd1b3810059ff172411b88bde262ea94c74d5386b85e28dabc2d6d",
+    ("shi-4", "text"): "690b88bfac8659a6987d2034aeb245bf4eec9bf5c85a6fea4543edc127849ab3",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(POSET_DIGESTS))
+def test_poset_output_bytes_pinned(name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DIGEST_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, "poset", str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == POSET_DIGESTS[name, fmt]
 
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.errors import InputError
@@ -94,6 +94,21 @@ class TestRref:
     def test_rank_equals_transpose_rank(self, m):
         assert rref_rank(m)[1] == rref_rank(m.transpose())[1]
 
+    @given(matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unique_for_the_row_space(self, m, data):
+        # U m has the row space of m for an invertible integer U, so the
+        # same reduced form, whatever order its rows are joined in.
+        r = m.rows
+        entries = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+        u = data.draw(st.lists(entries, min_size=r, max_size=r))
+        assume(det_cofactor(u) != 0)
+        um = [
+            [sum(u[i][k] * m.entries[k][j] for k in range(r)) for j in range(m.cols)]
+            for i in range(r)
+        ]
+        assert rref_rank(RationalMatrix.from_rows(um, cols=m.cols)) == rref_rank(m)
+
 
 class TestSolveAffine:
     def test_single_point(self):
@@ -115,6 +130,33 @@ class TestSolveAffine:
     def test_rhs_length_mismatch(self):
         with pytest.raises(InputError):
             solve_affine(mat([[1, 0]]), [1, 2])
+
+    @given(matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unchanged_by_equivalent_equations(self, m, data):
+        # Permuting, rescaling, or adding a combination of the equations
+        # keeps the solution set, so the canonical form (or None) as well.
+        r = m.rows
+        rhs = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
+        equations = [(list(row), b) for row, b in zip(m.entries, rhs)]
+        nonzero = small_fractions.filter(lambda x: x != 0)
+        scales = data.draw(st.lists(nonzero, min_size=r, max_size=r))
+        weights = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
+        combination = (
+            [sum(w * row[j] for w, (row, _) in zip(weights, equations)) for j in range(m.cols)],
+            sum(w * b for w, (_, b) in zip(weights, equations)),
+        )
+        joined = list(equations)
+        joined.insert(data.draw(st.integers(0, r)), combination)
+        variants = [
+            [equations[i] for i in data.draw(st.permutations(range(r)))],
+            [([s * x for x in row], s * b) for s, (row, b) in zip(scales, equations)],
+            joined,
+        ]
+        expected = solve_affine(m, rhs)
+        for variant in variants:
+            system = RationalMatrix.from_rows([row for row, _ in variant], cols=m.cols)
+            assert solve_affine(system, [b for _, b in variant]) == expected, variant
 
 
 class TestIntersect:

@@ -104,7 +104,7 @@ def test_deconing_check_catches_a_dropped_minimal_flat(monkeypatch):
 
     def dropping_a_minimal_flat(p, g, h_infinity, deconed):
         view = original(p, g, h_infinity, deconed)
-        return view[:-1]  # ordered like the decone's poset: the last is minimal
+        return view[:-1]  # by descending dimension: the last is minimal
 
     assert_only_deconing_fails(monkeypatch, dropping_a_minimal_flat)
 
