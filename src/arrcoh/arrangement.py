@@ -27,9 +27,9 @@ on the containing sets C(G) = {H in A : H contains G}
   covers     the poset is ranked by dimension, so the covers of G are
              the flats below it of dimension exactly d(G) - 1;
   A_G        is C(G), read straight off the poset;
-  A∩G        a flat K covered by G is G ∩ H for any H in C(K) - C(G),
-             so each hyperplane of the restriction is one such H's
-             equation pulled back to G's chart (`restriction_to`);
+  A∩G        a flat K covered by G is G ∩ H for any H in C(K) - C(G);
+             the least such H, pulled back to G's chart, is K's hyperplane
+             in the restriction, ordered by that H (`restriction_covers`);
   ess. A_G   its essential coordinates are each member's entries in the
              pivot columns of G's canonical system; `decompose` reads them
              there and never builds ess(A_G) (`essential_arrangement` does).
@@ -490,22 +490,29 @@ class RestrictedArrangement:
     chart: FlatChart
 
 
+def restriction_covers(p: IntersectionPoset, g: Flat) -> list[int]:
+    """The flats K covered by G, in the order of A∩G's hyperplanes.
+
+    A hyperplane H meeting G but not containing it lies in one cover only,
+    G ∩ H, so the sets C(K) - C(G) are disjoint.  Sorting by their minima
+    is then the lexicographic order of the sorted C(K), with no ties: if
+    a = min(C(K) - C(G)) < min(C(K') - C(G)), then C(K) and C(K') agree
+    below a, and only C(K) holds a.
+    """
+    if g.index >= len(p.flats) or p.flats[g.index] != g:
+        raise InputError("flat does not belong to this poset")
+    c_g = g.containing_hyperplanes
+    return sorted(p.covers[g.index], key=lambda j: min(p.flats[j].containing_hyperplanes - c_g))
+
+
 def restriction_to(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
     """Flats one dimension below G, packaged as an arrangement inside G.
 
     A flat K covered by G is G ∩ H for any H containing K but not G, so
     its chart hyperplane is H's equation pulled back to G's chart.
     """
-    if g.index >= len(p.flats) or p.flats[g.index] != g:
-        raise InputError("flat does not belong to this poset")
+    covered = restriction_covers(p, g)
     chart = FlatChart.for_subspace(g.subspace)
-    covered = sorted(
-        p.covers[g.index],
-        key=lambda j: (
-            sorted(p.flats[j].containing_hyperplanes),
-            p.flats[j].subspace.sort_key(),
-        ),
-    )
     hyperplanes = []
     for j in covered:
         h = p.arrangement.hyperplanes[

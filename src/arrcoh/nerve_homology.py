@@ -9,12 +9,14 @@ set is a wedge of (l-1)-spheres" into a finite check: reduced nerve
 homology must be torsion-free and concentrated in degree l-1, and its
 rank there is the beta invariant.
 
-A subset of hyperplanes spans a nerve simplex iff its intersection is
-nonempty, i.e. iff it is contained in containing_hyperplanes(G) for some
-flat G, so the nerve is read straight off the intersection poset.
-Simplices above dimension l+1 are dropped: homology in degrees <= l only
-needs chains up to dimension l+1, and degrees above l-1 are exactly the
-ones being checked for vanishing.
+A subset of hyperplanes spans a nerve simplex iff some flat lies in all
+of them.  For the restriction A∩G, whose hyperplanes are the flats K
+covered by G, a flat X < G lies in K iff C(X) meets C(K) - C(G), so the
+nerve of every A∩G is read straight off A's poset (at the top, A∩G = A).
+A∩G has rank l(G) = d(G) - n0, its minimal flats being A's below G.
+Simplices above dimension l(G)+1 are dropped: homology in degrees <= l(G)
+only needs chains up to dimension l(G)+1, and degrees above l(G)-1 are
+exactly the ones being checked for vanishing.
 
 Boundary matrices have +-1 entries, so Smith normal form first
 eliminates unit pivots sparsely, least fill-in first, and runs dense
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .arrangement import IntersectionPoset
+from .arrangement import Flat, IntersectionPoset, restriction_covers
 from .errors import InputError, ResourceCapError
 
 DEFAULT_NERVE_ORACLE_CAP = 12
@@ -68,39 +70,35 @@ class SimplicialComplex:
     def simplices_of_dim(self, d: int) -> list[Simplex]:
         return sorted(s for s in self.simplices if len(s) == d + 1)
 
-    def face_closure_holds(self) -> bool:
-        for s in self.simplices:
-            if len(s) > 1:
-                for face in itertools.combinations(s, len(s) - 1):
-                    if face not in self.simplices:
-                        return False
-        return True
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
 
-def build_singular_nerve(p: IntersectionPoset) -> SimplicialComplex:
-    """Nerve of the cover of the singular set by the hyperplanes.
+def build_singular_nerve(p: IntersectionPoset, g: Flat | None = None) -> SimplicialComplex:
+    """Nerve of the cover of the singular set of A∩G by its hyperplanes.
 
-    Vertices are hyperplane indices; a subset spans a simplex iff some
-    flat's containing set includes it.  Truncated above dimension
-    rank_l + 1 (see module docstring).
+    G defaults to the top, where A∩G = A.  Vertex k is A∩G's k-th
+    hyperplane (`restriction_covers`); the simplices are the sets of covers
+    met by C(X) - C(G), X < G, up to dimension l(G) + 1.  The cap counts |A∩G|.
     """
-    m = len(p.arrangement)
-    if m == 0:
-        raise InputError("the empty arrangement has an empty singular set, no nerve")
-    if m > DEFAULT_NERVE_ORACLE_CAP:
+    g = g or p.top
+    covered, c_g = restriction_covers(p, g), g.containing_hyperplanes
+    if not covered:
+        raise InputError(f"A∩G is empty at flat {g.index}: an empty singular set has no nerve")
+    if len(covered) > DEFAULT_NERVE_ORACLE_CAP:
         raise ResourceCapError(
-            f"{m} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
+            f"{len(covered)} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
         )
-    max_vertices = p.rank_l + 2  # simplices of dimension <= rank_l + 1
+    vertex = {
+        h: k for k, j in enumerate(covered) for h in p.flats[j].containing_hyperplanes - c_g
+    }
+    max_vertices = p.level(g) + 2  # simplices of dimension <= l(G) + 1
     simplices: set[Simplex] = set()
-    for f in p.flats:
-        members = sorted(f.containing_hyperplanes)
+    for x in p.strictly_below[g.index]:
+        members = sorted({vertex[h] for h in p.flats[x].containing_hyperplanes - c_g})
         for r in range(1, min(len(members), max_vertices) + 1):
             simplices.update(itertools.combinations(members, r))
-    return SimplicialComplex(m, frozenset(simplices))
+    return SimplicialComplex(len(covered), frozenset(simplices))
 
 
 def nerve_is_truncated(p: IntersectionPoset) -> bool:
@@ -338,19 +336,19 @@ class WedgeCheck:
     homology: HomologyResult
 
 
-def sigma_wedge_check(p: IntersectionPoset) -> WedgeCheck:
-    """Homology-level wedge check for the singular set.
+def sigma_wedge_check(p: IntersectionPoset, g: Flat | None = None) -> WedgeCheck:
+    """Homology-level wedge check for the singular set of A∩G (G = top: A).
 
-    is_wedge is true iff reduced nerve homology in degrees 0..l is
-    torsion-free and vanishes outside degree l-1; beta is the free rank
-    in degree l-1 (for l = 1 this is components - 1).  `homology` keeps
-    degrees 0..l only: the nerve is truncated above dimension l+1, so
-    its degree-(l+1) group is not homology of the singular set.  A false
-    result is reportable, not an error; the empty arrangement and one
-    above the nerve cap are rejected by `build_singular_nerve`.
+    With l = l(G), is_wedge is true iff reduced nerve homology in degrees
+    0..l is torsion-free and vanishes outside degree l-1; beta is the free
+    rank in degree l-1 (for l = 1 this is components - 1).  `homology`
+    keeps degrees 0..l only: the nerve is truncated above dimension l+1,
+    so its degree-(l+1) group is not homology of the singular set.  A
+    false result is reportable, not an error; an empty A∩G and one above
+    the nerve cap are rejected by `build_singular_nerve`.
     """
-    nerve = build_singular_nerve(p)
-    l = p.rank_l
+    nerve = build_singular_nerve(p, g)
+    l = p.level(g or p.top)
     hom = HomologyResult(simplicial_homology(nerve).groups[: l + 1])
     is_wedge = True
     for k in range(l + 1):

@@ -141,30 +141,25 @@ def check_nerve_euler(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckRe
 
 
 def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
-    a = p.arrangement
     name = "beta-triple-oracle"
+    if restriction_to(p, p.top).arrangement != p.arrangement:
+        return CheckResult(name, False, "top flat: restriction differs from the arrangement")
     comparisons = []
     skipped = []
     for f, b in zip(p.flats, beta_all_flats(p)):
         beta = b.value
-        sub = restriction_to(p, f).arrangement
-        if f.is_top and sub != a:
-            return CheckResult(name, False, "top flat: restriction differs from the arrangement")
-        if not sub.hyperplanes:
+        size = len(p.covers[f.index])  # |A∩G|
+        if not size:
             comparisons.append((f.index, beta, 1 if beta == 1 else None))
             if beta != 1:
                 return CheckResult(
                     name, False, f"flat {f.index}: empty restriction but beta = {beta}"
                 )
             continue
-        if len(sub) > DEFAULT_NERVE_ORACLE_CAP:
+        if size > DEFAULT_NERVE_ORACLE_CAP:
             skipped.append(f.index)
             continue
-        if f.is_top:
-            sub_poset, nerve_beta = p, wedge.beta
-        else:
-            sub_poset = build_intersection_poset(sub)
-            nerve_beta = sigma_wedge_check(sub_poset).beta
+        nerve_beta = wedge.beta if f.is_top else sigma_wedge_check(p, f).beta
         if nerve_beta != beta:
             return CheckResult(
                 name,
@@ -172,9 +167,9 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
                 f"flat {f.index}: combinatorial beta {beta} != nerve beta {nerve_beta}",
             )
         entry = [f.index, beta, nerve_beta]
-        in_chamber_caps = len(sub) <= MAX_CHAMBER_HYPERPLANES and sub.ambient_dim <= MAX_FM_DIM
-        if sub_poset.n0 == 0 and in_chamber_caps:
-            chambers = enumerate_chambers(sub)
+        # A∩G is essential iff A is; its chambers need its geometry.
+        if p.n0 == 0 and size <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM:
+            chambers = enumerate_chambers(restriction_to(p, f).arrangement)
             entry.append(chambers.bounded)
             if chambers.bounded != beta:
                 return CheckResult(

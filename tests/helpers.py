@@ -29,6 +29,7 @@ from arrcoh.cli import load_arrangement
 from arrcoh.decomposition import decone_flats
 from arrcoh.exact_linalg import RationalMatrix, rref_pivots
 from arrcoh.invariants import beta_all_flats
+from arrcoh.nerve_homology import SimplicialComplex
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -158,6 +159,16 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
         arrangement=Arrangement(chart.dim, tuple(hyperplanes)),
         flat_indices=tuple(candidates),
         chart=chart,
+    )
+
+
+def face_closure_holds(c: SimplicialComplex) -> bool:
+    """Every face of every simplex of c is in c."""
+    return all(
+        face in c.simplices
+        for s in c.simplices
+        if len(s) > 1
+        for face in itertools.combinations(s, len(s) - 1)
     )
 
 

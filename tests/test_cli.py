@@ -150,9 +150,9 @@ class TestExitCodes:
         calls = []
         original = nerve_homology.build_singular_nerve
 
-        def counting(p):
-            calls.append(p)
-            return original(p)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
         # Count through the defining module and any name the CLI binds.
         monkeypatch.setattr(nerve_homology, "build_singular_nerve", counting)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh.arrangement import arrangement_from_coeffs, build_intersection_poset
+from arrcoh.arrangement import arrangement_from_coeffs, build_intersection_poset, restriction_to
 from arrcoh.errors import InputError, ResourceCapError
 from arrcoh.exact_linalg import RationalMatrix, rref_rank
 from arrcoh.invariants import euler_complement
@@ -22,7 +22,17 @@ from arrcoh.nerve_homology import (
     simplicial_homology,
     smith_normal_form,
 )
-from helpers import PROJECTIVE_PLANE_FACES, braid, det_cofactor, random_int_matrix, shi
+from helpers import (
+    PROJECTIVE_PLANE_FACES,
+    braid,
+    det_cofactor,
+    essential_braid,
+    face_closure_holds,
+    generic,
+    random_int_matrix,
+    shi,
+    small_arrangements,
+)
 
 
 class TestNerve:
@@ -69,7 +79,7 @@ class TestNerve:
         for name, p in corpus_posets.items():
             if not p.arrangement.hyperplanes:
                 continue
-            assert build_singular_nerve(p).face_closure_holds(), name
+            assert face_closure_holds(build_singular_nerve(p)), name
 
     def test_empty_arrangement_rejected(self, corpus_posets):
         with pytest.raises(InputError):
@@ -84,6 +94,65 @@ class TestNerve:
     def test_corpus_is_never_truncated(self, corpus_posets):
         for name, p in corpus_posets.items():
             assert not nerve_is_truncated(p), name
+
+
+def assert_view_matches_geometry(p):
+    """At every flat G whose A∩G has 1 to 12 hyperplanes, the nerve read
+    off A's poset equals the nerve of the poset rebuilt from A∩G's
+    geometry, and so does the wedge check; the rebuilt n0 is A's."""
+    compared = 0
+    for g in p.flats:
+        if not 1 <= len(p.covers[g.index]) <= 12:
+            continue
+        rebuilt = build_intersection_poset(restriction_to(p, g).arrangement)
+        assert rebuilt.n0 == p.n0, g.index
+        nerve = build_singular_nerve(p, g)
+        assert nerve == build_singular_nerve(rebuilt), g.index
+        assert face_closure_holds(nerve), g.index
+        assert sigma_wedge_check(p, g) == sigma_wedge_check(rebuilt), g.index
+        compared += 1
+    return compared
+
+
+class TestRestrictionNerve:
+    def test_view_matches_geometry_on_corpus(self, corpus_posets):
+        assert sum(assert_view_matches_geometry(p) for p in corpus_posets.values()) > 0
+
+    @pytest.mark.parametrize(
+        "a",
+        [braid(5), shi(4), generic(8, 3), essential_braid(5)],
+        ids=["braid-5", "shi-4", "generic-8-planes", "essential-braid-5"],
+    )
+    def test_view_matches_geometry_on_families(self, a):
+        p = build_intersection_poset(a)
+        assert assert_view_matches_geometry(p) > len(a)
+
+    @given(small_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_view_matches_geometry_on_random_arrangements(self, a):
+        assert_view_matches_geometry(build_intersection_poset(a))
+
+    def test_flat_of_another_poset_rejected(self, corpus_posets):
+        p, other = corpus_posets["boolean-c2"], corpus_posets["generic3-c2"]
+        foreign = [g for g in other.flats if g not in p.flats]
+        # Both halves of the membership test are exercised: an index p has
+        # but holding another flat, and an index past p's flats.
+        assert {g.index < len(p.flats) for g in foreign} == {True, False}
+        for g in foreign:
+            with pytest.raises(InputError, match="flat does not belong to this poset"):
+                build_singular_nerve(p, g)
+            with pytest.raises(InputError, match="flat does not belong to this poset"):
+                sigma_wedge_check(p, g)
+
+    def test_empty_restriction_rejected(self, corpus_posets):
+        # The point of boolean-c2 is a minimal flat: A∩G has no hyperplanes.
+        p = corpus_posets["boolean-c2"]
+        (point,) = (p.flats[i] for i in p.minimal_flats)
+        message = f"A∩G is empty at flat {point.index}: an empty singular set has no nerve"
+        with pytest.raises(InputError, match=message):
+            build_singular_nerve(p, point)
+        with pytest.raises(InputError, match=message):
+            sigma_wedge_check(p, point)
 
 
 class TestSmithNormalForm:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
-from arrcoh import nerve_homology, verify
+from arrcoh import arrangement, nerve_homology, verify
 from arrcoh.arrangement import Arrangement, Hyperplane, build_intersection_poset
 from arrcoh.errors import InputError
 from arrcoh.verify import run_all_checks
-from helpers import essential_braid, generic
+from helpers import braid, essential_braid, generic
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:
@@ -136,3 +137,50 @@ def test_beta_oracle_lists_the_flats_above_its_cap():
     assert_beta_oracle_names_every_flat(points, [0])
     # 13 generic lines: each line meets the other 12 in 12 points.
     assert_beta_oracle_names_every_flat(generic(13, 2), [0])
+
+
+def test_beta_oracle_reads_every_restriction_off_the_poset(monkeypatch):
+    # Braid A_5: all 52 flats are compared, 50 of them through the nerve
+    # of a restriction that is neither A nor empty.  It is not essential,
+    # so the chamber leg never runs and the top's identity check is the
+    # one call of restriction_to.
+    p = build_intersection_poset(braid(5))
+    wedge = nerve_homology.sigma_wedge_check(p)
+    builds, restrictions = [], []
+    monkeypatch.setattr(
+        arrangement.IntersectionPoset,
+        "__init__",
+        counting(builds, arrangement.IntersectionPoset.__init__),
+    )
+    wrapper = counting(restrictions, arrangement.restriction_to)
+    monkeypatch.setattr(arrangement, "restriction_to", wrapper)
+    monkeypatch.setattr(verify, "restriction_to", wrapper)
+    result = verify.check_beta_oracles(p, wedge)
+    assert result.passed, result.detail
+    assert len(re.findall(r"\(\d+, \d+, \d+\)", result.detail)) == len(p.flats) == 52
+    assert builds == []
+    assert restrictions == [(p, p.top)]
+
+
+def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
+    # Shifting beta at any one non-top flat with a nonempty restriction
+    # must disagree with the nerve of that restriction.
+    p = build_intersection_poset(braid(4))
+    wedge = nerve_homology.sigma_wedge_check(p)
+    original = verify.beta_all_flats
+    betas = [b.value for b in original(p)]
+    planted = [f.index for f in p.flats if not f.is_top and p.covers[f.index]]
+    assert len(planted) == 13
+    for i in planted:
+
+        def shifting(p, *args, i=i):
+            values = original(p, *args)
+            values[i] = dataclasses.replace(values[i], value=values[i].value + 1)
+            return values
+
+        monkeypatch.setattr(verify, "beta_all_flats", shifting)
+        result = verify.check_beta_oracles(p, wedge)
+        assert not result.passed, i
+        assert result.detail == (
+            f"flat {i}: combinatorial beta {betas[i] + 1} != nerve beta {betas[i]}"
+        )
