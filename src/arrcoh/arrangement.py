@@ -34,10 +34,10 @@ on the containing sets C(G) = {H in A : H contains G}
              pivot columns of G's canonical system; `decompose` reads them
              there and never builds ess(A_G) (`essential_arrangement` does).
 
-`AffineSubspace.contains`, `subarrangement_at` and the 2^|A| subset
-enumeration `poset_subspaces_bruteforce` re-derive the same facts by
-row reduction; they are kept as checked public entries and test oracles
-and are never used to build posets.
+`AffineSubspace.contains`, `subarrangement_at` and `nbc_flats` (the flats
+from the no-broken-circuit sets, for `verify`) re-derive the same facts by
+row reduction and never build posets; the 2^|A| subset enumeration
+`poset_subspaces_bruteforce` is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -361,7 +361,8 @@ def _containing_set(
 def poset_subspaces_bruteforce(a: Arrangement) -> frozenset[AffineSubspace]:
     """2^|A| oracle: every nonempty subset intersection, plus the top.
 
-    Exponential; kept for verification only, never used to build posets.
+    Exponential; the tests' reference for `nbc_flats`, never used to
+    build posets or by `verify`.
     """
     n = a.ambient_dim
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
@@ -376,6 +377,34 @@ def poset_subspaces_bruteforce(a: Arrangement) -> frozenset[AffineSubspace]:
             if current is not None:
                 found.add(current)
     return frozenset(found)
+
+
+def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...]]:
+    """The flats of A (top included) and its NBC set counts by size, b_k.
+
+    In index order, independent S = {s_1 < ... < s_k} is no-broken-circuit
+    iff no H_u, u < s_j, contains H_{s_j} ∩ ... ∩ H_{s_k}, for each j.  Every
+    flat is the intersection of an NBC set (Orlik-Terao, ch. 3).  Prepend
+    t < s_1 to S, with ∩S = X: H_u ⊇ X ∩ H_t iff X ∩ H_u = X ∩ H_t, so a
+    nonempty cut is a new NBC set iff no smaller t cut X the same way.
+    """
+    hyper_subspaces = [h.subspace() for h in a.hyperplanes]
+    found = {AffineSubspace.whole_space(a.ambient_dim)}
+    counts = [1] + [0] * a.ambient_dim
+    stack = list(enumerate(hyper_subspaces))
+    while stack:
+        first, x = stack.pop()
+        found.add(x)
+        counts[x.codim] += 1
+        cuts = set()
+        for t in range(first):
+            cut = intersect_flats(x, hyper_subspaces[t])
+            if cut is not None and cut not in cuts:
+                cuts.add(cut)
+                stack.append((t, cut))
+    while counts[-1] == 0:
+        counts.pop()
+    return frozenset(found), tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Every check compares two or three independently computed quantities and
 reports the values compared.  Checks that do not apply to an input (for
 example deconing on a non-central arrangement) report PASS with an "n/a"
 note: there is nothing for them to falsify.
+
+The flat set is checked against A's no-broken-circuit sets (`nbc_flats`)
+up to the poset's cap, under its historical name; the 2^|A| subset
+enumeration `poset_subspaces_bruteforce` is never run here.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .arrangement import (
     IntersectionPoset,
     arrangement_stats,
     build_intersection_poset,
-    poset_subspaces_bruteforce,
+    nbc_flats,
     restriction_to,
 )
 from .chambers import MAX_CHAMBER_HYPERPLANES, MAX_FM_DIM, enumerate_chambers
@@ -43,8 +47,6 @@ from .nerve_homology import (
     sigma_wedge_check,
 )
 
-BRUTEFORCE_CAP = 12
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -54,17 +56,16 @@ class CheckResult:
 
 
 def check_poset_bruteforce(p: IntersectionPoset) -> CheckResult:
-    a = p.arrangement
+    """The closure's flats against those of the NBC sets, and the NBC
+    counts by size against the coefficients of pi(A, t) from Möbius."""
     name = "poset-bruteforce-agreement"
-    if len(a) > BRUTEFORCE_CAP:
-        return CheckResult(name, True, f"n/a: |A| = {len(a)} exceeds the oracle cap {BRUTEFORCE_CAP}")
-    expected = poset_subspaces_bruteforce(a)
+    expected, nbc_counts = nbc_flats(p.arrangement)
     actual = frozenset(f.subspace for f in p.flats)
-    return CheckResult(
-        name,
-        actual == expected,
-        f"breadth-first flats = {len(actual)}, subset-enumeration flats = {len(expected)}",
-    )
+    betti = poincare_polynomial(p).coefficients
+    detail = f"breadth-first flats = {len(actual)}, subset-enumeration flats = {len(expected)}"
+    if nbc_counts != betti:
+        detail += f"; NBC counts {list(nbc_counts)} != Poincaré coefficients {list(betti)}"
+    return CheckResult(name, actual == expected and nbc_counts == betti, detail)
 
 
 def check_rank_identity(p: IntersectionPoset) -> CheckResult:

@@ -244,6 +244,11 @@ def generic(m, n):
     )
 
 
+def points(k):
+    """{x = c : c = 0..k-1} in C^1."""
+    return arrangement_from_coeffs(1, [((1,), c) for c in range(k)])
+
+
 @st.composite
 def small_arrangements(draw):
     """Rational arrangements in C^1..C^3 with up to 6 hyperplanes, drawn as

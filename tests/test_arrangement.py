@@ -16,6 +16,7 @@ from arrcoh.arrangement import (
     essential_arrangement,
     essentialize,
     essentialize_with_chart,
+    nbc_flats,
     poset_subspaces_bruteforce,
     restriction_to,
     subarrangement_at,
@@ -30,12 +31,13 @@ from arrcoh.exact_linalg import (
     FlatRelation,
     solve_affine,
 )
-from arrcoh.invariants import beta_all_flats, mobius_interval_from
+from arrcoh.invariants import beta_all_flats, mobius_interval_from, poincare_polynomial
 from helpers import (
     braid,
     containing_subarrangement,
     essential_braid,
     generic,
+    points,
     restriction_by_rref,
     shi,
     small_arrangements,
@@ -90,6 +92,14 @@ def assert_betas_match_mobius(p):
 def assert_restrictions_match_rref(p):
     for g in p.flats:
         assert restriction_to(p, g) == restriction_by_rref(p, g), g.index
+
+
+def assert_nbc_matches_poset(a):
+    flats, counts = nbc_flats(a)
+    p = build_intersection_poset(a)
+    assert flats == frozenset(f.subspace for f in p.flats)
+    assert counts == poincare_polynomial(p).coefficients
+    return flats, counts
 
 
 class TestValidation:
@@ -164,6 +174,7 @@ class TestPosetConstruction:
             expected = poset_subspaces_bruteforce(a)
             actual = frozenset(f.subspace for f in corpus_posets[name].flats)
             assert actual == expected, name
+            assert assert_nbc_matches_poset(a)[0] == expected, name
 
     def test_minimal_flats_share_dimension(self, corpus_posets):
         for name, p in corpus_posets.items():
@@ -227,12 +238,47 @@ class TestOrderBeyondCorpus:
     def test_random_arrangements(self, a):
         p = build_intersection_poset(a)
         assert frozenset(f.subspace for f in p.flats) == poset_subspaces_bruteforce(a)
+        assert_nbc_matches_poset(a)
         assert_order_matches_flat_relation(p)
         assert_covers_are_transitive_reduction(p)
         assert_containing_sets_exact(a, p)
         assert_subarrangements_match(a, p)
         assert_betas_match_mobius(p)
         assert_restrictions_match_rref(p)
+
+
+NBC_ORACLE_FAMILIES = {
+    "braid-4": lambda: braid(4),
+    "braid-5": lambda: braid(5),
+    "shi-3": lambda: shi(3),
+    "shi-4": lambda: shi(4),
+    "generic-8-planes": lambda: generic(8, 3),
+    "essential-braid-5": lambda: essential_braid(5),
+}
+
+
+class TestNbcFlats:
+    """The flats of the NBC sets against the 2^|A| subset enumeration and
+    the poset, and the NBC counts by size against the Betti numbers from
+    Möbius; the corpus and random cases ride on the poset's own tests."""
+
+    @pytest.mark.parametrize("name", sorted(NBC_ORACLE_FAMILIES))
+    def test_families(self, name):
+        a = NBC_ORACLE_FAMILIES[name]()
+        assert assert_nbc_matches_poset(a)[0] == poset_subspaces_bruteforce(a)
+
+    @pytest.mark.parametrize(
+        "a, flat_count, counts",
+        [
+            (generic(16, 2), 1 + 16 + 120, (1, 16, 120)),
+            (braid(6), 203, (1, 15, 85, 225, 274, 120)),
+            (points(13), 14, (1, 13)),
+        ],
+        ids=["generic-16-lines", "braid-6", "points-13"],
+    )
+    def test_above_the_subset_enumeration_reach(self, a, flat_count, counts):
+        flats, found = assert_nbc_matches_poset(a)
+        assert (len(flats), found) == (flat_count, counts)
 
 
 class TestStats:

@@ -3,12 +3,20 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import sys
 
 from arrcoh import arrangement, nerve_homology, verify
-from arrcoh.arrangement import Arrangement, Hyperplane, build_intersection_poset
+from arrcoh.arrangement import (
+    Arrangement,
+    Flat,
+    Hyperplane,
+    build_intersection_poset,
+    poset_subspaces_bruteforce,
+)
 from arrcoh.errors import InputError
+from arrcoh.invariants import IntPolynomial
 from arrcoh.verify import run_all_checks
-from helpers import braid, essential_braid, generic
+from helpers import braid, essential_braid, generic, points, shi
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:
@@ -133,8 +141,7 @@ def assert_beta_oracle_names_every_flat(a, skipped):
 
 def test_beta_oracle_lists_the_flats_above_its_cap():
     # 13 points on a line: only the top's restriction is over 12.
-    points = Arrangement(1, tuple(Hyperplane.from_coeffs((1,), c) for c in range(13)))
-    assert_beta_oracle_names_every_flat(points, [0])
+    assert_beta_oracle_names_every_flat(points(13), [0])
     # 13 generic lines: each line meets the other 12 in 12 points.
     assert_beta_oracle_names_every_flat(generic(13, 2), [0])
 
@@ -184,3 +191,79 @@ def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
         assert result.detail == (
             f"flat {i}: combinatorial beta {betas[i] + 1} != nerve beta {betas[i]}"
         )
+
+
+def with_flat_below_top(p, subspace):
+    """p with `subspace`, which no intersection of A gives, covered by the top."""
+    i = len(p.flats)
+    flat = Flat(i, subspace, subspace.dim, subspace.codim, frozenset())
+    return dataclasses.replace(
+        p,
+        flats=p.flats + (flat,),
+        strictly_below=(p.strictly_below[0] | {i},) + p.strictly_below[1:] + (frozenset(),),
+        strictly_above=p.strictly_above + (frozenset({0}),),
+        covers=(p.covers[0] | {i},) + p.covers[1:] + (frozenset(),),
+    )
+
+
+def without_last_flat(p):
+    """p without its last flat, a minimal one: never the top."""
+    last = len(p.flats) - 1
+    return dataclasses.replace(
+        p,
+        flats=p.flats[:-1],
+        strictly_below=tuple(s - {last} for s in p.strictly_below[:-1]),
+        strictly_above=p.strictly_above[:-1],
+        covers=tuple(s - {last} for s in p.covers[:-1]),
+    )
+
+
+def test_flat_set_check_catches_planted_flats_past_twelve_hyperplanes():
+    # Braid A_6 has 15 hyperplanes, past the reach of the subset enumeration.
+    for a, count in ((braid(5), 52), (braid(6), 203)):
+        p = build_intersection_poset(a)
+        result = verify.check_poset_bruteforce(p)
+        assert result.passed
+        assert result.detail == (
+            f"breadth-first flats = {count}, subset-enumeration flats = {count}"
+        )
+        x1_is_7 = Hyperplane.from_coeffs((1,) + (0,) * (a.ambient_dim - 1), 7).subspace()
+        for planted, found in ((with_flat_below_top(p, x1_is_7), count + 1),
+                               (without_last_flat(p), count - 1)):
+            result = verify.check_poset_bruteforce(planted)
+            assert not result.passed, (len(a), found)
+            assert result.detail.startswith(
+                f"breadth-first flats = {found}, subset-enumeration flats = {count}"
+            )
+
+
+def test_flat_set_check_compares_nbc_counts_with_poincare(monkeypatch):
+    original = verify.poincare_polynomial
+
+    def off_by_one(p):
+        coefficients = list(original(p).coefficients)
+        coefficients[2] += 1
+        return IntPolynomial.from_coefficients(coefficients)
+
+    monkeypatch.setattr(verify, "poincare_polynomial", off_by_one)
+    result = verify.check_poset_bruteforce(build_intersection_poset(braid(5)))
+    assert not result.passed
+    assert result.detail == (
+        "breadth-first flats = 52, subset-enumeration flats = 52; "
+        "NBC counts [1, 10, 35, 50, 24] != Poincaré coefficients [1, 10, 36, 50, 24]"
+    )
+
+
+def test_verify_runs_no_subset_enumeration(monkeypatch):
+    def raising(*args, **kwargs):
+        raise AssertionError("verify called poset_subspaces_bruteforce")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arrcoh":
+            for bound, value in list(vars(module).items()):
+                if value is poset_subspaces_bruteforce:
+                    monkeypatch.setattr(module, bound, raising)
+    for a in (braid(5), shi(4)):
+        results = run_all_checks(a)
+        assert len(results) == 9
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
