@@ -14,14 +14,18 @@ The poset carries the numerology everything else consumes:
 
 Exact linear algebra only finds the flats and writes their canonical
 equations.  Construction is a breadth-first closure (cut each new flat
-by every hyperplane not already containing it, canonicalize, dedup)
-rather than all-subsets enumeration.  Everything else is combinatorics
-on the containing sets C(G) = {H in A : H contains G}
+by every hyperplane not already containing it, dedup) rather than
+all-subsets enumeration.  The cuts are integer: a flat G is carried as
+integer columns spanning the image of its homogenized solution space
+under the equation rows (a_i, -b_i), and cutting by H_i is one
+fraction-free elimination step (Bareiss, Math. Comp. 22, 1968).  Flats
+are keyed by their containing sets, and each new flat's canonical
+`Fraction` equations are written once, by `intersect_flats`.  Everything
+else is combinatorics on the containing sets C(G) = {H in A : H contains G}
 (Orlik-Terao, Arrangements of Hyperplanes, ch. 1-2):
 
-  incidence  C(G) is computed once, when G is found, by dot products of
-             each hyperplane with the point and direction basis of
-             `AffineSubspace.parametrize()`;
+  incidence  C(G) is read off G's integer columns when G is found: the
+             rows that vanish on every column;
   order      a flat is the intersection of its containing set, so
              G < G' iff C(G) strictly contains C(G');
   covers     the poset is ranked by dimension, so the covers of G are
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -58,6 +61,7 @@ from .exact_linalg import (
     dot,
     intersect_flats,
     rational_str,
+    rref_rank,
     solve_affine,
     vector,
 )
@@ -215,8 +219,7 @@ class IntersectionPoset:
     i iff flat j's containing hyperplanes strictly include flat i's.
     `covers[i]` holds the flats covered by flat i (immediately below it),
     which by rank are the flats below i of dimension one less.  Each
-    flat's containing set is found by testing every hyperplane against
-    the flat's parametrization, never by row reduction.
+    flat's containing set is read off the closure's integer columns.
     """
 
     arrangement: Arrangement
@@ -248,38 +251,84 @@ def build_intersection_poset(
 ) -> IntersectionPoset:
     """Breadth-first closure of the arrangement under intersection.
 
-    Linear algebra finds the flats; the order is then read off their
-    containing sets, and the covers off the rank.
+    Integer cuts find the flats and their containing sets, one
+    `intersect_flats` per flat writes its canonical equations, and
+    `assemble_poset` reads the order off the containing sets.
     """
     if len(a) > max_hyperplanes:
         raise ResourceCapError(
             f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}"
         )
-    n = a.ambient_dim
-    top = AffineSubspace.whole_space(n)
+    m, n = len(a), a.ambient_dim
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
+    # E: row i < m is H_i's equation (a_i, -b_i) in integers, row m the
+    # homogenizing coordinate t.  A flat G is carried as integer columns
+    # spanning E(V_G), V_G = span{(x, 1) : x in G}, so row i vanishes on
+    # every column iff H_i contains G, and G is empty iff t does.
     equations = [_integer_multiple(h.normal + (-h.offset,)) for h in a.hyperplanes]
-    containing: dict[AffineSubspace, frozenset[int]] = {top: frozenset()}
-    frontier = [top]
+    columns = [tuple(row[j] for row in equations) + (int(j == n),) for j in range(n + 1)]
+    top = AffineSubspace.whole_space(n)
+    found = {frozenset(): top}
+    everything = frozenset(range(m))
+    frontier = [(top, frozenset(), [c for c in columns if any(c)])]
     while frontier:
         fresh = []
-        for f in frontier:
-            # Hyperplanes containing f, or containing a cut of f already
-            # made, cut f in nothing new.
-            done = set(containing[f])
-            for i, hs in enumerate(hyper_subspaces):
+        for g, c_g, spanning in frontier:
+            # Hyperplanes containing g, or containing a cut of g already
+            # made, cut g in nothing new.
+            done = set(c_g)
+            for i in range(m):
                 if i in done:
                     continue
-                cut = intersect_flats(f, hs)
-                if cut is None:
-                    continue
-                inside = containing.get(cut)
-                if inside is None:
-                    inside = containing[cut] = _containing_set(equations, cut)
-                    fresh.append(cut)
+                cut = _fraction_free_cut(spanning, i)
+                if not any(col[m] for col in cut):
+                    continue  # g ∩ H_i is empty
+                moved = set().union(*(itertools.compress(range(m), col) for col in cut))
+                inside = everything.difference(moved)
+                if inside not in found:
+                    sub = intersect_flats(g, hyper_subspaces[i])
+                    if sub is None:
+                        raise InternalConsistencyError("an integer cut disagrees with its rref")
+                    found[inside] = sub
+                    fresh.append((sub, inside, cut))
                 done |= inside
         frontier = fresh
+    return assemble_poset(a, {sub: inside for inside, sub in found.items()})
 
+
+def _fraction_free_cut(columns: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
+    """Integer columns spanning the vectors of span(columns) with entry 0
+    in row i, which some column has nonzero.
+
+    One fraction-free step (Bareiss, Math. Comp. 22, 1968): with a pivot
+    column k, each other column becomes c_k col_j - c_j col_k (c = row i),
+    divided by its gcd; zero columns are dropped, and so is column k.  The
+    pivot has the least nonzero |c_k|, which keeps the entries small.
+    """
+    k = min((j for j, col in enumerate(columns) if col[i]), key=lambda j: abs(columns[j][i]))
+    pivot = columns[k]
+    p = pivot[i]
+    cut = []
+    for j, col in enumerate(columns):
+        if j == k:
+            continue
+        c = col[i]
+        if c == 0:
+            cut.append(col)
+            continue
+        new = [p * x - c * y for x, y in zip(col, pivot)]
+        d = math.gcd(*new)
+        if d:
+            cut.append(tuple(x // d for x in new))
+    return cut
+
+
+def assemble_poset(
+    a: Arrangement, containing: Mapping[AffineSubspace, frozenset[int]]
+) -> IntersectionPoset:
+    """The poset of the flats `containing` maps to their containing sets:
+    sorted, ordered by the containing sets, covered by rank."""
+    n = a.ambient_dim
     ordered = sorted(containing, key=lambda s: (-s.dim, s.sort_key()))
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])
@@ -338,26 +387,6 @@ def _integer_multiple(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
-def _containing_set(
-    equations: Sequence[tuple[int, ...]], sub: AffineSubspace
-) -> frozenset[int]:
-    """Indices of the hyperplanes containing `sub`, by dot products.
-
-    H = {a.x = b} contains the flat p + span(d_1, ..., d_k) iff a.p = b
-    and a.d_j = 0 for every direction d_j, i.e. iff (a, -b) is orthogonal
-    to (p, 1) and to every (d_j, 0).  `equations` holds the rows (a, -b)
-    scaled to integers; the test vectors are scaled the same way.
-    """
-    point, directions = sub.parametrize()
-    tests = [_integer_multiple(point + (Fraction(1),))]
-    tests += [_integer_multiple(d + (Fraction(0),)) for d in directions]
-    return frozenset(
-        i
-        for i, row in enumerate(equations)
-        if all(sum(map(operator.mul, row, v)) == 0 for v in tests)
-    )
-
-
 def poset_subspaces_bruteforce(a: Arrangement) -> frozenset[AffineSubspace]:
     """2^|A| oracle: every nonempty subset intersection, plus the top.
 
@@ -386,9 +415,12 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
     iff no H_u, u < s_j, contains H_{s_j} ∩ ... ∩ H_{s_k}, for each j.  Every
     flat is the intersection of an NBC set (Orlik-Terao, ch. 3).  Prepend
     t < s_1 to S, with ∩S = X: H_u ⊇ X ∩ H_t iff X ∩ H_u = X ∩ H_t, so a
-    nonempty cut is a new NBC set iff no smaller t cut X the same way.
+    nonempty cut is a new NBC set iff no smaller t cut X the same way.  The
+    normals of a flat of codimension r = rank(normals) span every normal,
+    so a hyperplane not containing it misses it: such an X is not cut.
     """
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
+    _, r = rref_rank(RationalMatrix(tuple(h.normal for h in a.hyperplanes), a.ambient_dim))
     found = {AffineSubspace.whole_space(a.ambient_dim)}
     counts = [1] + [0] * a.ambient_dim
     stack = list(enumerate(hyper_subspaces))
@@ -396,6 +428,8 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
         first, x = stack.pop()
         found.add(x)
         counts[x.codim] += 1
+        if x.codim == r:
+            continue
         cuts = set()
         for t in range(first):
             cut = intersect_flats(x, hyper_subspaces[t])

@@ -26,6 +26,8 @@ from .arrangement import (
 )
 from .chambers import enumerate_chambers
 from .decomposition import (
+    DUALITY_NOTE,
+    L2_NOTE,
     Free,
     GradedDecomposition,
     Induced,
@@ -91,30 +93,37 @@ def module_str(m: ModuleExpr) -> str:
 
 
 # --- per-command reports --------------------------------------------------
+#
+# Each report renders only the requested format, as the text to print.
 
 
-def poset_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
+def _dump(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     stats = arrangement_stats(p)
-    flats = [
-        {
-            "index": f.index,
-            "dim": f.dim,
-            "codim": f.codim,
-            "flat": f.subspace.to_json(),
-            "containing_hyperplanes": sorted(f.containing_hyperplanes),
-            "covers": sorted(p.covers[f.index]),
-        }
-        for f in p.flats
-    ]
-    obj = {
-        "dim": a.ambient_dim,
-        "hyperplane_count": len(a),
-        "n0": stats.n0,
-        "rank": stats.rank_l,
-        "is_central": stats.is_central,
-        "is_essential": stats.is_essential,
-        "flats": flats,
-    }
+    if fmt == "json":
+        flats = [
+            {
+                "index": f.index,
+                "dim": f.dim,
+                "codim": f.codim,
+                "flat": f.subspace.to_json(),
+                "containing_hyperplanes": sorted(f.containing_hyperplanes),
+                "covers": sorted(p.covers[f.index]),
+            }
+            for f in p.flats
+        ]
+        return _dump({
+            "dim": a.ambient_dim,
+            "hyperplane_count": len(a),
+            "n0": stats.n0,
+            "rank": stats.rank_l,
+            "is_central": stats.is_central,
+            "is_essential": stats.is_essential,
+            "flats": flats,
+        })
     lines = [
         f"arrangement: {len(a)} hyperplanes in C^{a.ambient_dim}",
         f"poset: {len(p.flats)} flats, n0 = {stats.n0}, rank l = {stats.rank_l}, "
@@ -127,20 +136,24 @@ def poset_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
             f"| hyperplanes {sorted(f.containing_hyperplanes)} "
             f"| covers {sorted(p.covers[f.index])}"
         )
-    return obj, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def invariants_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
+def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     mu = mobius_from_top(p)
     chi = characteristic_polynomial(p)
     pi = poincare_polynomial(p)
     euler = euler_complement(p)
-    obj = {
-        "mobius": [{"flat_index": f.index, "mu": mu[f.index]} for f in p.flats],
-        "characteristic_polynomial": list(chi.coefficients),
-        "poincare_polynomial": list(pi.coefficients),
-        "euler_complement": euler,
-    }
+    # Written in both formats, so that a flat whose equations are too long
+    # to print exits 2 whatever the format.
+    equations = [equations_str(f.subspace) for f in p.flats]
+    if fmt == "json":
+        return _dump({
+            "mobius": [{"flat_index": f.index, "mu": mu[f.index]} for f in p.flats],
+            "characteristic_polynomial": list(chi.coefficients),
+            "poincare_polynomial": list(pi.coefficients),
+            "euler_complement": euler,
+        })
     lines = [
         f"characteristic polynomial: {chi}",
         f"poincare polynomial: {pi}",
@@ -148,40 +161,44 @@ def invariants_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
         "mobius values mu(top, G):",
     ]
     for f in p.flats:
-        lines.append(f"  [{f.index}] dim {f.dim}  {equations_str(f.subspace)}: {mu[f.index]}")
-    return obj, "\n".join(lines)
+        lines.append(f"  [{f.index}] dim {f.dim}  {equations[f.index]}: {mu[f.index]}")
+    return "\n".join(lines)
 
 
-def beta_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
+def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     values = beta_all_flats(p)
-    obj = {
-        "betas": [
-            {"flat_index": b.flat.index, "degree": b.degree, "beta": b.value}
-            for b in values
-        ]
-    }
+    # Written in both formats, as in `invariants_report`.
+    equations = [equations_str(b.flat.subspace) for b in values]
+    if fmt == "json":
+        return _dump({
+            "betas": [
+                {"flat_index": b.flat.index, "degree": b.degree, "beta": b.value}
+                for b in values
+            ]
+        })
     lines = ["beta invariants beta(A∩G), degree l(G):"]
-    for b in values:
+    for b, eq in zip(values, equations):
         lines.append(
-            f"  [{b.flat.index}] dim {b.flat.dim}  {equations_str(b.flat.subspace)}: "
+            f"  [{b.flat.index}] dim {b.flat.dim}  {eq}: "
             f"beta = {b.value} in degree {b.degree}"
         )
-    return obj, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def nerve_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
+def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     wedge = sigma_wedge_check(p)
     nerve = wedge.nerve
     hom = wedge.homology
     counts = [len(nerve.simplices_of_dim(d)) for d in range(nerve.max_dim + 1)]
-    obj = {
-        "vertex_count": nerve.vertex_count,
-        "simplex_counts": counts,
-        "homology": [g.to_json() for g in hom.groups],
-        "wedge_degree": p.rank_l - 1,
-        "beta": wedge.beta,
-        "is_wedge": wedge.is_wedge,
-    }
+    if fmt == "json":
+        return _dump({
+            "vertex_count": nerve.vertex_count,
+            "simplex_counts": counts,
+            "homology": [g.to_json() for g in hom.groups],
+            "wedge_degree": p.rank_l - 1,
+            "beta": wedge.beta,
+            "is_wedge": wedge.is_wedge,
+        })
     lines = [
         f"nerve of the hyperplane cover: {nerve.vertex_count} vertices, "
         f"simplex counts by dimension {counts}",
@@ -195,20 +212,22 @@ def nerve_report(a: Arrangement, p: IntersectionPoset) -> tuple[dict, str]:
         f"wedge check: beta = {wedge.beta} in degree {p.rank_l - 1}, "
         f"is_wedge: {'yes' if wedge.is_wedge else 'NO'}"
     )
-    return obj, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def chambers_report(a: Arrangement) -> tuple[dict, str]:
+def chambers_report(a: Arrangement, fmt: str) -> str:
     report = enumerate_chambers(a)
-    obj = report.to_json()
+    if fmt == "json":
+        return _dump(report.to_json())
     lines = [f"chambers: {report.total} total, {report.bounded} bounded"]
     for c in report.chambers:
         lines.append(f"  {c.signs}  {'bounded' if c.bounded else 'unbounded'}")
-    return obj, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def decompose_report(a: Arrangement, dec: GradedDecomposition) -> tuple[dict, str]:
-    obj = dec.to_json()
+def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> str:
+    if fmt == "json":
+        return _dump(dec.to_json())
     lines = [
         f"graded group-ring cohomology of the complement of {len(a)} "
         f"hyperplanes in C^{a.ambient_dim}",
@@ -217,8 +236,8 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition) -> tuple[dict, st
     if graded_piece_is_trivial_z(dec):
         lines.append(f"H^{dec.concentration_degree} = Z (trivial module)")
     lines += [
-        f"note: {obj['l2_note']}",
-        f"note: {obj['duality_note']}",
+        f"note: {L2_NOTE}",
+        f"note: {DUALITY_NOTE}",
         "summands (one per flat with positive beta):",
     ]
     for s in dec.summands:
@@ -227,23 +246,20 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition) -> tuple[dict, st
             f"  [{s.flat_index}] {equations_str(s.subspace)} "
             f"| multiplicity {s.multiplicity} | {module_str(s.module)}{suffix}"
         )
-    return obj, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def verify_report(a: Arrangement, max_hyperplanes: int) -> tuple[dict, str, bool]:
+def verify_report(a: Arrangement, max_hyperplanes: int, fmt: str) -> tuple[str, bool]:
     results = run_all_checks(a, max_hyperplanes=max_hyperplanes)
     ok = all(r.passed for r in results)
-    obj = {
-        "all_passed": ok,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-    }
+    if fmt == "json":
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        return _dump({"all_passed": ok, "checks": checks}), ok
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results
     ]
     lines.append(f"verify: {'all checks passed' if ok else 'AT LEAST ONE CHECK FAILED'}")
-    return obj, "\n".join(lines), ok
+    return "\n".join(lines), ok
 
 
 # --- driver ---------------------------------------------------------------
@@ -275,21 +291,21 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
             raise ResourceCapError(f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}")
         verify_ok = True
         if command == "chambers":
-            obj, text = chambers_report(a)
+            out = chambers_report(a, output_format)
         elif command == "verify":
-            obj, text, verify_ok = verify_report(a, max_hyperplanes)
+            out, verify_ok = verify_report(a, max_hyperplanes, output_format)
         else:
             p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
             if command == "poset":
-                obj, text = poset_report(a, p)
+                out = poset_report(a, p, output_format)
             elif command == "invariants":
-                obj, text = invariants_report(a, p)
+                out = invariants_report(a, p, output_format)
             elif command == "beta":
-                obj, text = beta_report(a, p)
+                out = beta_report(a, p, output_format)
             elif command == "nerve":
-                obj, text = nerve_report(a, p)
+                out = nerve_report(a, p, output_format)
             elif command == "decompose":
-                obj, text = decompose_report(a, decompose_cohomology(p))
+                out = decompose_report(a, decompose_cohomology(p), output_format)
             else:
                 raise InputError(f"unknown command {command!r}")
     except InputError as exc:
@@ -298,10 +314,7 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if output_format == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(out)
     return 0 if verify_ok else 3
 
 

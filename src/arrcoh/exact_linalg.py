@@ -261,8 +261,8 @@ class AffineSubspace:
 
         self >= other iff self's augmented rows lie in the row space of
         other's augmented system, i.e. stacking them adds no rank.  An
-        oracle only: the intersection poset decides incidence by dot
-        products and its order by containing sets.
+        oracle only: the intersection poset decides incidence by integer
+        cuts and its order by containing sets.
         """
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimension mismatch")

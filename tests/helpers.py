@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own code paths: the
 determinant is cofactor expansion and the inverse is the adjugate, not
 elimination, so rank, Smith-normal-form and deconing claims are checked
 against arithmetic the package never performs.  The restriction A∩G is
-re-derived by row reducing each covered flat's pulled-back system.
+re-derived by row reducing each covered flat's pulled-back system, and
+the poset's flats by a closure that cuts in `Fraction` row reduction.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ from arrcoh.arrangement import (
     IntersectionPoset,
     RestrictedArrangement,
     arrangement_from_coeffs,
+    assemble_poset,
 )
 from arrcoh.cli import load_arrangement
 from arrcoh.decomposition import decone_flats
-from arrcoh.exact_linalg import RationalMatrix, rref_pivots
+from arrcoh.exact_linalg import (
+    AffineSubspace,
+    RationalMatrix,
+    dot,
+    intersect_flats,
+    rref_pivots,
+)
 from arrcoh.invariants import beta_all_flats
 from arrcoh.nerve_homology import SimplicialComplex
 
@@ -130,6 +138,41 @@ def decone_by_inverse(a: Arrangement, h_infinity: int) -> list[tuple[list, Fract
             a_prime = [sum(h.normal[r] * t_inv[r][c] for r in range(n)) for c in range(n)]
             rows.append((a_prime[:-1], -a_prime[-1]))
     return rows
+
+
+def fraction_closure_poset(a: Arrangement) -> IntersectionPoset:
+    """The intersection poset by a breadth-first closure in `Fraction` rref:
+    every cut is an `intersect_flats` keyed by its canonical form, and each
+    new flat's containing set comes from dot products with its point and
+    direction basis.  The integer closure must give the same poset."""
+    n = a.ambient_dim
+    top = AffineSubspace.whole_space(n)
+    hyper_subspaces = [h.subspace() for h in a.hyperplanes]
+    containing: dict[AffineSubspace, frozenset[int]] = {top: frozenset()}
+    frontier = [top]
+    while frontier:
+        fresh = []
+        for f in frontier:
+            done = set(containing[f])
+            for i, hs in enumerate(hyper_subspaces):
+                if i in done:
+                    continue
+                cut = intersect_flats(f, hs)
+                if cut is None:
+                    continue
+                inside = containing.get(cut)
+                if inside is None:
+                    point, directions = cut.parametrize()
+                    inside = containing[cut] = frozenset(
+                        j
+                        for j, h in enumerate(a.hyperplanes)
+                        if dot(h.normal, point) == h.offset
+                        and all(dot(h.normal, d) == 0 for d in directions)
+                    )
+                    fresh.append(cut)
+                done |= inside
+        frontier = fresh
+    return assemble_poset(a, containing)
 
 
 def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
@@ -263,4 +306,33 @@ def small_arrangements(draw):
         for b in draw(st.lists(coeff, min_size=1, max_size=3, unique=True)):
             rows.append(Hyperplane.from_coeffs(normal, b))
     unique = tuple(dict.fromkeys(rows))[:6]
+    return Arrangement(n, unique)
+
+
+@st.composite
+def closure_arrangements(draw):
+    """Rational arrangements in C^1..C^4 with up to 8 hyperplanes and
+    denominators up to 7.  Offsets are free, giving parallel classes of up
+    to 3 hyperplanes, or all through one point (central); the normals are
+    optionally all orthogonal to one direction (non-essential), so the
+    central draws then share a line."""
+    n = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    vectors = st.lists(coeff, min_size=n, max_size=n)
+    direction = draw(st.one_of(st.none(), vectors.filter(any)))
+    point = draw(st.one_of(st.none(), vectors))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        normal = draw(vectors)
+        if direction is not None:
+            scale = sum(x * y for x, y in zip(normal, direction)) / sum(x * x for x in direction)
+            normal = [x - scale * y for x, y in zip(normal, direction)]
+        if not any(normal):
+            continue
+        if point is None:
+            offsets = draw(st.lists(coeff, min_size=1, max_size=3, unique=True))
+        else:
+            offsets = [sum(x * y for x, y in zip(normal, point))]
+        rows += [Hyperplane.from_coeffs(normal, b) for b in offsets]
+    unique = tuple(dict.fromkeys(rows))[:8]
     return Arrangement(n, unique)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from arrcoh.arrangement import (
     Arrangement,
     Flat,
     Hyperplane,
+    IntersectionPoset,
     arrangement_from_coeffs,
     arrangement_stats,
     build_intersection_poset,
@@ -34,8 +37,10 @@ from arrcoh.exact_linalg import (
 from arrcoh.invariants import beta_all_flats, mobius_interval_from, poincare_polynomial
 from helpers import (
     braid,
+    closure_arrangements,
     containing_subarrangement,
     essential_braid,
+    fraction_closure_poset,
     generic,
     points,
     restriction_by_rref,
@@ -245,6 +250,51 @@ class TestOrderBeyondCorpus:
         assert_subarrangements_match(a, p)
         assert_betas_match_mobius(p)
         assert_restrictions_match_rref(p)
+
+
+def assert_same_as_fraction_closure(a):
+    p, expected = build_intersection_poset(a), fraction_closure_poset(a)
+    for field in dataclasses.fields(IntersectionPoset):
+        assert getattr(p, field.name) == getattr(expected, field.name), field.name
+    return p
+
+
+class TestIntegerClosure:
+    """The closure's fraction-free integer cuts against the `Fraction`
+    closure they replaced, every `IntersectionPoset` field compared."""
+
+    def test_corpus(self, corpus):
+        for a in corpus.values():
+            assert_same_as_fraction_closure(a)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name):
+        assert_same_as_fraction_closure(FAMILIES[name][0]())
+
+    @given(closure_arrangements())
+    @settings(max_examples=60, deadline=None)
+    def test_random_arrangements(self, a):
+        p = assert_same_as_fraction_closure(a)
+        assert frozenset(f.subspace for f in p.flats) == poset_subspaces_bruteforce(a)
+
+    def test_forty_digit_coefficients(self):
+        # Generic planes with 40-digit numerators and denominators, plus a
+        # parallel copy of the first and a plane through the first two's
+        # common line: the integer columns grow far past machine words.
+        rng = random.Random(40)
+
+        def number():
+            return F(rng.choice((-1, 1)) * rng.randrange(10**39, 10**40),
+                     rng.randrange(10**39, 10**40))
+
+        rows = [([number() for _ in range(3)], number()) for _ in range(5)]
+        (a0, b0), (a1, b1) = rows[:2]
+        rows.append((a0, number()))
+        rows.append(([x + y for x, y in zip(a0, a1)], b0 + b1))
+        a = arrangement_from_coeffs(3, rows)
+        p = assert_same_as_fraction_closure(a)
+        assert frozenset(f.subspace for f in p.flats) == poset_subspaces_bruteforce(a)
+        assert max(len(str(x.denominator)) for f in p.flats for x in f.subspace.rhs) > 40
 
 
 NBC_ORACLE_FAMILIES = {
