@@ -329,7 +329,16 @@ def assemble_poset(
     """The poset of the flats `containing` maps to their containing sets:
     sorted, ordered by the containing sets, covered by rank."""
     n = a.ambient_dim
-    ordered = sorted(containing, key=lambda s: (-s.dim, s.sort_key()))
+    # By descending dimension, then canonical form (`sort_key`), with each
+    # Fraction replaced by its rank among the values that occur: the same
+    # order, compared in ints.
+    values = sorted({x for s in containing for row in s.augmented_rows() for x in row})
+    rank = {x: r for r, x in enumerate(values)}
+    ordered = sorted(containing, key=lambda s: (
+        -s.dim,
+        [[rank[x] for x in row] for row in s.system.entries],
+        [rank[x] for x in s.rhs],
+    ))
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])
         for idx, sub in enumerate(ordered)

@@ -256,6 +256,8 @@ def assert_same_as_fraction_closure(a):
     p, expected = build_intersection_poset(a), fraction_closure_poset(a)
     for field in dataclasses.fields(IntersectionPoset):
         assert getattr(p, field.name) == getattr(expected, field.name), field.name
+    subspaces = [f.subspace for f in p.flats]
+    assert subspaces == sorted(subspaces, key=lambda s: (-s.dim, s.sort_key()))
     return p
 
 
