@@ -94,14 +94,10 @@ def module_str(m: ModuleExpr) -> str:
 
 # --- per-command reports --------------------------------------------------
 #
-# Each report renders only the requested format, as the text to print.
+# Each report builds only the requested format: the JSON object, or the text.
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
+def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
     stats = arrangement_stats(p)
     if fmt == "json":
         flats = [
@@ -115,7 +111,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
             }
             for f in p.flats
         ]
-        return _dump({
+        return {
             "dim": a.ambient_dim,
             "hyperplane_count": len(a),
             "n0": stats.n0,
@@ -123,7 +119,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
             "is_central": stats.is_central,
             "is_essential": stats.is_essential,
             "flats": flats,
-        })
+        }
     lines = [
         f"arrangement: {len(a)} hyperplanes in C^{a.ambient_dim}",
         f"poset: {len(p.flats)} flats, n0 = {stats.n0}, rank l = {stats.rank_l}, "
@@ -139,7 +135,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
+def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
     mu = mobius_from_top(p)
     chi = characteristic_polynomial(p)
     pi = poincare_polynomial(p)
@@ -148,12 +144,12 @@ def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     # to print exits 2 whatever the format.
     equations = [equations_str(f.subspace) for f in p.flats]
     if fmt == "json":
-        return _dump({
+        return {
             "mobius": [{"flat_index": f.index, "mu": mu[f.index]} for f in p.flats],
             "characteristic_polynomial": list(chi.coefficients),
             "poincare_polynomial": list(pi.coefficients),
             "euler_complement": euler,
-        })
+        }
     lines = [
         f"characteristic polynomial: {chi}",
         f"poincare polynomial: {pi}",
@@ -165,17 +161,17 @@ def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
+def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
     values = beta_all_flats(p)
     # Written in both formats, as in `invariants_report`.
     equations = [equations_str(b.flat.subspace) for b in values]
     if fmt == "json":
-        return _dump({
+        return {
             "betas": [
                 {"flat_index": b.flat.index, "degree": b.degree, "beta": b.value}
                 for b in values
             ]
-        })
+        }
     lines = ["beta invariants beta(A∩G), degree l(G):"]
     for b, eq in zip(values, equations):
         lines.append(
@@ -185,20 +181,20 @@ def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
+def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
     wedge = sigma_wedge_check(p)
     nerve = wedge.nerve
     hom = wedge.homology
     counts = [len(nerve.simplices_of_dim(d)) for d in range(nerve.max_dim + 1)]
     if fmt == "json":
-        return _dump({
+        return {
             "vertex_count": nerve.vertex_count,
             "simplex_counts": counts,
             "homology": [g.to_json() for g in hom.groups],
             "wedge_degree": p.rank_l - 1,
             "beta": wedge.beta,
             "is_wedge": wedge.is_wedge,
-        })
+        }
     lines = [
         f"nerve of the hyperplane cover: {nerve.vertex_count} vertices, "
         f"simplex counts by dimension {counts}",
@@ -215,19 +211,19 @@ def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def chambers_report(a: Arrangement, fmt: str) -> str:
+def chambers_report(a: Arrangement, fmt: str) -> dict | str:
     report = enumerate_chambers(a)
     if fmt == "json":
-        return _dump(report.to_json())
+        return report.to_json()
     lines = [f"chambers: {report.total} total, {report.bounded} bounded"]
     for c in report.chambers:
         lines.append(f"  {c.signs}  {'bounded' if c.bounded else 'unbounded'}")
     return "\n".join(lines)
 
 
-def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> str:
+def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> dict | str:
     if fmt == "json":
-        return _dump(dec.to_json())
+        return dec.to_json()
     lines = [
         f"graded group-ring cohomology of the complement of {len(a)} "
         f"hyperplanes in C^{a.ambient_dim}",
@@ -249,12 +245,12 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def verify_report(a: Arrangement, max_hyperplanes: int, fmt: str) -> tuple[str, bool]:
+def verify_report(a: Arrangement, max_hyperplanes: int, fmt: str) -> tuple[dict | str, bool]:
     results = run_all_checks(a, max_hyperplanes=max_hyperplanes)
     ok = all(r.passed for r in results)
     if fmt == "json":
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        return _dump({"all_passed": ok, "checks": checks}), ok
+        return {"all_passed": ok, "checks": checks}, ok
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results
     ]
@@ -314,7 +310,7 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out)
+    print(json.dumps(out, indent=2, sort_keys=True) if output_format == "json" else out)
     return 0 if verify_ok else 3
 
 

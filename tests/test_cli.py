@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from arrcoh import cli, nerve_homology
+from arrcoh.chambers import ChamberReport
+from arrcoh.exact_linalg import AffineSubspace
 from arrcoh.verify import CheckResult
 from helpers import braid, corpus_file, essential_braid, generic, shi
 
@@ -217,6 +219,24 @@ class TestReports:
             first = run_cli(capsys, command, corpus_file("generic3-c2"), "--format", "json")
             second = run_cli(capsys, command, corpus_file("generic3-c2"), "--format", "json")
             assert first == second, command
+
+    def test_each_format_is_rendered_alone(self, capsys, monkeypatch):
+        # `invariants` and `beta` write their flats' equations in both
+        # formats, so that an unprintable flat exits 2 in either.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered the format that was not asked for")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "equations_str", refuse)
+            m.setattr(cli, "module_str", refuse)
+            for command in ("poset", "nerve", "chambers", "decompose", "verify"):
+                code, out, _ = run_cli(capsys, command, corpus_file("generic3-c2"), "--format", "json")
+                assert code == 0 and json.loads(out), command
+        monkeypatch.setattr(AffineSubspace, "to_json", refuse)
+        monkeypatch.setattr(ChamberReport, "to_json", refuse)
+        for command in ("poset", "chambers"):
+            code, out, _ = run_cli(capsys, command, corpus_file("generic3-c2"), "--format", "text")
+            assert code == 0 and out, command
 
     def test_decompose_two_points(self, capsys):
         code, out, _ = run_cli(
