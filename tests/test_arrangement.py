@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from arrcoh import arrangement
 from arrcoh.arrangement import (
     Arrangement,
     Flat,
@@ -32,6 +33,7 @@ from arrcoh.exact_linalg import (
     affine_image,
     flat_relation,
     FlatRelation,
+    intersect_flats,
     solve_affine,
 )
 from arrcoh.invariants import beta_all_flats, mobius_interval_from, poincare_polynomial
@@ -331,6 +333,21 @@ class TestNbcFlats:
     def test_above_the_subset_enumeration_reach(self, a, flat_count, counts):
         flats, found = assert_nbc_matches_poset(a)
         assert (len(flats), found) == (flat_count, counts)
+
+    def test_minimal_flats_are_not_cut(self, monkeypatch):
+        # A flat of codimension rank(normals) misses every hyperplane not
+        # containing it; in general position no other cut is empty.
+        empty = []
+
+        def recording(f, g):
+            cut = intersect_flats(f, g)
+            empty.append(cut is None)
+            return cut
+
+        monkeypatch.setattr(arrangement, "intersect_flats", recording)
+        for a in (generic(8, 2), generic(8, 3)):
+            nbc_flats(a)
+        assert empty and not any(empty)
 
 
 class TestStats:
