@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._record import record
 from .errors import InputError, InternalConsistencyError, ResourceCapError
 from .exact_linalg import (
     AffineSubspace,
@@ -69,7 +69,7 @@ from .exact_linalg import (
 DEFAULT_MAX_HYPERPLANES = 20
 
 
-@dataclass(frozen=True)
+@record
 class Hyperplane:
     """Affine hyperplane {x : normal.x = offset}, canonically scaled.
 
@@ -104,7 +104,7 @@ class Hyperplane:
         return AffineSubspace(n, RationalMatrix((self.normal,), n), (self.offset,))
 
 
-@dataclass(frozen=True)
+@record
 class Arrangement:
     """Finite set of distinct hyperplanes in C^n, in input order."""
 
@@ -194,7 +194,7 @@ def validate_arrangement(raw: Mapping) -> Arrangement:
     return Arrangement(dim, tuple(hyperplanes))
 
 
-@dataclass(frozen=True)
+@record
 class Flat:
     """Element of the intersection poset: a flat G with its numerology."""
 
@@ -209,7 +209,7 @@ class Flat:
         return self.subspace.is_whole_space
 
 
-@dataclass(frozen=True)
+@record
 class IntersectionPoset:
     """All flats of an arrangement plus the ambient space as top element.
 
@@ -450,8 +450,10 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
     return frozenset(found), tuple(counts)
 
 
-@dataclass(frozen=True)
+@record
 class ArrangementStats:
+    """The rank l, centrality, essentiality and n0 (the dimension of the minimal flats) of A."""
+
     rank_l: int
     is_central: bool
     is_essential: bool
@@ -487,7 +489,7 @@ def subarrangement_at(a: Arrangement, g: Flat) -> Arrangement:
     return Arrangement(a.ambient_dim, tuple(a.hyperplanes[i] for i in containing))
 
 
-@dataclass(frozen=True)
+@record
 class FlatChart:
     """Deterministic rational affine chart on a flat G.
 
@@ -549,7 +551,7 @@ class FlatChart:
         return result
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedArrangement:
     """The arrangement A∩G of codimension-one flats inside G, in chart coords.
 

@@ -27,10 +27,10 @@ definition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .arrangement import Arrangement
 from .errors import InputError, ResourceCapError
 from .exact_linalg import (
@@ -48,7 +48,7 @@ MAX_FM_CONSTRAINTS = 24
 MAX_CHAMBER_HYPERPLANES = 12
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """coeffs.x < rhs when strict, else coeffs.x <= rhs."""
 
@@ -74,7 +74,7 @@ class Constraint:
         return self.rhs > 0 if self.strict else self.rhs >= 0
 
 
-@dataclass(frozen=True)
+@record
 class LinearSystem:
     """Conjunction of strict/weak inequalities over Q^n."""
 
@@ -251,14 +251,18 @@ def chamber_bounded(s: LinearSystem) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Chamber:
+    """One chamber of the real arrangement: its sign vector and whether it is bounded."""
+
     signs: str
     bounded: bool
 
 
-@dataclass(frozen=True)
+@record
 class ChamberReport:
+    """Every chamber in sign-vector order, with the total and bounded counts."""
+
     total: int
     bounded: int
     chambers: tuple[Chamber, ...]

@@ -36,9 +36,9 @@ the associated graded module, not the ungraded one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .arrangement import (
     Arrangement,
     Flat,
@@ -54,26 +54,26 @@ from .invariants import beta_all_flats
 # --- module expressions -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Free:
     """Free module of the given rank over the current group ring."""
 
     rank: int
 
 
-@dataclass(frozen=True)
+@record
 class TrivialZ:
     """The integers with trivial group action."""
 
 
-@dataclass(frozen=True)
+@record
 class TensorTrivial:
     """inner ⊗ Z, the extra infinite cyclic factor acting trivially on Z."""
 
     inner: "ModuleExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Induced:
     """inner ⊗ over the subgroup attached to `flat`, induced up."""
 
@@ -81,8 +81,10 @@ class Induced:
     inner: "ModuleExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
+    """Direct sum of the parts."""
+
     parts: tuple["ModuleExpr", ...]
 
 
@@ -234,7 +236,7 @@ def decone_flats(
 # --- the graded decomposition -------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Summand:
     """One flat's contribution to the concentrated degree."""
 
@@ -245,8 +247,10 @@ class Summand:
     is_trivial_z: bool  # the summand is isomorphic to Z with trivial action
 
 
-@dataclass(frozen=True)
+@record
 class GradedDecomposition:
+    """The associated graded module of the one nonzero degree, l = rank(A), by summand."""
+
     concentration_degree: int
     summands: tuple[Summand, ...]
     free_rank: int

@@ -23,11 +23,11 @@ from __future__ import annotations
 import bisect
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import InputError, ResourceCapError
 
 Rational = Fraction
@@ -77,7 +77,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class RationalMatrix:
     """Immutable matrix over Q, stored as a tuple of row tuples.
 
@@ -211,13 +211,13 @@ class FlatRelation(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
+@record
 class AffineSubspace:
     """Nonempty affine subspace {x in Q^n : system x = rhs}, canonical.
 
     Canonical means [system | rhs] is in reduced row echelon form with no
     zero rows, so `system.rows` equals the codimension and equality of
-    subspaces is plain dataclass equality.  Construct through
+    subspaces is plain record equality.  Construct through
     `solve_affine` or `whole_space`; the raw constructor trusts its input.
     """
 

@@ -27,15 +27,15 @@ ascending dimension gives beta on every flat (`beta_all_flats`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .arrangement import Flat, IntersectionPoset
 from .errors import InputError, InternalConsistencyError
 
 
-@dataclass(frozen=True)
+@record
 class IntPolynomial:
     """Integer polynomial, ascending coefficients, trailing zeros trimmed."""
 
@@ -158,8 +158,10 @@ def euler_complement(p: IntersectionPoset) -> int:
     return sum(mobius_from_top(p).values())
 
 
-@dataclass(frozen=True)
+@record
 class BetaValue:
+    """beta(A∩G) of a flat G in an interval, with G's level above its bottom."""
+
     flat: Flat
     degree: int
     value: int

@@ -29,9 +29,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .arrangement import Flat, IntersectionPoset, restriction_covers
 from .errors import InputError, ResourceCapError
 
@@ -40,7 +40,7 @@ DEFAULT_NERVE_ORACLE_CAP = 12
 Simplex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """Abstract simplicial complex, closed under taking faces.
 
@@ -260,8 +260,10 @@ def _dense_smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-@dataclass(frozen=True)
+@record
 class HomologyGroup:
+    """H_degree as Z^free_rank plus the cyclic torsion factors Z/t."""
+
     degree: int
     free_rank: int
     torsion: tuple[int, ...]
@@ -270,7 +272,7 @@ class HomologyGroup:
         return {"degree": self.degree, "rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-@dataclass(frozen=True)
+@record
 class HomologyResult:
     """Integer homology per degree 0..max_dim (free rank plus torsion)."""
 
@@ -326,7 +328,7 @@ def simplicial_homology(c: SimplicialComplex) -> HomologyResult:
     return HomologyResult(tuple(groups))
 
 
-@dataclass(frozen=True)
+@record
 class WedgeCheck:
     """Result of checking the wedge-of-spheres shape of the singular set."""
 

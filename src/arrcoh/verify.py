@@ -12,8 +12,8 @@ enumeration `poset_subspaces_bruteforce` is never run here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import record
 from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
@@ -48,8 +48,10 @@ from .nerve_homology import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
+    """Outcome of one cross-check, with the values it compared."""
+
     name: str
     passed: bool
     detail: str

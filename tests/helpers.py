@@ -245,6 +245,12 @@ def poset_rows(p: IntersectionPoset):
     ]
 
 
+def replace(obj, **changes):
+    """Copy of the record `obj` with the fields named in `changes` replaced."""
+    fields = {name: getattr(obj, name) for name in obj.__match_args__}
+    return type(obj)(**{**fields, **changes})
+
+
 def _unit_difference(n, i, j):
     row = [0] * n
     row[i], row[j] = 1, -1

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -256,8 +255,8 @@ class TestOrderBeyondCorpus:
 
 def assert_same_as_fraction_closure(a):
     p, expected = build_intersection_poset(a), fraction_closure_poset(a)
-    for field in dataclasses.fields(IntersectionPoset):
-        assert getattr(p, field.name) == getattr(expected, field.name), field.name
+    for name in IntersectionPoset.__match_args__:
+        assert getattr(p, name) == getattr(expected, name), name
     subspaces = [f.subspace for f in p.flats]
     assert subspaces == sorted(subspaces, key=lambda s: (-s.dim, s.sort_key()))
     return p

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -519,3 +522,17 @@ class TestVerifyCommand:
         ]
         # Values compared are part of the report.
         assert "flats = 4" in out
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """`import arrcoh.cli` is start-up for every command.  The standard
+    dataclass decorator imports `inspect` and compiles each generated
+    method with `exec`, which once cost every process about 40 ms."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, arrcoh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: no site-packages `.pth` hooks, so the modules loaded are arrcoh's own.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

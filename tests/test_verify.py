@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 import sys
@@ -16,7 +15,7 @@ from arrcoh.arrangement import (
 from arrcoh.errors import InputError
 from arrcoh.invariants import IntPolynomial
 from arrcoh.verify import run_all_checks
-from helpers import braid, essential_braid, generic, points, shi
+from helpers import braid, essential_braid, generic, points, replace, shi
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:
@@ -182,7 +181,7 @@ def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
 
         def shifting(p, *args, i=i):
             values = original(p, *args)
-            values[i] = dataclasses.replace(values[i], value=values[i].value + 1)
+            values[i] = replace(values[i], value=values[i].value + 1)
             return values
 
         monkeypatch.setattr(verify, "beta_all_flats", shifting)
@@ -197,7 +196,7 @@ def with_flat_below_top(p, subspace):
     """p with `subspace`, which no intersection of A gives, covered by the top."""
     i = len(p.flats)
     flat = Flat(i, subspace, subspace.dim, subspace.codim, frozenset())
-    return dataclasses.replace(
+    return replace(
         p,
         flats=p.flats + (flat,),
         strictly_below=(p.strictly_below[0] | {i},) + p.strictly_below[1:] + (frozenset(),),
@@ -209,7 +208,7 @@ def with_flat_below_top(p, subspace):
 def without_last_flat(p):
     """p without its last flat, a minimal one: never the top."""
     last = len(p.flats) - 1
-    return dataclasses.replace(
+    return replace(
         p,
         flats=p.flats[:-1],
         strictly_below=tuple(s - {last} for s in p.strictly_below[:-1]),
