@@ -11,7 +11,6 @@ Run:  python3 demos/01_poset_and_invariants.py
 import pathlib
 
 from arrcoh import (
-    arrangement_stats,
     beta_all_flats,
     build_intersection_poset,
     characteristic_polynomial,
@@ -28,9 +27,8 @@ for h in a.hyperplanes:
     print("   ", equations_str(h.subspace()))
 
 p = build_intersection_poset(a)
-stats = arrangement_stats(p)
-print(f"\nintersection poset: {len(p.flats)} flats, rank l = {stats.rank_l}, "
-      f"central: {stats.is_central}, essential: {stats.is_essential}")
+print(f"\nintersection poset: {len(p.flats)} flats, rank l = {p.rank_l}, "
+      f"central: {p.is_central}, essential: {p.is_essential}")
 
 mu = mobius_from_top(p)
 print("\nflats with Mobius values mu(C^2, G):")

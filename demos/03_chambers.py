@@ -19,7 +19,6 @@ Run:  python3 demos/03_chambers.py
 import pathlib
 
 from arrcoh import (
-    arrangement_stats,
     beta_combinatorial,
     build_intersection_poset,
     enumerate_chambers,
@@ -33,12 +32,11 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 for path in sorted(CORPUS.glob("*.json")):
     name, a = path.stem, load_arrangement(str(path))
     p = build_intersection_poset(a)
-    stats = arrangement_stats(p)
     report = enumerate_chambers(a)
     pi_at_1 = poincare_polynomial(p)(1)
     line = (f"  {name:16s} total {report.total:3d} (= pi(A,1) = {pi_at_1}), "
             f"bounded {report.bounded}")
-    if stats.is_essential:
+    if p.is_essential:
         beta = beta_combinatorial(p, p.top).value
         line += f" (= |chi(M)| = {abs(euler_complement(p))} = beta(A) = {beta})"
     print(line)

@@ -18,14 +18,10 @@ The public surface, by layer:
 
 from .arrangement import (
     Arrangement,
-    ArrangementStats,
     Flat,
-    FlatChart,
     Hyperplane,
     IntersectionPoset,
-    RestrictedArrangement,
     arrangement_from_coeffs,
-    arrangement_stats,
     build_intersection_poset,
     essentialize,
     essentialize_with_chart,

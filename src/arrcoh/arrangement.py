@@ -60,6 +60,7 @@ from .exact_linalg import (
     as_rational,
     dot,
     intersect_flats,
+    pull_equation,
     rational_str,
     rref_rank,
     solve_affine,
@@ -234,6 +235,16 @@ class IntersectionPoset:
     @property
     def top(self) -> Flat:
         return self.flats[0]
+
+    @property
+    def is_central(self) -> bool:
+        """One minimal flat.  The empty arrangement is central: the top is
+        then the unique element of the poset, hence its minimum."""
+        return len(self.minimal_flats) == 1
+
+    @property
+    def is_essential(self) -> bool:
+        return self.n0 == 0
 
     def level(self, g: Flat) -> int:
         """Relative level l(G) = d(G) - n0."""
@@ -450,27 +461,6 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
     return frozenset(found), tuple(counts)
 
 
-@record
-class ArrangementStats:
-    """The rank l, centrality, essentiality and n0 (the dimension of the minimal flats) of A."""
-
-    rank_l: int
-    is_central: bool
-    is_essential: bool
-    n0: int
-
-
-def arrangement_stats(p: IntersectionPoset) -> ArrangementStats:
-    """Rank, centrality, essentiality.  The empty arrangement is central:
-    the top is then the unique element of the poset, hence its minimum."""
-    return ArrangementStats(
-        rank_l=p.rank_l,
-        is_central=len(p.minimal_flats) == 1,
-        is_essential=p.n0 == 0,
-        n0=p.n0,
-    )
-
-
 def subarrangement_at(a: Arrangement, g: Flat) -> Arrangement:
     """The central sub-arrangement A_G = {H in A : H contains G}.
 
@@ -489,81 +479,6 @@ def subarrangement_at(a: Arrangement, g: Flat) -> Arrangement:
     return Arrangement(a.ambient_dim, tuple(a.hyperplanes[i] for i in containing))
 
 
-@record
-class FlatChart:
-    """Deterministic rational affine chart on a flat G.
-
-    The chart coordinates are G's free variables (non-pivot columns of
-    its canonical system), so the chart map and its equation pullback are
-    reproducible bit for bit from the canonical form alone.
-    """
-
-    subspace: AffineSubspace
-    pivots: tuple[int, ...]
-    free: tuple[int, ...]
-
-    @staticmethod
-    def for_subspace(s: AffineSubspace) -> FlatChart:
-        pivots = s.pivot_columns()
-        pivot_set = set(pivots)
-        free = tuple(c for c in range(s.ambient_dim) if c not in pivot_set)
-        return FlatChart(s, pivots, free)
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def pull_equation(
-        self, normal: Sequence[Fraction], offset: Fraction
-    ) -> tuple[Vector, Fraction]:
-        """Restrict an ambient equation normal.x = offset to chart coordinates."""
-        rows = self.subspace.system.entries
-        coeffs = []
-        for j, f in enumerate(self.free):
-            c = normal[f] - sum(
-                (normal[self.pivots[i]] * rows[i][f] for i in range(len(self.pivots))),
-                Fraction(0),
-            )
-            coeffs.append(c)
-        const = offset - sum(
-            (normal[self.pivots[i]] * self.subspace.rhs[i] for i in range(len(self.pivots))),
-            Fraction(0),
-        )
-        return tuple(coeffs), const
-
-    def push_subspace(self, s: AffineSubspace) -> AffineSubspace:
-        """Image in ambient space of a chart-coordinate subspace.
-
-        A chart equation sum c_j y_j = r means sum c_j x_{free_j} = r on G,
-        so the image is cut out by G's system plus the re-embedded rows.
-        """
-        n = self.subspace.ambient_dim
-        rows = list(self.subspace.system.entries)
-        rhs = list(self.subspace.rhs)
-        for i, row in enumerate(s.system.entries):
-            ambient_row = [Fraction(0)] * n
-            for j, f in enumerate(self.free):
-                ambient_row[f] = row[j]
-            rows.append(tuple(ambient_row))
-            rhs.append(s.rhs[i])
-        result = solve_affine(RationalMatrix(tuple(rows), n), rhs)
-        assert result is not None  # the image of a nonempty set is nonempty
-        return result
-
-
-@record
-class RestrictedArrangement:
-    """The arrangement A∩G of codimension-one flats inside G, in chart coords.
-
-    `flat_indices[i]` is the poset index of the flat realizing hyperplane i.
-    """
-
-    flat: Flat
-    arrangement: Arrangement
-    flat_indices: tuple[int, ...]
-    chart: FlatChart
-
-
 def restriction_covers(p: IntersectionPoset, g: Flat) -> list[int]:
     """The flats K covered by G, in the order of A∩G's hyperplanes.
 
@@ -579,31 +494,24 @@ def restriction_covers(p: IntersectionPoset, g: Flat) -> list[int]:
     return sorted(p.covers[g.index], key=lambda j: min(p.flats[j].containing_hyperplanes - c_g))
 
 
-def restriction_to(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
-    """Flats one dimension below G, packaged as an arrangement inside G.
+def restriction_to(p: IntersectionPoset, g: Flat) -> Arrangement:
+    """A∩G: the flats one dimension below G, as an arrangement in G's chart.
 
     A flat K covered by G is G ∩ H for any H containing K but not G, so
     its chart hyperplane is H's equation pulled back to G's chart.
     """
-    covered = restriction_covers(p, g)
-    chart = FlatChart.for_subspace(g.subspace)
     hyperplanes = []
-    for j in covered:
+    for j in restriction_covers(p, g):
         h = p.arrangement.hyperplanes[
             min(p.flats[j].containing_hyperplanes - g.containing_hyperplanes)
         ]
-        normal, offset = chart.pull_equation(h.normal, h.offset)
+        normal, offset = pull_equation(g.subspace, h.normal, h.offset)
         if all(x == 0 for x in normal):
             raise InternalConsistencyError(
                 "codimension-one flat does not restrict to a chart hyperplane"
             )
         hyperplanes.append(Hyperplane.from_coeffs(normal, offset))
-    return RestrictedArrangement(
-        flat=g,
-        arrangement=Arrangement(chart.dim, tuple(hyperplanes)),
-        flat_indices=tuple(covered),
-        chart=chart,
-    )
+    return Arrangement(g.dim, tuple(hyperplanes))
 
 
 def essential_arrangement(

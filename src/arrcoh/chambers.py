@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Hyperplane
 from .errors import InputError, ResourceCapError
 from .exact_linalg import (
     RationalMatrix,
@@ -39,6 +39,7 @@ from .exact_linalg import (
     as_rational,
     dot,
     null_space_basis,
+    pull_equation,
     rref_rank,
     vector,
 )
@@ -290,25 +291,28 @@ def _restriction_points(
 ) -> list[Vector]:
     """A point of every region of `rows` cut down to {normal.x = offset}.
 
-    The hyperplane is charted by eliminating its first nonzero coordinate
-    p.  Hyperplanes parallel to it leave no trace; traces that coincide
-    are merged, so the restriction is again a set of distinct hyperplanes,
-    one dimension down.
+    Every row is canonically scaled (lead 1), so the hyperplane's one-row
+    system is its canonical form, charted by its free columns: all but
+    its first nonzero coordinate p.  Hyperplanes parallel to it leave no
+    trace; traces that coincide are merged, so the restriction is again a
+    set of distinct, canonically scaled hyperplanes, one dimension down.
     """
-    p = next(i for i, c in enumerate(normal) if c != 0)
-    rest = [i for i in range(len(normal)) if i != p]
+    flat = Hyperplane(normal, offset).subspace()
     traces: dict[tuple[Vector, Fraction], None] = {}
     for a, b in rows:
-        ratio = a[p] / normal[p]
-        trace = tuple(a[i] - ratio * normal[i] for i in rest)
+        trace, const = pull_equation(flat, a, b)
         lead = next((c for c in trace if c != 0), None)
         if lead is not None:
-            key = (tuple(c / lead for c in trace), (b - ratio * offset) / lead)
-            traces.setdefault(key)
+            if lead != 1:
+                trace, const = tuple(c / lead for c in trace), const / lead
+            traces.setdefault((trace, const))
+    # Lift y to x_p = offset - sum over the free columns of normal_i y_i.
+    p = flat.pivot_columns()[0]
+    rest = [(c, i - (i > p)) for i, c in enumerate(normal) if c != 0 and i != p]
     points = []
-    for y in _region_witnesses(list(traces), len(rest)).values():
-        off_pivot = sum((normal[i] * v for i, v in zip(rest, y)), Fraction(0))
-        points.append(y[:p] + ((offset - off_pivot) / normal[p],) + y[p:])
+    for y in _region_witnesses(list(traces), flat.dim).values():
+        x_p = offset - sum((c * y[j] for c, j in rest), Fraction(0))
+        points.append(y[:p] + (x_p,) + y[p:])
     return points
 
 

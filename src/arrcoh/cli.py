@@ -20,7 +20,6 @@ from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
     IntersectionPoset,
-    arrangement_stats,
     build_intersection_poset,
     validate_arrangement,
 )
@@ -98,7 +97,6 @@ def module_str(m: ModuleExpr) -> str:
 
 
 def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
-    stats = arrangement_stats(p)
     if fmt == "json":
         flats = [
             {
@@ -114,17 +112,17 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
         return {
             "dim": a.ambient_dim,
             "hyperplane_count": len(a),
-            "n0": stats.n0,
-            "rank": stats.rank_l,
-            "is_central": stats.is_central,
-            "is_essential": stats.is_essential,
+            "n0": p.n0,
+            "rank": p.rank_l,
+            "is_central": p.is_central,
+            "is_essential": p.is_essential,
             "flats": flats,
         }
     lines = [
         f"arrangement: {len(a)} hyperplanes in C^{a.ambient_dim}",
-        f"poset: {len(p.flats)} flats, n0 = {stats.n0}, rank l = {stats.rank_l}, "
-        f"central: {'yes' if stats.is_central else 'no'}, "
-        f"essential: {'yes' if stats.is_essential else 'no'}",
+        f"poset: {len(p.flats)} flats, n0 = {p.n0}, rank l = {p.rank_l}, "
+        f"central: {'yes' if p.is_central else 'no'}, "
+        f"essential: {'yes' if p.is_essential else 'no'}",
     ]
     for f in p.flats:
         lines.append(
@@ -269,7 +267,9 @@ def load_arrangement(path: str) -> Arrangement:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer over the digit limit, or nesting
+        # deeper than the parser's recursion limit.
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return validate_arrangement(raw)
 

@@ -42,12 +42,11 @@ from ._record import record
 from .arrangement import (
     Arrangement,
     Flat,
-    FlatChart,
     Hyperplane,
     IntersectionPoset,
 )
 from .errors import InputError
-from .exact_linalg import AffineSubspace, RationalMatrix, Vector, solve_affine
+from .exact_linalg import AffineSubspace, RationalMatrix, Vector, pull_equation, solve_affine
 from .invariants import beta_all_flats
 
 
@@ -179,9 +178,9 @@ def _pull_back(normals: Sequence[Vector]) -> Arrangement:
     """Decone of the central essential arrangement {c.u = 0 : c in normals}
     at H_inf = normals[0]: every other equation pulled back to the chart
     {H_inf = 1}.  Normals must be canonically scaled."""
-    chart = FlatChart.for_subspace(Hyperplane(normals[0], 1).subspace())
+    chart = Hyperplane(normals[0], 1).subspace()
     return Arrangement(
-        chart.dim, tuple(Hyperplane.from_coeffs(*chart.pull_equation(c, 0)) for c in normals[1:])
+        chart.dim, tuple(Hyperplane.from_coeffs(*pull_equation(chart, c, 0)) for c in normals[1:])
     )
 
 

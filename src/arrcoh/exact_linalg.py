@@ -116,9 +116,6 @@ class RationalMatrix:
         )
         return RationalMatrix(rows, n)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -333,6 +330,34 @@ def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | 
             return None  # 0 = nonzero: disjoint
     system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
     return AffineSubspace(n, system, tuple(r[n] for r in rows))
+
+
+def pull_equation(
+    flat: AffineSubspace, normal: Sequence[Fraction], offset: Fraction
+) -> tuple[Vector, Fraction]:
+    """Restrict normal.x = offset to the flat, in the flat's chart.
+
+    The chart coordinates are the flat's free (non-pivot) columns,
+    ascending.  On the flat each pivot variable is x_{p_i} = r_i - M_i.y,
+    so the coefficient of free column f is normal[f] - sum_i
+    normal[p_i] M_i[f], and the constant is offset - sum_i normal[p_i] r_i.
+    """
+    pivots = flat.pivot_columns()
+    pivot_set = set(pivots)
+    free = [f for f in range(flat.ambient_dim) if f not in pivot_set]
+    coeffs = [normal[f] for f in free]
+    const = offset
+    for row, p, r in zip(flat.system.entries, pivots, flat.rhs):
+        w = normal[p]
+        if w == 0:
+            continue
+        for j, f in enumerate(free):
+            c = row[f]
+            if c != 0:
+                coeffs[j] -= w * c
+        if r != 0:
+            const -= w * r
+    return tuple(coeffs), const
 
 
 def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:

@@ -62,12 +62,6 @@ class IntPolynomial:
             return self.coefficients[k]
         return 0
 
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        size = max(len(self.coefficients), len(other.coefficients))
-        return IntPolynomial.from_coefficients(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)]
-        )
-
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if not self.coefficients or not other.coefficients:
             return IntPolynomial.zero()

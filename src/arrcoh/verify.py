@@ -18,7 +18,6 @@ from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
     IntersectionPoset,
-    arrangement_stats,
     build_intersection_poset,
     nbc_flats,
     restriction_to,
@@ -145,7 +144,7 @@ def check_nerve_euler(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckRe
 
 def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
     name = "beta-triple-oracle"
-    if restriction_to(p, p.top).arrangement != p.arrangement:
+    if restriction_to(p, p.top) != p.arrangement:
         return CheckResult(name, False, "top flat: restriction differs from the arrangement")
     comparisons = []
     skipped = []
@@ -172,7 +171,7 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
         entry = [f.index, beta, nerve_beta]
         # A∩G is essential iff A is; its chambers need its geometry.
         if p.n0 == 0 and size <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM:
-            chambers = enumerate_chambers(restriction_to(p, f).arrangement)
+            chambers = enumerate_chambers(restriction_to(p, f))
             entry.append(chambers.bounded)
             if chambers.bounded != beta:
                 return CheckResult(
@@ -195,10 +194,9 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
 def check_deconing(p: IntersectionPoset) -> CheckResult:
     a = p.arrangement
     name = "deconing-factorization"
-    stats = arrangement_stats(p)
     if not a.hyperplanes:
         return CheckResult(name, True, "n/a: empty arrangement")
-    if not (stats.is_central and stats.is_essential):
+    if not (p.is_central and p.is_essential):
         return CheckResult(name, True, "n/a: arrangement is not central and essential")
     pi_a = poincare_polynomial(p)
     one_plus_t = IntPolynomial.from_coefficients([1, 1])

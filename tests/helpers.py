@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 from arrcoh.arrangement import (
     Arrangement,
     Flat,
-    FlatChart,
     Hyperplane,
     IntersectionPoset,
-    RestrictedArrangement,
     arrangement_from_coeffs,
     assemble_poset,
 )
@@ -34,7 +32,9 @@ from arrcoh.exact_linalg import (
     RationalMatrix,
     dot,
     intersect_flats,
+    pull_equation,
     rref_pivots,
+    solve_affine,
 )
 from arrcoh.invariants import beta_all_flats
 from arrcoh.nerve_homology import SimplicialComplex
@@ -175,10 +175,10 @@ def fraction_closure_poset(a: Arrangement) -> IntersectionPoset:
     return assemble_poset(a, containing)
 
 
-def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
-    """A∩G by pulling each covered flat's whole system back to G's chart
-    and row reducing it to the one equation it must leave."""
-    chart = FlatChart.for_subspace(g.subspace)
+def restriction_by_rref(p: IntersectionPoset, g: Flat) -> tuple[Arrangement, list[int]]:
+    """A∩G and the covered flats' indices, by pulling each covered flat's
+    whole system back to G's chart and row reducing it to the one
+    equation it must leave."""
     candidates = [j for j in p.strictly_below[g.index] if p.flats[j].dim == g.dim - 1]
     candidates.sort(
         key=lambda j: (
@@ -191,18 +191,36 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> RestrictedArrangement:
         sub = p.flats[j].subspace
         rows = []
         for row, rhs in zip(sub.system.entries, sub.rhs):
-            coeffs, const = chart.pull_equation(row, rhs)
+            coeffs, const = pull_equation(g.subspace, row, rhs)
             rows.append(list(coeffs) + [const])
-        reduced, pivots = rref_pivots(RationalMatrix.from_rows(rows, cols=chart.dim + 1))
-        assert len(pivots) == 1 and pivots[0] < chart.dim, (g.index, j)
+        reduced, pivots = rref_pivots(RationalMatrix.from_rows(rows, cols=g.dim + 1))
+        assert len(pivots) == 1 and pivots[0] < g.dim, (g.index, j)
         row = reduced.entries[0]
-        hyperplanes.append(Hyperplane.from_coeffs(row[: chart.dim], row[chart.dim]))
-    return RestrictedArrangement(
-        flat=g,
-        arrangement=Arrangement(chart.dim, tuple(hyperplanes)),
-        flat_indices=tuple(candidates),
-        chart=chart,
-    )
+        hyperplanes.append(Hyperplane.from_coeffs(row[: g.dim], row[g.dim]))
+    return Arrangement(g.dim, tuple(hyperplanes)), candidates
+
+
+def push_subspace(flat: AffineSubspace, s: AffineSubspace) -> AffineSubspace:
+    """Image in ambient space of a subspace `s` of the flat's chart.
+
+    A chart equation sum c_j y_j = r means sum c_j x_{free_j} = r on the
+    flat, so the image is cut out by the flat's system plus the
+    re-embedded rows.
+    """
+    n = flat.ambient_dim
+    pivots = set(flat.pivot_columns())
+    free = [c for c in range(n) if c not in pivots]
+    rows = list(flat.system.entries)
+    rhs = list(flat.rhs)
+    for row, r in zip(s.system.entries, s.rhs):
+        ambient_row = [Fraction(0)] * n
+        for j, f in enumerate(free):
+            ambient_row[f] = row[j]
+        rows.append(tuple(ambient_row))
+        rhs.append(r)
+    result = solve_affine(RationalMatrix(tuple(rows), n), rhs)
+    assert result is not None  # the image of a nonempty set is nonempty
+    return result
 
 
 def face_closure_holds(c: SimplicialComplex) -> bool:

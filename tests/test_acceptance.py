@@ -14,7 +14,6 @@ from contextlib import contextmanager
 
 from arrcoh import cli
 from arrcoh.arrangement import (
-    arrangement_stats,
     build_intersection_poset,
     poset_subspaces_bruteforce,
     restriction_to,
@@ -85,7 +84,7 @@ def test_criterion_2_beta_triple_oracle():
             p = build_intersection_poset(a)
             for f in p.flats:
                 beta = beta_combinatorial(p, f).value
-                sub = restriction_to(p, f).arrangement
+                sub = restriction_to(p, f)
                 if not sub.hyperplanes:
                     assert beta == 1, (name, f.index)
                     continue
@@ -93,12 +92,11 @@ def test_criterion_2_beta_triple_oracle():
                     continue
                 wedge = sigma_wedge_check(build_intersection_poset(sub))
                 assert wedge.beta == beta, (name, f.index)
-            stats = arrangement_stats(p)
-            if stats.is_essential and len(a) <= 12:
+            if p.is_essential and len(a) <= 12:
                 bounded = enumerate_chambers(a).bounded
                 top_beta = beta_combinatorial(p, p.top).value
                 assert bounded == top_beta, name
-                if stats.is_central and a.hyperplanes:
+                if p.is_central and a.hyperplanes:
                     assert bounded == 0, name
         for name, expected in witnesses.items():
             a = cli.load_arrangement(corpus_file(name))
@@ -134,8 +132,7 @@ def test_criterion_5_deconing_shadows():
         one_plus_t = IntPolynomial.from_coefficients([1, 1])
         for name, a in corpus_items():
             p = build_intersection_poset(a)
-            stats = arrangement_stats(p)
-            if not (stats.is_central and stats.is_essential and a.hyperplanes):
+            if not (p.is_central and p.is_essential and a.hyperplanes):
                 continue
             base = decompose_cohomology(p)
             center = p.flats[min(p.minimal_flats)]

@@ -14,13 +14,13 @@ from arrcoh.arrangement import (
     Hyperplane,
     IntersectionPoset,
     arrangement_from_coeffs,
-    arrangement_stats,
     build_intersection_poset,
     essential_arrangement,
     essentialize,
     essentialize_with_chart,
     nbc_flats,
     poset_subspaces_bruteforce,
+    restriction_covers,
     restriction_to,
     subarrangement_at,
     validate_arrangement,
@@ -44,6 +44,7 @@ from helpers import (
     fraction_closure_poset,
     generic,
     points,
+    push_subspace,
     restriction_by_rref,
     shi,
     small_arrangements,
@@ -97,7 +98,8 @@ def assert_betas_match_mobius(p):
 
 def assert_restrictions_match_rref(p):
     for g in p.flats:
-        assert restriction_to(p, g) == restriction_by_rref(p, g), g.index
+        expected = restriction_by_rref(p, g)
+        assert (restriction_to(p, g), restriction_covers(p, g)) == expected, g.index
 
 
 def assert_nbc_matches_poset(a):
@@ -352,18 +354,18 @@ class TestNbcFlats:
 class TestStats:
     def test_two_parallel_lines(self):
         a = arrangement_from_coeffs(2, [((1, 0), 0), ((1, 0), 1)])
-        stats = arrangement_stats(build_intersection_poset(a))
-        assert stats.rank_l == 1
-        assert not stats.is_central
-        assert not stats.is_essential
+        p = build_intersection_poset(a)
+        assert p.rank_l == 1
+        assert not p.is_central
+        assert not p.is_essential
 
     def test_boolean(self, corpus_posets):
-        stats = arrangement_stats(corpus_posets["boolean-c2"])
-        assert stats.rank_l == 2 and stats.is_central and stats.is_essential
+        p = corpus_posets["boolean-c2"]
+        assert p.rank_l == 2 and p.is_central and p.is_essential
 
     def test_empty(self, corpus_posets):
-        stats = arrangement_stats(corpus_posets["empty-c1"])
-        assert stats.rank_l == 0 and stats.is_central and not stats.is_essential
+        p = corpus_posets["empty-c1"]
+        assert p.rank_l == 0 and p.is_central and not p.is_essential
 
 
 class TestSubarrangement:
@@ -409,22 +411,19 @@ class TestRestriction:
         p = corpus_posets["generic3-c2"]
         a = corpus["generic3-c2"]
         h1 = p.flat_for(a.hyperplanes[0].subspace())
-        r = restriction_to(p, h1)
         # On {x = 0} with chart coordinate y: H2 cuts y = 0, H3 cuts y = 1.
-        assert r.arrangement == arrangement_from_coeffs(1, [((1,), 0), ((1,), 1)])
-        assert len(r.flat_indices) == 2
+        assert restriction_to(p, h1) == arrangement_from_coeffs(1, [((1,), 0), ((1,), 1)])
+        assert len(restriction_covers(p, h1)) == 2
 
     def test_top_restriction_is_the_arrangement(self, corpus, corpus_posets):
         for name in ("generic3-c2", "boolean-c3", "generic4-c2"):
             a = corpus[name]
-            r = restriction_to(corpus_posets[name], corpus_posets[name].top)
-            assert r.arrangement == a, name
+            assert restriction_to(corpus_posets[name], corpus_posets[name].top) == a, name
 
     def test_minimal_restriction_empty(self, corpus_posets):
         p = corpus_posets["generic3-c2"]
         g = p.flats[min(p.minimal_flats, key=lambda i: p.flats[i].index)]
-        r = restriction_to(p, g)
-        assert r.arrangement.hyperplanes == ()
+        assert restriction_to(p, g).hyperplanes == ()
         assert p.level(g) == 0
 
     def test_lower_set_isomorphism(self, corpus, corpus_posets):
@@ -432,11 +431,8 @@ class TestRestriction:
         for name, a in corpus.items():
             p = corpus_posets[name]
             for g in p.flats:
-                r = restriction_to(p, g)
-                rp = build_intersection_poset(r.arrangement)
-                pushed = {
-                    rf.index: r.chart.push_subspace(rf.subspace) for rf in rp.flats
-                }
+                rp = build_intersection_poset(restriction_to(p, g))
+                pushed = {rf.index: push_subspace(g.subspace, rf.subspace) for rf in rp.flats}
                 lower = {p.flats[j].subspace for j in p.strictly_below[g.index]}
                 lower.add(g.subspace)
                 assert set(pushed.values()) == lower, (name, g.index)
@@ -452,8 +448,7 @@ class TestRestriction:
     def test_restriction_rank_is_level(self, corpus, corpus_posets):
         for name, p in corpus_posets.items():
             for g in p.flats:
-                r = restriction_to(p, g)
-                rp = build_intersection_poset(r.arrangement)
+                rp = build_intersection_poset(restriction_to(p, g))
                 assert rp.rank_l == p.level(g), (name, g.index)
 
 

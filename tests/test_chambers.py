@@ -12,7 +12,6 @@ from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
     arrangement_from_coeffs,
-    arrangement_stats,
     build_intersection_poset,
 )
 from arrcoh.chambers import (
@@ -141,15 +140,15 @@ class TestEnumeration:
     def test_bounded_is_abs_euler_when_essential(self, corpus, corpus_posets):
         for name, a in corpus.items():
             p = corpus_posets[name]
-            if arrangement_stats(p).is_essential:
+            if p.is_essential:
                 report = enumerate_chambers(a)
                 assert report.bounded == abs(euler_complement(p)), name
                 assert report.bounded == abs(sum(mobius_from_top(p).values())), name
 
     def test_central_essential_has_no_bounded_chambers(self, corpus, corpus_posets):
         for name, a in corpus.items():
-            stats = arrangement_stats(corpus_posets[name])
-            if stats.is_central and stats.is_essential and a.hyperplanes:
+            p = corpus_posets[name]
+            if p.is_central and p.is_essential and a.hyperplanes:
                 assert enumerate_chambers(a).bounded == 0, name
 
     def test_cap(self):
@@ -214,7 +213,7 @@ class TestBeyondTheSweep:
         report = enumerate_chambers(a)
         assert (report.total, report.bounded) == (total, bounded)
         assert report.total == poincare_polynomial(p)(1)
-        if arrangement_stats(p).is_essential:
+        if p.is_essential:
             assert report.bounded == abs(euler_complement(p))
         else:
             assert report.bounded == 0  # every region holds a line

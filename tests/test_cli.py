@@ -73,6 +73,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: invalid JSON in {path}: ") and "Traceback" not in err
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        # json.load raises RecursionError, not ValueError, past its depth limit.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "poset", str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: invalid JSON in {path}: ")
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter has no integer digit limit",

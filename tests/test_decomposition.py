@@ -13,7 +13,6 @@ from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
     arrangement_from_coeffs,
-    arrangement_stats,
     build_intersection_poset,
     essential_arrangement,
 )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrcoh.arrangement import build_intersection_poset
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
@@ -18,11 +19,12 @@ from arrcoh.exact_linalg import (
     from_point_and_directions,
     intersect_flats,
     null_space_basis,
+    pull_equation,
     rational_str,
     rref_rank,
     solve_affine,
 )
-from helpers import det_cofactor, random_fraction_matrix
+from helpers import closure_arrangements, det_cofactor, random_fraction_matrix
 
 F = Fraction
 
@@ -230,6 +232,38 @@ class TestIntersect:
             meet = intersect_flats(f1, f2)
             if meet is not None:
                 assert meet.dim <= min(f1.dim, f2.dim)
+
+
+class TestPullEquation:
+    @given(
+        closure_arrangements(),
+        st.lists(st.lists(small_fractions, min_size=4, max_size=4), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_equation_on_lifted_points(self, a, chart_points):
+        """For every flat G and hyperplane H, a.x - b at the lift x of a
+        chart point y equals coeffs.y - const.  The lift sets G's free
+        columns to y and each pivot column to r_i - M_i.y."""
+        for g in build_intersection_poset(a).flats:
+            flat = g.subspace
+            pivots = flat.pivot_columns()
+            free = [c for c in range(flat.ambient_dim) if c not in pivots]
+            lifts = []
+            for point in chart_points:
+                y = point[: g.dim]
+                x = [F(0)] * flat.ambient_dim
+                for f, v in zip(free, y):
+                    x[f] = v
+                for row, pivot, r in zip(flat.system.entries, pivots, flat.rhs):
+                    x[pivot] = r - sum(row[f] * v for f, v in zip(free, y))
+                assert flat.contains_point(x)
+                lifts.append((y, x))
+            for h in a.hyperplanes:
+                coeffs, const = pull_equation(flat, h.normal, h.offset)
+                assert len(coeffs) == g.dim
+                for y, x in lifts:
+                    ambient = sum(c * v for c, v in zip(h.normal, x)) - h.offset
+                    assert ambient == sum(c * v for c, v in zip(coeffs, y)) - const
 
 
 class TestFlatRelation:

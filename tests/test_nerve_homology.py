@@ -104,7 +104,7 @@ def assert_view_matches_geometry(p):
     for g in p.flats:
         if not 1 <= len(p.covers[g.index]) <= 12:
             continue
-        rebuilt = build_intersection_poset(restriction_to(p, g).arrangement)
+        rebuilt = build_intersection_poset(restriction_to(p, g))
         assert rebuilt.n0 == p.n0, g.index
         nerve = build_singular_nerve(p, g)
         assert nerve == build_singular_nerve(rebuilt), g.index
