@@ -65,12 +65,11 @@ from .exact_linalg import (
     AffineSubspace,
     FlatRelation,
     Rational,
-    RationalMatrix,
     as_rational,
     flat_relation,
     intersect_flats,
     rational_str,
-    rref_rank,
+    rref,
     solve_affine,
 )
 from .invariants import (

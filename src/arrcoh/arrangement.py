@@ -55,14 +55,13 @@ from ._record import record
 from .errors import InputError, InternalConsistencyError, ResourceCapError
 from .exact_linalg import (
     AffineSubspace,
-    RationalMatrix,
     Vector,
     as_rational,
     dot,
     intersect_flats,
     pull_equation,
     rational_str,
-    rref_rank,
+    rref,
     solve_affine,
     vector,
 )
@@ -101,8 +100,7 @@ class Hyperplane:
 
     def subspace(self) -> AffineSubspace:
         # Canonical scaling makes the row (normal | offset) its own rref.
-        n = len(self.normal)
-        return AffineSubspace(n, RationalMatrix((self.normal,), n), (self.offset,))
+        return AffineSubspace(len(self.normal), (self.normal,), (self.offset,))
 
 
 @record
@@ -347,7 +345,7 @@ def assemble_poset(
     rank = {x: r for r, x in enumerate(values)}
     ordered = sorted(containing, key=lambda s: (
         -s.dim,
-        [[rank[x] for x in row] for row in s.system.entries],
+        [[rank[x] for x in row] for row in s.system],
         [rank[x] for x in s.rhs],
     ))
     flats = [
@@ -440,7 +438,7 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
     so a hyperplane not containing it misses it: such an X is not cut.
     """
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
-    _, r = rref_rank(RationalMatrix(tuple(h.normal for h in a.hyperplanes), a.ambient_dim))
+    r = len(rref([h.normal for h in a.hyperplanes], a.ambient_dim)[1])
     found = {AffineSubspace.whole_space(a.ambient_dim)}
     counts = [1] + [0] * a.ambient_dim
     stack = list(enumerate(hyper_subspaces))
@@ -524,7 +522,7 @@ def essential_arrangement(
     the coordinates u = M x - r, canonically scaled when a is.
     """
     pivots = center.pivot_columns()
-    columns = [center.system.column(j) for j in range(center.ambient_dim)]
+    columns = list(zip(*center.system))
     essential = []
     for h in hyperplanes:
         c = tuple(h.normal[p] for p in pivots)
@@ -537,16 +535,16 @@ def essential_arrangement(
 
 def essentialize_with_chart(
     a: Arrangement,
-) -> tuple[Arrangement, RationalMatrix, Vector]:
+) -> tuple[Arrangement, tuple[Vector, ...], Vector]:
     """Split off the center of a central arrangement.
 
-    Returns (essential arrangement in C^l, M, s) where the quotient
-    coordinates are u = M x + s; each hyperplane a.x = b with a = c M
-    becomes {u : c.u = 0}.  The intersection poset maps isomorphically
+    Returns (essential arrangement in C^l, the rows of M, s) where the
+    quotient coordinates are u = M x + s; each hyperplane a.x = b with
+    a = c M becomes {u : c.u = 0}.  The intersection poset maps isomorphically
     under u (flats map to flats through the affine image).
     """
     normals = tuple(h.normal for h in a.hyperplanes)
-    center = solve_affine(RationalMatrix(normals, a.ambient_dim), [h.offset for h in a.hyperplanes])
+    center = solve_affine(normals, [h.offset for h in a.hyperplanes], a.ambient_dim)
     if center is None:
         raise InputError("arrangement is not central")
     shift = tuple(-b for b in center.rhs)

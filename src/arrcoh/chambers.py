@@ -34,13 +34,12 @@ from ._record import record
 from .arrangement import Arrangement, Hyperplane
 from .errors import InputError, ResourceCapError
 from .exact_linalg import (
-    RationalMatrix,
     Vector,
     as_rational,
     dot,
     null_space_basis,
     pull_equation,
-    rref_rank,
+    rref,
     vector,
 )
 
@@ -358,11 +357,11 @@ def _recession_rays(normals: Sequence[Vector], n: int) -> set[tuple[int, int]] |
     null space of n - 1 independent normals.
     """
     distinct = list(dict.fromkeys(normals))
-    if rref_rank(RationalMatrix(tuple(distinct), n))[1] < n:
+    if len(rref(distinct, n)[1]) < n:
         return None
     rays: set[tuple[int, int]] = set()
     for subset in itertools.combinations(distinct, n - 1) if n else ():  # Q^0 is a point
-        basis = null_space_basis(RationalMatrix(subset, n))
+        basis = null_space_basis(subset, n)
         if len(basis) != 1:
             continue
         for d in (basis[0], tuple(-c for c in basis[0])):

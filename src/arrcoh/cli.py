@@ -68,12 +68,12 @@ def equations_str(s: AffineSubspace) -> str:
     if s.is_whole_space:
         return f"C^{s.ambient_dim} (whole space)"
     parts = []
-    for i, row in enumerate(s.system.entries):
+    for row, b in zip(s.system, s.rhs):
         terms = []
         for j, c in enumerate(row):
             if c != 0:
                 terms.append(format_coefficient(c, f"x{j + 1}", not terms))
-        parts.append(" ".join(terms) + f" = {rational_str(s.rhs[i])}")
+        parts.append(" ".join(terms) + f" = {rational_str(b)}")
     return ", ".join(parts)
 
 

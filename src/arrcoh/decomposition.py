@@ -46,7 +46,7 @@ from .arrangement import (
     IntersectionPoset,
 )
 from .errors import InputError
-from .exact_linalg import AffineSubspace, RationalMatrix, Vector, pull_equation, solve_affine
+from .exact_linalg import AffineSubspace, Vector, pull_equation, solve_affine
 from .invariants import beta_all_flats
 
 
@@ -197,7 +197,7 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
     if not 0 <= h_infinity < len(a.hyperplanes):
         raise InputError(f"hyperplane index {h_infinity} out of range")
     normals = tuple(h.normal for h in a.hyperplanes)
-    center = solve_affine(RationalMatrix(normals, a.ambient_dim), [h.offset for h in a.hyperplanes])
+    center = solve_affine(normals, [h.offset for h in a.hyperplanes], a.ambient_dim)
     if center is None:
         raise InputError("deconing requires a central arrangement")
     if center.dim != 0:
@@ -226,8 +226,9 @@ def decone_flats(
         if h_index in c:
             continue
         rows = [deconed.hyperplanes[position[i]] for i in c]
-        system = RationalMatrix(tuple(h.normal for h in rows), deconed.ambient_dim)
-        traces[y] = solve_affine(system, [h.offset for h in rows])
+        traces[y] = solve_affine(
+            [h.normal for h in rows], [h.offset for h in rows], deconed.ambient_dim
+        )
     members = list(traces)
     return [(y, traces[y], b.value) for y, b in zip(members, beta_all_flats(p, members))]
 

@@ -4,8 +4,9 @@ and flat intersection.
 Everything downstream reduces to questions about linear systems over Q,
 and poset correctness is all-or-nothing, so this module is exact by
 construction: scalars are `fractions.Fraction` (arbitrary precision,
-canonical p/q form), matrices are immutable tuples, and there is no
-floating point anywhere.
+canonical p/q form), a linear system is a tuple of `Fraction` row
+vectors, and there is no floating point anywhere.  Rows are not coerced:
+an int row would divide to a float, so callers pass `Fraction` rows.
 
 The canonical form of an affine subspace {x : A x = b} is the reduced
 row echelon form of the augmented system [A | b] with zero rows dropped.
@@ -77,57 +78,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-@record
-class RationalMatrix:
-    """Immutable matrix over Q, stored as a tuple of row tuples.
-
-    `cols` is explicit so zero-row matrices keep their width.
-    """
-
-    entries: tuple[Vector, ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise InputError(
-                    f"ragged matrix: row of length {len(row)}, expected {self.cols}"
-                )
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @staticmethod
-    def from_rows(
-        rows: Iterable[Iterable[int | str | Fraction]], cols: int | None = None
-    ) -> RationalMatrix:
-        entries = tuple(vector(r) for r in rows)
-        if cols is None:
-            if not entries:
-                raise InputError("cannot infer column count of an empty matrix")
-            cols = len(entries[0])
-        return RationalMatrix(entries, cols)
-
-    @staticmethod
-    def identity(n: int) -> RationalMatrix:
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return RationalMatrix(rows, n)
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> RationalMatrix:
-        rows = tuple(self.column(j) for j in range(self.cols))
-        return RationalMatrix(rows, self.rows)
-
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
-        return tuple(dot(r, v) for r in self.entries)
-
-
 def _insert_row(
     rows: list[list[Fraction]], pivots: list[int], new: list[Fraction], stop: int
 ) -> int | None:
@@ -158,14 +108,15 @@ def _insert_row(
     return lead
 
 
-def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of `rows`, padded with zero rows to their
-    count; returns (rows, pivot columns)."""
+def rref(
+    rows: Iterable[Sequence[Fraction]], cols: int
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form of `rows` (of width `cols`), zero rows
+    dropped, and its pivot columns.  Idempotent on rref input."""
     reduced, pivots = [], []
     for row in rows:
-        _insert_row(reduced, pivots, row, cols)
-    reduced += [[Fraction(0)] * cols for _ in range(len(rows) - len(reduced))]
-    return reduced, pivots
+        _insert_row(reduced, pivots, list(row), cols)
+    return tuple(map(tuple, reduced)), tuple(pivots)
 
 
 def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[Vector, ...]:
@@ -184,21 +135,10 @@ def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[V
     return tuple(basis)
 
 
-def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int]:
-    """Reduced row echelon form and rank.  Idempotent on rref input."""
-    reduced, pivots = rref_pivots(m)
-    return reduced, len(pivots)
-
-
-def rref_pivots(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    rows, pivots = _rref([list(r) for r in m.entries], m.cols)
-    return RationalMatrix(tuple(tuple(r) for r in rows), m.cols), tuple(pivots)
-
-
-def null_space_basis(m: RationalMatrix) -> tuple[Vector, ...]:
-    """Basis of {x : m x = 0}, one vector per free column of the rref."""
-    reduced, pivots = rref_pivots(m)
-    return _kernel(reduced.entries, pivots, m.cols)
+def null_space_basis(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[Vector, ...]:
+    """Basis of {x : rows x = 0}, one vector per free column of the rref."""
+    reduced, pivots = rref(rows, cols)
+    return _kernel(reduced, pivots, cols)
 
 
 class FlatRelation(Enum):
@@ -213,45 +153,46 @@ class AffineSubspace:
     """Nonempty affine subspace {x in Q^n : system x = rhs}, canonical.
 
     Canonical means [system | rhs] is in reduced row echelon form with no
-    zero rows, so `system.rows` equals the codimension and equality of
+    zero rows, so the number of rows is the codimension and equality of
     subspaces is plain record equality.  Construct through
     `solve_affine` or `whole_space`; the raw constructor trusts its input.
     """
 
     ambient_dim: int
-    system: RationalMatrix
+    system: tuple[Vector, ...]
     rhs: Vector
 
     def __post_init__(self) -> None:
-        if self.system.cols != self.ambient_dim:
-            raise InputError("system width does not match ambient dimension")
-        if len(self.rhs) != self.system.rows:
+        for row in self.system:
+            if len(row) != self.ambient_dim:
+                raise InputError(
+                    f"system row of length {len(row)}, expected {self.ambient_dim}"
+                )
+        if len(self.rhs) != len(self.system):
             raise InputError("rhs length does not match system rows")
 
     @staticmethod
     def whole_space(n: int) -> AffineSubspace:
-        return AffineSubspace(n, RationalMatrix((), n), ())
+        return AffineSubspace(n, (), ())
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - self.system.rows
+        return self.ambient_dim - len(self.system)
 
     @property
     def codim(self) -> int:
-        return self.system.rows
+        return len(self.system)
 
     @property
     def is_whole_space(self) -> bool:
-        return self.system.rows == 0
+        return not self.system
 
     def augmented_rows(self) -> list[list[Fraction]]:
-        return [list(row) + [self.rhs[i]] for i, row in enumerate(self.system.entries)]
+        return [list(row) + [b] for row, b in zip(self.system, self.rhs)]
 
     def pivot_columns(self) -> tuple[int, ...]:
         # Canonical rref: the pivot of each row is its first nonzero entry.
-        return tuple(
-            next(j for j, x in enumerate(row) if x != 0) for row in self.system.entries
-        )
+        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.system)
 
     def contains(self, other: AffineSubspace) -> bool:
         """True iff self's equations hold on all of other (self >= other).
@@ -266,13 +207,11 @@ class AffineSubspace:
         if self.is_whole_space:
             return True
         stacked = other.augmented_rows() + self.augmented_rows()
-        _, pivots = _rref(stacked, self.ambient_dim + 1)
-        return len(pivots) == other.system.rows
+        _, pivots = rref(stacked, self.ambient_dim + 1)
+        return len(pivots) == other.codim
 
     def contains_point(self, point: Sequence[Fraction]) -> bool:
-        return all(
-            dot(row, point) == self.rhs[i] for i, row in enumerate(self.system.entries)
-        )
+        return all(dot(row, point) == b for row, b in zip(self.system, self.rhs))
 
     def parametrize(self) -> tuple[Vector, tuple[Vector, ...]]:
         """A point of the subspace plus a basis of its direction space."""
@@ -280,36 +219,35 @@ class AffineSubspace:
         point = [Fraction(0)] * self.ambient_dim
         for i, p in enumerate(pivots):
             point[p] = self.rhs[i]
-        return tuple(point), _kernel(self.system.entries, pivots, self.ambient_dim)
+        return tuple(point), _kernel(self.system, pivots, self.ambient_dim)
 
     def sort_key(self) -> tuple:
-        return (self.ambient_dim, self.system.entries, self.rhs)
+        return (self.ambient_dim, self.system, self.rhs)
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
             "ambient_dim": self.ambient_dim,
-            "system": [[rational_str(x) for x in row] for row in self.system.entries],
+            "system": [[rational_str(x) for x in row] for row in self.system],
             "rhs": [rational_str(x) for x in self.rhs],
         }
 
 
 def solve_affine(
-    system: RationalMatrix, rhs: Sequence[int | str | Fraction]
+    system: Sequence[Sequence[Fraction]], rhs: Sequence[int | str | Fraction], n: int
 ) -> AffineSubspace | None:
-    """Canonical solution set of `system x = rhs`, or None when empty."""
+    """Canonical solution set in Q^n of `system x = rhs`, or None when empty."""
     b = vector(rhs)
-    if len(b) != system.rows:
-        raise InputError(
-            f"rhs length {len(b)} does not match {system.rows} equations"
-        )
-    n = system.cols
+    if len(b) != len(system):
+        raise InputError(f"rhs length {len(b)} does not match {len(system)} equations")
+    for row in system:
+        if len(row) != n:
+            raise InputError(f"equation of length {len(row)}, expected {n}")
     rows, pivots = [], []
-    for i, row in enumerate(system.entries):
-        if _insert_row(rows, pivots, list(row) + [b[i]], n) == n:
+    for row, r in zip(system, b):
+        if _insert_row(rows, pivots, list(row) + [r], n) == n:
             return None  # 0 = nonzero: no solution
-    system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
-    return AffineSubspace(n, system, tuple(r[n] for r in rows))
+    return AffineSubspace(n, tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows))
 
 
 def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | None:
@@ -328,8 +266,7 @@ def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | 
     for new in f2.augmented_rows():
         if _insert_row(rows, pivots, new, n) == n:
             return None  # 0 = nonzero: disjoint
-    system = RationalMatrix(tuple(tuple(r[:n]) for r in rows), n)
-    return AffineSubspace(n, system, tuple(r[n] for r in rows))
+    return AffineSubspace(n, tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows))
 
 
 def pull_equation(
@@ -347,7 +284,7 @@ def pull_equation(
     free = [f for f in range(flat.ambient_dim) if f not in pivot_set]
     coeffs = [normal[f] for f in free]
     const = offset
-    for row, p, r in zip(flat.system.entries, pivots, flat.rhs):
+    for row, p, r in zip(flat.system, pivots, flat.rhs):
         w = normal[p]
         if w == 0:
             continue
@@ -376,30 +313,21 @@ def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:
 
 
 def affine_image(
-    s: AffineSubspace, m: RationalMatrix, shift: Sequence[Fraction]
+    s: AffineSubspace, m_rows: Sequence[Vector], shift: Sequence[Fraction]
 ) -> AffineSubspace:
-    """Image of a subspace under the affine map x -> m x + shift."""
-    if m.cols != s.ambient_dim:
-        raise InputError("map width does not match subspace ambient dimension")
+    """Image of a subspace under the affine map x -> M x + shift, M given
+    by its rows; `dot` rejects a row whose width is not s.ambient_dim."""
     point, directions = s.parametrize()
-    image_point = tuple(a + b for a, b in zip(m.apply(point), shift))
-    image_dirs = tuple(m.apply(d) for d in directions)
-    return from_point_and_directions(m.rows, image_point, image_dirs)
+    image_point = tuple(dot(row, point) + c for row, c in zip(m_rows, shift))
+    image_dirs = tuple(tuple(dot(row, d) for row in m_rows) for d in directions)
+    return from_point_and_directions(len(m_rows), image_point, image_dirs)
 
 
 def from_point_and_directions(
     n: int, point: Sequence[Fraction], directions: Sequence[Vector]
 ) -> AffineSubspace:
     """Smallest affine subspace of Q^n through `point` containing the directions."""
-    if directions:
-        dir_matrix = RationalMatrix.from_rows(directions, cols=n)
-        normals = null_space_basis(dir_matrix)
-    else:
-        normals = tuple(RationalMatrix.identity(n).entries)
-    if not normals:
-        return AffineSubspace.whole_space(n)
-    system = RationalMatrix.from_rows(normals, cols=n)
-    rhs = tuple(dot(a, point) for a in normals)
-    result = solve_affine(system, rhs)
+    normals = null_space_basis(directions, n)
+    result = solve_affine(normals, [dot(a, point) for a in normals], n)
     assert result is not None  # consistent by construction
     return result

@@ -29,11 +29,10 @@ from arrcoh.cli import load_arrangement
 from arrcoh.decomposition import decone_flats
 from arrcoh.exact_linalg import (
     AffineSubspace,
-    RationalMatrix,
     dot,
     intersect_flats,
     pull_equation,
-    rref_pivots,
+    rref,
     solve_affine,
 )
 from arrcoh.invariants import beta_all_flats
@@ -190,12 +189,12 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> tuple[Arrangement, lis
     for j in candidates:
         sub = p.flats[j].subspace
         rows = []
-        for row, rhs in zip(sub.system.entries, sub.rhs):
+        for row, rhs in zip(sub.system, sub.rhs):
             coeffs, const = pull_equation(g.subspace, row, rhs)
             rows.append(list(coeffs) + [const])
-        reduced, pivots = rref_pivots(RationalMatrix.from_rows(rows, cols=g.dim + 1))
+        reduced, pivots = rref(rows, g.dim + 1)
         assert len(pivots) == 1 and pivots[0] < g.dim, (g.index, j)
-        row = reduced.entries[0]
+        row = reduced[0]
         hyperplanes.append(Hyperplane.from_coeffs(row[: g.dim], row[g.dim]))
     return Arrangement(g.dim, tuple(hyperplanes)), candidates
 
@@ -210,15 +209,15 @@ def push_subspace(flat: AffineSubspace, s: AffineSubspace) -> AffineSubspace:
     n = flat.ambient_dim
     pivots = set(flat.pivot_columns())
     free = [c for c in range(n) if c not in pivots]
-    rows = list(flat.system.entries)
+    rows = list(flat.system)
     rhs = list(flat.rhs)
-    for row, r in zip(s.system.entries, s.rhs):
+    for row, r in zip(s.system, s.rhs):
         ambient_row = [Fraction(0)] * n
         for j, f in enumerate(free):
             ambient_row[f] = row[j]
         rows.append(tuple(ambient_row))
         rhs.append(r)
-    result = solve_affine(RationalMatrix(tuple(rows), n), rhs)
+    result = solve_affine(rows, rhs, n)
     assert result is not None  # the image of a nonempty set is nonempty
     return result
 

@@ -35,7 +35,7 @@ from arrcoh.nerve_homology import (
     sigma_wedge_check,
     simplicial_homology,
 )
-from arrcoh.exact_linalg import RationalMatrix, solve_affine
+from arrcoh.exact_linalg import solve_affine, vector
 from helpers import corpus_file, decone_view_rows, load_corpus, poset_rows
 
 
@@ -167,9 +167,9 @@ def test_criterion_6_free_summand_structure():
 
 def test_criterion_7_hand_checked_module_values():
     def point(offset):
-        return solve_affine(RationalMatrix.from_rows([[1]]), [offset])
+        return solve_affine([vector([1])], [offset], 1)
 
-    origin_c2 = solve_affine(RationalMatrix.from_rows([[1, 0], [0, 1]]), [0, 0])
+    origin_c2 = solve_affine([vector([1, 0]), vector([0, 1])], [0, 0], 2)
     with criterion(7, "hand-checked modules: one point, Boolean C^2, two points"):
         dec = decompose_corpus_file("one-point-c1")
         assert dec.concentration_degree == 1

@@ -28,12 +28,12 @@ from arrcoh.arrangement import (
 from arrcoh.errors import InputError, InternalConsistencyError, ResourceCapError
 from arrcoh.exact_linalg import (
     AffineSubspace,
-    RationalMatrix,
     affine_image,
     flat_relation,
     FlatRelation,
     intersect_flats,
     solve_affine,
+    vector,
 )
 from arrcoh.invariants import beta_all_flats, mobius_interval_from, poincare_polynomial
 from helpers import (
@@ -54,7 +54,7 @@ F = Fraction
 
 
 def subspace(rows, rhs):
-    sol = solve_affine(RationalMatrix.from_rows(rows), rhs)
+    sol = solve_affine([vector(r) for r in rows], rhs, len(rows[0]))
     assert sol is not None
     return sol
 
@@ -507,10 +507,10 @@ class TestEssentialize:
             p = build_intersection_poset(a)
             for g in p.flats:
                 sub = containing_subarrangement(p, g)
-                mt = g.subspace.system.transpose()
+                mt = list(zip(*g.subspace.system))
                 expected = []
                 for h in sub.hyperplanes:
-                    sol = solve_affine(mt, h.normal)
+                    sol = solve_affine(mt, h.normal, g.codim)
                     assert sol is not None and sol.dim == 0
                     expected.append(Hyperplane.from_coeffs(sol.parametrize()[0], 0))
                 ess = essential_arrangement(g.subspace, sub.hyperplanes)

@@ -411,6 +411,61 @@ def test_poset_output_bytes_pinned(name, fmt, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == POSET_DIGESTS[name, fmt]
 
 
+# SHA-256 of `arrcoh invariants` and `arrcoh beta` stdout, recorded while
+# each flat's canonical system was a `RationalMatrix` record; both print
+# every flat's equations, so holding the system as a tuple of rows must
+# not move a byte.
+INVARIANTS_DIGESTS = {
+    ("braid-5", "json"): "7395319de29cc807d93590e8f9e6625c7b5147979943d05bdc97d57899ea2116",
+    ("braid-5", "text"): "e81a3fc5f16cb429b8778864df68909239440ec4d99333b3a0c0dbc652144cbd",
+    ("braid-6", "json"): "6257af7937c614fb7b3cca2bb82e61804eedafdd011de8ff0e4011c3f608de44",
+    ("braid-6", "text"): "12f23fa93040a2739318cd65417ec22fe77a93ce7c06a639eb2e392509c9c9e3",
+    ("essential-braid-5", "json"):
+        "a533295cb2e15592e609876953762fcd8228f8ed1e260bae06ea4fef5e048b98",
+    ("essential-braid-5", "text"):
+        "6f647c3fe2407232054b338cdd461e658692820820ec015c86aebd46732eb029",
+    ("generic-8-c4", "json"): "b08105f857c65e2a17a90cbe831b969353ebeada4be9be7bf3e3db7db204a050",
+    ("generic-8-c4", "text"): "fdb08d3832e53b2630d6830204ab152dd0ca9f3ec549e63027bd8b918d4ef459",
+    ("lines-12", "json"): "fc6428447fcefb0700a27b363d35e650926f80b5723d15d3913e8b9b3dd035a6",
+    ("lines-12", "text"): "655447165eeb8a4f2593a3b5f5930d9108580e0db8cca932d445a5f053557a70",
+    ("planes-8", "json"): "eccc135be0125780b760952a8ca17f1aab9e74a35790456bab9960309b2da603",
+    ("planes-8", "text"): "ee035d9611ce72e937b84332ef7d866336f1b062670b00e520a6cd939546687c",
+    ("shi-4", "json"): "a5d1c568a1158a483c661092e398c948334269140d404ad4a2a5da8c3bcce678",
+    ("shi-4", "text"): "c257464bc66e5191363df365706d2b48bf3d7e6c380eee0bebfec4a75d44c458",
+}
+BETA_DIGESTS = {
+    ("braid-5", "json"): "76f73b03f5783dca082a2e8dc33d586a043238ec30786cbe847c9d2d290213de",
+    ("braid-5", "text"): "7a8e0b2d96ba70721f002079f13d666f20736fdd95b86fe2bcc8f11689c9d9c1",
+    ("braid-6", "json"): "852f90263889fcce63c0fa79dc17b869ec4650d8d3dd0798aed515d6af1bf1e6",
+    ("braid-6", "text"): "76efcb81f76f194dede5aefd0c571604d935d71a9814497c3812e69d0a48fc01",
+    ("essential-braid-5", "json"):
+        "76f73b03f5783dca082a2e8dc33d586a043238ec30786cbe847c9d2d290213de",
+    ("essential-braid-5", "text"):
+        "4512583e6a168d2f7b3dfe34f0a78cd7a926d4d48fdba4fdb2308910c71fbe69",
+    ("generic-8-c4", "json"): "d931ccb8fde37415cd25a2d4284d15c176bcab523db67ceb68c17d0c18eafb9b",
+    ("generic-8-c4", "text"): "221f3b18922d557784fb4a0c2822f7a170d5118dd0eeb408f4248e956a676839",
+    ("lines-12", "json"): "7bc5a2c805f6d02eace6eae8342bda6d1ec191f6dc9ec9e6d74849b55016eaaa",
+    ("lines-12", "text"): "f2dec014f8a43874d5909d5659c09129c70b9fd444019ecc88d137d486de3900",
+    ("planes-8", "json"): "8562ba217f6cd3f4515875a0f5a33a1c6809d5d608bf8377da7d6dfae2fc7b0f",
+    ("planes-8", "text"): "f36ee197e36b3e76b65e374392cfedce793ae0ea483232e05e26f6a443619a5e",
+    ("shi-4", "json"): "3ad97272611dfeb5d86d7c454980d137e20554c3cbf1f2cdc0f270dc3008e763",
+    ("shi-4", "text"): "35b39b63bc1375a9557832a88d8e5fcfafd85b1e570f34272172a2588ecdce66",
+}
+
+
+EQUATION_DIGESTS = {"invariants": INVARIANTS_DIGESTS, "beta": BETA_DIGESTS}
+
+
+@pytest.mark.parametrize("command, name, fmt", sorted(
+    (command, *key) for command, digests in EQUATION_DIGESTS.items() for key in digests))
+def test_invariants_and_beta_output_bytes_pinned(command, name, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DIGEST_INPUTS[name]().to_json()))
+    code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == EQUATION_DIGESTS[command][name, fmt]
+
 
 # SHA-256 of `arrcoh chambers` and `arrcoh verify` stdout, recorded when
 # chambers were still found by sweeping all 2^m sign vectors with

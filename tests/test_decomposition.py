@@ -31,7 +31,7 @@ from arrcoh.decomposition import (
     top_level_free_nodes,
 )
 from arrcoh.errors import InputError
-from arrcoh.exact_linalg import RationalMatrix, intersect_flats, solve_affine
+from arrcoh.exact_linalg import intersect_flats, solve_affine, vector
 from arrcoh.invariants import beta_all_flats
 from helpers import (
     braid,
@@ -49,7 +49,7 @@ F = Fraction
 
 
 def subspace(rows, rhs, cols=None):
-    sol = solve_affine(RationalMatrix.from_rows(rows, cols=cols), rhs)
+    sol = solve_affine([vector(r) for r in rows], rhs, len(rows[0]) if cols is None else cols)
     assert sol is not None
     return sol
 

@@ -12,7 +12,6 @@ from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
     FlatRelation,
-    RationalMatrix,
     affine_image,
     as_rational,
     flat_relation,
@@ -21,8 +20,9 @@ from arrcoh.exact_linalg import (
     null_space_basis,
     pull_equation,
     rational_str,
-    rref_rank,
+    rref,
     solve_affine,
+    vector,
 )
 from helpers import closure_arrangements, det_cofactor, random_fraction_matrix
 
@@ -30,7 +30,7 @@ F = Fraction
 
 
 def mat(rows):
-    return RationalMatrix.from_rows(rows)
+    return tuple(vector(r) for r in rows)
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -38,6 +38,7 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 @st.composite
 def matrices(draw, max_dim: int = 4):
+    """(rows, column count): at least one row of Fractions."""
     r = draw(st.integers(1, max_dim))
     c = draw(st.integers(1, max_dim))
     entries = draw(
@@ -47,7 +48,7 @@ def matrices(draw, max_dim: int = 4):
             max_size=r,
         )
     )
-    return RationalMatrix.from_rows(entries)
+    return tuple(map(tuple, entries)), c
 
 
 def test_as_rational_rejects_floats():
@@ -63,67 +64,64 @@ def test_rational_str_roundtrip():
 
 class TestRref:
     def test_identity(self):
-        m = RationalMatrix.identity(2)
-        reduced, rank = rref_rank(m)
-        assert reduced == m
-        assert rank == 2
+        m = mat([[1, 0], [0, 1]])
+        assert rref(m, 2) == (m, (0, 1))
 
     def test_proportional_rows(self):
-        reduced, rank = rref_rank(mat([[1, 1], [2, 2]]))
-        assert reduced == mat([[1, 1], [0, 0]])
-        assert rank == 1
+        # The zero row is dropped.
+        assert rref(mat([[1, 1], [2, 2]]), 2) == (mat([[1, 1]]), (0,))
 
     def test_rank_matches_determinant_oracle(self):
         rng = random.Random(20240811)
         for _ in range(60):
             rows = random_fraction_matrix(rng, 3, 3)
-            _, rank = rref_rank(mat(rows))
+            _, pivots = rref(rows, 3)
             if det_cofactor(rows) != 0:
-                assert rank == 3
+                assert len(pivots) == 3
             else:
-                assert rank < 3
+                assert len(pivots) < 3
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, m):
-        reduced, rank = rref_rank(m)
-        again, rank2 = rref_rank(reduced)
-        assert again == reduced
-        assert rank2 == rank
+        rows, cols = m
+        reduced, pivots = rref(rows, cols)
+        assert rref(reduced, cols) == (reduced, pivots)
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
     def test_rank_equals_transpose_rank(self, m):
-        assert rref_rank(m)[1] == rref_rank(m.transpose())[1]
+        rows, cols = m
+        assert len(rref(rows, cols)[1]) == len(rref(zip(*rows), len(rows))[1])
 
     @given(matrices(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unique_for_the_row_space(self, m, data):
         # U m has the row space of m for an invertible integer U, so the
         # same reduced form, whatever order its rows are joined in.
-        r = m.rows
+        rows, cols = m
+        r = len(rows)
         entries = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
         u = data.draw(st.lists(entries, min_size=r, max_size=r))
         assume(det_cofactor(u) != 0)
         um = [
-            [sum(u[i][k] * m.entries[k][j] for k in range(r)) for j in range(m.cols)]
+            tuple(sum(u[i][k] * rows[k][j] for k in range(r)) for j in range(cols))
             for i in range(r)
         ]
-        assert rref_rank(RationalMatrix.from_rows(um, cols=m.cols)) == rref_rank(m)
+        assert rref(um, cols) == rref(rows, cols)
 
 
 class TestSolveAffine:
     def test_single_point(self):
-        sol = solve_affine(mat([[1]]), [0])
+        sol = solve_affine(mat([[1]]), [0], 1)
         assert sol is not None and sol.dim == 0
         assert sol.parametrize()[0] == (F(0),)
 
     def test_inconsistent(self):
-        system = RationalMatrix.from_rows([[1], [1]])
-        assert solve_affine(system, [0, 1]) is None
+        assert solve_affine(mat([[1], [1]]), [0, 1], 1) is None
 
     def test_line_in_plane(self):
-        sol = solve_affine(mat([[1, 1]]), [1])
+        sol = solve_affine(mat([[1, 1]]), [1], 2)
         assert sol is not None and sol.dim == 1
         point, dirs = sol.parametrize()
         assert sol.contains_point(point)
@@ -131,21 +129,29 @@ class TestSolveAffine:
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(InputError):
-            solve_affine(mat([[1, 0]]), [1, 2])
+            solve_affine(mat([[1, 0]]), [1, 2], 2)
+
+    def test_row_width_mismatch(self):
+        # A short row would otherwise be silently padded by zip.
+        with pytest.raises(InputError):
+            solve_affine(mat([[1, 0], [1]]), [1, 2], 2)
+        with pytest.raises(InputError):
+            solve_affine(mat([[1, 0, 0]]), [1], 2)
 
     @given(matrices(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchanged_by_equivalent_equations(self, m, data):
         # Permuting, rescaling, or adding a combination of the equations
         # keeps the solution set, so the canonical form (or None) as well.
-        r = m.rows
+        rows, cols = m
+        r = len(rows)
         rhs = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
-        equations = [(list(row), b) for row, b in zip(m.entries, rhs)]
+        equations = [(list(row), b) for row, b in zip(rows, rhs)]
         nonzero = small_fractions.filter(lambda x: x != 0)
         scales = data.draw(st.lists(nonzero, min_size=r, max_size=r))
         weights = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
         combination = (
-            [sum(w * row[j] for w, (row, _) in zip(weights, equations)) for j in range(m.cols)],
+            [sum(w * row[j] for w, (row, _) in zip(weights, equations)) for j in range(cols)],
             sum(w * b for w, (_, b) in zip(weights, equations)),
         )
         joined = list(equations)
@@ -155,27 +161,39 @@ class TestSolveAffine:
             [([s * x for x in row], s * b) for s, (row, b) in zip(scales, equations)],
             joined,
         ]
-        expected = solve_affine(m, rhs)
+        expected = solve_affine(rows, rhs, cols)
         for variant in variants:
-            system = RationalMatrix.from_rows([row for row, _ in variant], cols=m.cols)
-            assert solve_affine(system, [b for _, b in variant]) == expected, variant
+            system = [row for row, _ in variant]
+            assert solve_affine(system, [b for _, b in variant], cols) == expected, variant
+
+
+class TestAffineSubspaceValidation:
+    def test_row_wider_than_ambient_dim(self):
+        with pytest.raises(InputError):
+            AffineSubspace(1, mat([[1, 0]]), (F(0),))
+
+    def test_rhs_length_mismatch(self):
+        with pytest.raises(InputError):
+            AffineSubspace(2, mat([[1, 0]]), (F(0), F(1)))
+        with pytest.raises(InputError):
+            AffineSubspace(2, mat([[1, 0]]), ())
 
 
 class TestIntersect:
     def test_axes_meet_in_origin(self):
-        x_axis = solve_affine(mat([[0, 1]]), [0])
-        y_axis = solve_affine(mat([[1, 0]]), [0])
+        x_axis = solve_affine(mat([[0, 1]]), [0], 2)
+        y_axis = solve_affine(mat([[1, 0]]), [0], 2)
         meet = intersect_flats(x_axis, y_axis)
         assert meet is not None and meet.dim == 0
         assert meet.parametrize()[0] == (F(0), F(0))
 
     def test_parallel_lines_disjoint(self):
-        l0 = solve_affine(mat([[1, 0]]), [0])
-        l1 = solve_affine(mat([[1, 0]]), [1])
+        l0 = solve_affine(mat([[1, 0]]), [0], 2)
+        l1 = solve_affine(mat([[1, 0]]), [1], 2)
         assert intersect_flats(l0, l1) is None
 
     def test_self_intersection_is_identity(self):
-        f = solve_affine(mat([[1, 2, 3]]), [1])
+        f = solve_affine(mat([[1, 2, 3]]), [1], 3)
         assert intersect_flats(f, f) == f
 
     def test_ambient_mismatch(self):
@@ -193,22 +211,20 @@ class TestIntersect:
             rows2 = random_fraction_matrix(rng, k2, n, span=2)
             rhs1 = [F(rng.randint(-2, 2)) for _ in range(k1)]
             rhs2 = [F(rng.randint(-2, 2)) for _ in range(k2)]
-            f1 = solve_affine(RationalMatrix.from_rows(rows1, cols=n), rhs1)
-            f2 = solve_affine(RationalMatrix.from_rows(rows2, cols=n), rhs2)
+            f1 = solve_affine(rows1, rhs1, n)
+            f2 = solve_affine(rows2, rhs2, n)
             if f1 is None or f2 is None:
                 continue
-            stacked = solve_affine(
-                RationalMatrix.from_rows(rows1 + rows2, cols=n), rhs1 + rhs2
-            )
+            stacked = solve_affine(rows1 + rows2, rhs1 + rhs2, n)
             assert intersect_flats(f1, f2) == stacked, (rows1, rhs1, rows2, rhs2)
 
     def _random_flats(self, rng, count, n=3):
         flats = []
         while len(flats) < count:
             k = rng.randint(1, n)
-            system = mat(random_fraction_matrix(rng, k, n))
+            system = random_fraction_matrix(rng, k, n)
             rhs = [F(rng.randint(-2, 2)) for _ in range(k)]
-            sol = solve_affine(system, rhs)
+            sol = solve_affine(system, rhs, n)
             if sol is not None:
                 flats.append(sol)
         return flats
@@ -254,7 +270,7 @@ class TestPullEquation:
                 x = [F(0)] * flat.ambient_dim
                 for f, v in zip(free, y):
                     x[f] = v
-                for row, pivot, r in zip(flat.system.entries, pivots, flat.rhs):
+                for row, pivot, r in zip(flat.system, pivots, flat.rhs):
                     x[pivot] = r - sum(row[f] * v for f, v in zip(free, y))
                 assert flat.contains_point(x)
                 lifts.append((y, x))
@@ -268,31 +284,31 @@ class TestPullEquation:
 
 class TestFlatRelation:
     def test_line_contains_origin(self):
-        line = solve_affine(mat([[1, 0]]), [0])
-        origin = solve_affine(mat([[1, 0], [0, 1]]), [0, 0])
+        line = solve_affine(mat([[1, 0]]), [0], 2)
+        origin = solve_affine(mat([[1, 0], [0, 1]]), [0, 0], 2)
         assert flat_relation(line, origin) == FlatRelation.F1_STRICTLY_CONTAINS_F2
         assert flat_relation(origin, line) == FlatRelation.F2_STRICTLY_CONTAINS_F1
 
     def test_crossing_lines_incomparable(self):
-        l1 = solve_affine(mat([[1, 0]]), [0])
-        l2 = solve_affine(mat([[0, 1]]), [0])
+        l1 = solve_affine(mat([[1, 0]]), [0], 2)
+        l2 = solve_affine(mat([[0, 1]]), [0], 2)
         assert flat_relation(l1, l2) == FlatRelation.INCOMPARABLE
 
     def test_scaled_systems_equal(self):
-        f1 = solve_affine(mat([[2, 4]]), [6])
-        f2 = solve_affine(mat([[1, 2]]), [3])
+        f1 = solve_affine(mat([[2, 4]]), [6], 2)
+        f2 = solve_affine(mat([[1, 2]]), [3], 2)
         assert f1 == f2
         assert flat_relation(f1, f2) == FlatRelation.EQUAL
 
     def test_rejects_non_subspace(self):
-        line = solve_affine(mat([[1, 0]]), [0])
+        line = solve_affine(mat([[1, 0]]), [0], 2)
         with pytest.raises(InputError):
             flat_relation(line, None)
 
 
 class TestHelpers:
     def test_null_space(self):
-        basis = null_space_basis(mat([[1, 1, 0]]))
+        basis = null_space_basis(mat([[1, 1, 0]]), 3)
         assert len(basis) == 2
         for v in basis:
             assert v[0] + v[1] == 0
@@ -300,10 +316,10 @@ class TestHelpers:
     def test_from_point_and_directions(self):
         line = from_point_and_directions(2, (F(0), F(1)), ((F(1), F(1)),))
         # The line through (0,1) with direction (1,1): x - y = -1.
-        assert line == solve_affine(mat([[1, -1]]), [-1])
+        assert line == solve_affine(mat([[1, -1]]), [-1], 2)
 
     def test_affine_image(self):
-        line = solve_affine(mat([[0, 1]]), [2])  # {y = 2}
+        line = solve_affine(mat([[0, 1]]), [2], 2)  # {y = 2}
         m = mat([[1, 0], [0, 1], [1, 1]])
         image = affine_image(line, m, (F(0), F(0), F(1)))
         # Image of (t, 2) under (x, y, x+y+1): (t, 2, t+3).
@@ -311,3 +327,8 @@ class TestHelpers:
         assert image.contains_point((F(0), F(2), F(3)))
         assert image.contains_point((F(5), F(2), F(8)))
         assert not image.contains_point((F(0), F(2), F(4)))
+
+    def test_affine_image_rejects_map_of_wrong_width(self):
+        line = solve_affine(mat([[0, 1]]), [2], 2)
+        with pytest.raises(InputError):
+            affine_image(line, mat([[1, 0, 0]]), (F(0),))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from arrcoh.arrangement import arrangement_from_coeffs, build_intersection_poset, restriction_to
 from arrcoh.errors import InputError, ResourceCapError
-from arrcoh.exact_linalg import RationalMatrix, rref_rank
+from arrcoh.exact_linalg import rref, vector
 from arrcoh.invariants import euler_complement
 from arrcoh.nerve_homology import (
     SimplicialComplex,
@@ -203,8 +203,8 @@ class TestSmithNormalForm:
         for _ in range(30):
             m = random_int_matrix(rng, 4, 5)
             factors = smith_normal_form(m)
-            _, rank = rref_rank(RationalMatrix.from_rows(m))
-            assert len(factors) == rank
+            _, pivots = rref([vector(row) for row in m], len(m[0]))
+            assert len(factors) == len(pivots)
 
 
 def determinantal_factors(m: list[list[int]]) -> tuple[int, ...]:
@@ -332,8 +332,8 @@ class TestHomology:
         assert hom.free_rank(2) == 0 and hom.torsion(2) == ()
         # Independent rank route for the boundary maps.
         d2 = boundary_matrix(rp2, 2)
-        _, rank_d2 = rref_rank(RationalMatrix.from_rows(d2))
-        assert rank_d2 == 10  # kills all of ker d1 except the Z/2
+        _, pivots = rref([vector(row) for row in d2], len(d2[0]))
+        assert len(pivots) == 10  # kills all of ker d1 except the Z/2
 
     def test_point_is_contractible(self):
         point = SimplicialComplex.from_maximal(1, [(0,)])
