@@ -37,7 +37,7 @@ for path in sorted(CORPUS.glob("*.json")):
     for s in dec.summands:
         note = "   <- trivial module Z" if s.is_trivial_z else ""
         print(f"    at {equations_str(s.subspace):26s} x{s.multiplicity}: "
-              f"{module_str(s.module)}{note}")
+              f"{module_str(s.module, {})}{note}")
 
 print("\nreading the two-points example: one free copy of the group ring")
 print("(the l2-visible part) plus one induced-trivial summand per point,")

@@ -37,7 +37,6 @@ from .chambers import (
     LinearSystem,
     chamber_bounded,
     enumerate_chambers,
-    feasible_point,
     fm_feasible,
 )
 from .decomposition import (
@@ -63,10 +62,8 @@ from .errors import (
 )
 from .exact_linalg import (
     AffineSubspace,
-    FlatRelation,
     Rational,
     as_rational,
-    flat_relation,
     intersect_flats,
     rational_str,
     rref,

@@ -248,12 +248,6 @@ class IntersectionPoset:
         """Relative level l(G) = d(G) - n0."""
         return g.dim - self.n0
 
-    def flat_for(self, subspace: AffineSubspace) -> Flat | None:
-        for f in self.flats:
-            if f.subspace == subspace:
-                return f
-        return None
-
 
 def build_intersection_poset(
     a: Arrangement, max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES

@@ -11,12 +11,11 @@ normals have full rank, a chamber is unbounded iff one of the finitely
 many candidate extreme rays of the recession cones (+-d, d spanning the
 null space of n - 1 independent normals) keeps its signs.
 
-`LinearSystem`, `fm_feasible`, `feasible_point` and `chamber_bounded`
-decide one strict rational system at a time by Fourier-Motzkin
-elimination (combining each lower bound with each upper bound preserves
-strictness; a region is bounded iff its recession cone is {0}).  They
-are the single-system reference the enumeration is tested against, and
-are not on its path.
+`LinearSystem`, `fm_feasible` and `chamber_bounded` decide one strict
+rational system at a time by Fourier-Motzkin elimination (combining each
+lower bound with each upper bound preserves strictness; a region is
+bounded iff its recession cone is {0}).  They are the single-system
+reference the enumeration is tested against, and are not on its path.
 
 For an essential arrangement defined over the reals the bounded-chamber
 count is a classical third route to the beta invariant of the whole
@@ -182,54 +181,6 @@ def fm_feasible(s: LinearSystem) -> bool:
     return _elimination_levels(s) is not None
 
 
-def feasible_point(s: LinearSystem) -> Vector | None:
-    """A rational point satisfying the system, via back-substitution.
-
-    Used as an exactness witness for `fm_feasible` in tests: every
-    feasibility claim can be certified by an explicit point.
-    """
-    levels = _elimination_levels(s)
-    if levels is None:
-        return None
-    point = [Fraction(0)] * s.ambient_dim
-    for var in range(s.ambient_dim - 1, -1, -1):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for c in levels[var]:
-            coef = c.coeffs[var]
-            if coef == 0:
-                continue
-            rest = sum(
-                (c.coeffs[j] * point[j] for j in range(len(c.coeffs)) if j != var),
-                Fraction(0),
-            )
-            bound = (c.rhs - rest) / coef
-            if coef > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None and hi is None:
-            point[var] = Fraction(0)
-        elif lo is None:
-            point[var] = hi - 1
-        elif hi is None:
-            point[var] = lo + 1
-        else:
-            point[var] = (lo + hi) / 2
-    return tuple(point)
-
-
-def satisfies(s: LinearSystem, point: Sequence[Fraction]) -> bool:
-    for c in s.constraints:
-        value = dot(c.coeffs, point)
-        if c.strict:
-            if not value < c.rhs:
-                return False
-        elif not value <= c.rhs:
-            return False
-    return True
-
-
 def chamber_bounded(s: LinearSystem) -> bool:
     """True iff the feasible region's recession cone is {0}.
 
@@ -275,14 +226,6 @@ class ChamberReport:
                 {"signs": c.signs, "bounded": c.bounded} for c in self.chambers
             ],
         }
-
-
-def chamber_system(a: Arrangement, signs: Sequence[str]) -> LinearSystem:
-    relations = []
-    for h, sign in zip(a.hyperplanes, signs):
-        rel = ">" if sign == "+" else "<"
-        relations.append((h.normal, h.offset, rel))
-    return LinearSystem.from_relations(a.ambient_dim, relations)
 
 
 def _restriction_points(

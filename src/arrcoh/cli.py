@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
+from ._writer import json_blocks
 from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
@@ -77,18 +78,24 @@ def equations_str(s: AffineSubspace) -> str:
     return ", ".join(parts)
 
 
-def module_str(m: ModuleExpr) -> str:
+def module_str(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, str]]) -> str:
+    """The text of a module, once per module object: `memo` maps id(m) to (m, text)."""
+    if id(m) in memo:
+        return memo[id(m)][1]
     if isinstance(m, Free):
-        return f"(Zpi)^{m.rank}"
-    if isinstance(m, TrivialZ):
-        return "Z"
-    if isinstance(m, TensorTrivial):
-        return f"({module_str(m.inner)} (x) Z[triv])"
-    if isinstance(m, Induced):
-        return f"Ind[{equations_str(m.flat)}]({module_str(m.inner)})"
-    if isinstance(m, Sum):
-        return "(" + " (+) ".join(module_str(p) for p in m.parts) + ")"
-    raise InputError(f"not a module expression: {m!r}")
+        text = f"(Zpi)^{m.rank}"
+    elif isinstance(m, TrivialZ):
+        text = "Z"
+    elif isinstance(m, TensorTrivial):
+        text = f"({module_str(m.inner, memo)} (x) Z[triv])"
+    elif isinstance(m, Induced):
+        text = f"Ind[{equations_str(m.flat)}]({module_str(m.inner, memo)})"
+    elif isinstance(m, Sum):
+        text = "(" + " (+) ".join(module_str(p, memo) for p in m.parts) + ")"
+    else:
+        raise InputError(f"not a module expression: {m!r}")
+    memo[id(m)] = (m, text)
+    return text
 
 
 # --- per-command reports --------------------------------------------------
@@ -234,11 +241,12 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> dict
         f"note: {DUALITY_NOTE}",
         "summands (one per flat with positive beta):",
     ]
+    memo: dict[int, tuple[ModuleExpr, str]] = {}
     for s in dec.summands:
         suffix = "  = trivial module Z" if s.is_trivial_z else ""
         lines.append(
             f"  [{s.flat_index}] {equations_str(s.subspace)} "
-            f"| multiplicity {s.multiplicity} | {module_str(s.module)}{suffix}"
+            f"| multiplicity {s.multiplicity} | {module_str(s.module, memo)}{suffix}"
         )
     return "\n".join(lines)
 
@@ -310,7 +318,11 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(out, indent=2, sort_keys=True) if output_format == "json" else out)
+    if output_format == "json":
+        # Rendered in full before the first write, so stdout gets all or nothing.
+        sys.stdout.writelines(json_blocks(out))
+    else:
+        print(out)
     return 0 if verify_ok else 3
 
 

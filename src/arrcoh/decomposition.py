@@ -92,23 +92,29 @@ ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum
 ZERO = Free(0)
 
 
-def module_to_json(m: ModuleExpr) -> dict:
+def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> dict:
+    """The JSON object of a module, one per module object: `memo` maps id(m) to (m, object)."""
+    if id(m) in memo:
+        return memo[id(m)][1]
     if isinstance(m, Free):
-        return {"kind": "FREE", "rank": m.rank}
-    if isinstance(m, TrivialZ):
-        return {"kind": "TRIVIAL_Z"}
-    if isinstance(m, TensorTrivial):
-        return {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner)}
-    if isinstance(m, Induced):
-        return {"kind": "INDUCED", "flat": m.flat.to_json(), "inner": module_to_json(m.inner)}
-    if isinstance(m, Sum):
-        return {"kind": "SUM", "parts": [module_to_json(x) for x in m.parts]}
-    raise InputError(f"not a module expression: {m!r}")
+        obj = {"kind": "FREE", "rank": m.rank}
+    elif isinstance(m, TrivialZ):
+        obj = {"kind": "TRIVIAL_Z"}
+    elif isinstance(m, TensorTrivial):
+        obj = {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner, memo)}
+    elif isinstance(m, Induced):
+        obj = {"kind": "INDUCED", "flat": m.flat.to_json(), "inner": module_to_json(m.inner, memo)}
+    elif isinstance(m, Sum):
+        obj = {"kind": "SUM", "parts": [module_to_json(x, memo) for x in m.parts]}
+    else:
+        raise InputError(f"not a module expression: {m!r}")
+    memo[id(m)] = (m, obj)
+    return obj
 
 
 def _expr_key(m: ModuleExpr) -> tuple[int, str]:
     kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
-    return (kind_rank[type(m)], json.dumps(module_to_json(m), sort_keys=True))
+    return (kind_rank[type(m)], json.dumps(module_to_json(m, {}), sort_keys=True))
 
 
 def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
@@ -205,32 +211,40 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
     return _pull_back((normals[h_infinity],) + normals[:h_infinity] + normals[h_infinity + 1:])
 
 
-def decone_flats(
-    p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement
-) -> list[tuple[int, AffineSubspace, int]]:
-    """The flats of `deconed` = decone(ess(A_G), h_infinity) as a view of p.
+def decone_view(p: IntersectionPoset, g: Flat, h_infinity: int) -> list[tuple[int, int]]:
+    """The flats of decone(ess(A_G), h_infinity) as a view of p.
 
     With H_inf at position `h_infinity` of sorted C(G), they are the
     traces of the flats Y > G with H_inf not in C(Y), and keep C(Y)
-    (Orlik-Terao ch. 1-2).  Returns (index of Y in p, trace in the
-    decone's chart, beta), in p's order: by descending dimension, but not
-    necessarily in the order of the decone's own poset, whose ties are
-    broken by the traces' equations.
-    """
+    (Orlik-Terao ch. 1-2).  Returns (index of Y in p, beta), in p's
+    order: by descending dimension, but not necessarily in the order of
+    the decone's own poset, whose ties are broken by the traces'
+    equations (`decone_trace`)."""
+    h_index = sorted(g.containing_hyperplanes)[h_infinity]
+    members = [
+        y for y in sorted(p.strictly_above[g.index])
+        if h_index not in p.flats[y].containing_hyperplanes
+    ]
+    return [(y, b.value) for y, b in zip(members, beta_all_flats(p, members))]
+
+
+def decone_trace(deconed: Arrangement, position: dict[int, int], c: frozenset[int]) -> AffineSubspace:
+    """The trace of a view member with containing set c: p's hyperplane i is position[i]."""
+    rows = [deconed.hyperplanes[position[i]] for i in c]
+    return solve_affine([h.normal for h in rows], [h.offset for h in rows], deconed.ambient_dim)
+
+
+def decone_flats(
+    p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Arrangement
+) -> list[tuple[int, AffineSubspace, int]]:
+    """`decone_view` as (index of Y in p, trace in the chart of `deconed`, beta)."""
     kept = sorted(g.containing_hyperplanes)
-    h_index = kept.pop(h_infinity)
+    del kept[h_infinity]
     position = {i: j for j, i in enumerate(kept)}
-    traces = {}
-    for y in sorted(p.strictly_above[g.index]):
-        c = p.flats[y].containing_hyperplanes
-        if h_index in c:
-            continue
-        rows = [deconed.hyperplanes[position[i]] for i in c]
-        traces[y] = solve_affine(
-            [h.normal for h in rows], [h.offset for h in rows], deconed.ambient_dim
-        )
-    members = list(traces)
-    return [(y, traces[y], b.value) for y, b in zip(members, beta_all_flats(p, members))]
+    return [
+        (y, decone_trace(deconed, position, p.flats[y].containing_hyperplanes), b)
+        for y, b in decone_view(p, g, h_infinity)
+    ]
 
 
 # --- the graded decomposition -------------------------------------------
@@ -256,6 +270,7 @@ class GradedDecomposition:
     free_rank: int
 
     def to_json(self) -> dict:
+        memo: dict[int, tuple[ModuleExpr, dict]] = {}
         return {
             "object": "associated graded module of the concentrated degree",
             "degree": self.concentration_degree,
@@ -266,7 +281,7 @@ class GradedDecomposition:
                 {
                     "flat": s.subspace.to_json(),
                     "multiplicity": s.multiplicity,
-                    "module": module_to_json(s.module),
+                    "module": module_to_json(s.module, memo),
                     "is_trivial_z": s.is_trivial_z,
                 }
                 for s in self.summands
@@ -297,7 +312,7 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     top is FREE(beta(A)), every other is beta copies of an induced
     tensored-trivial module built recursively through deconing.  At a
     flat G the hyperplane sent to infinity is the lowest-indexed member
-    of C(G).  Every decone's flats are a view of p (`decone_flats`), so
+    of C(G).  Every decone's flats are a view of p (`decone_view`), so
     no poset is built here.  The recursion returns modules, memoized per
     decone; the summands and the decomposition are built only here.
 
@@ -355,9 +370,14 @@ def _summand_module(
     if inner is None:
         if deconed.hyperplanes:
             inner_position = {i: j for j, i in enumerate(kept[1:])}
+            # Only members with positive beta are printed: only their traces are solved.
             inner = _sum_of_normalized([
-                _summand_module(p, deconed, inner_position, z, z_trace, z_beta, memo)
-                for z, z_trace, z_beta in decone_flats(p, g, 0, deconed)
+                _summand_module(
+                    p, deconed, inner_position, z,
+                    decone_trace(deconed, inner_position, p.flats[z].containing_hyperplanes),
+                    z_beta, memo,
+                )
+                for z, z_beta in decone_view(p, g, 0)
                 if z_beta
             ])
         else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import re
 import sys
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -139,13 +138,6 @@ def null_space_basis(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[Vec
     """Basis of {x : rows x = 0}, one vector per free column of the rref."""
     reduced, pivots = rref(rows, cols)
     return _kernel(reduced, pivots, cols)
-
-
-class FlatRelation(Enum):
-    EQUAL = "EQUAL"
-    F1_STRICTLY_CONTAINS_F2 = "F1_STRICTLY_CONTAINS_F2"
-    F2_STRICTLY_CONTAINS_F1 = "F2_STRICTLY_CONTAINS_F1"
-    INCOMPARABLE = "INCOMPARABLE"
 
 
 @record
@@ -296,38 +288,3 @@ def pull_equation(
             const -= w * r
     return tuple(coeffs), const
 
-
-def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:
-    """Exact containment classification of two nonempty flats."""
-    if not isinstance(f1, AffineSubspace) or not isinstance(f2, AffineSubspace):
-        raise InputError("flat_relation requires nonempty affine subspaces")
-    if f1.ambient_dim != f2.ambient_dim:
-        raise InputError("ambient dimension mismatch")
-    if f1 == f2:
-        return FlatRelation.EQUAL
-    if f1.contains(f2):
-        return FlatRelation.F1_STRICTLY_CONTAINS_F2
-    if f2.contains(f1):
-        return FlatRelation.F2_STRICTLY_CONTAINS_F1
-    return FlatRelation.INCOMPARABLE
-
-
-def affine_image(
-    s: AffineSubspace, m_rows: Sequence[Vector], shift: Sequence[Fraction]
-) -> AffineSubspace:
-    """Image of a subspace under the affine map x -> M x + shift, M given
-    by its rows; `dot` rejects a row whose width is not s.ambient_dim."""
-    point, directions = s.parametrize()
-    image_point = tuple(dot(row, point) + c for row, c in zip(m_rows, shift))
-    image_dirs = tuple(tuple(dot(row, d) for row in m_rows) for d in directions)
-    return from_point_and_directions(len(m_rows), image_point, image_dirs)
-
-
-def from_point_and_directions(
-    n: int, point: Sequence[Fraction], directions: Sequence[Vector]
-) -> AffineSubspace:
-    """Smallest affine subspace of Q^n through `point` containing the directions."""
-    normals = null_space_basis(directions, n)
-    result = solve_affine(normals, [dot(a, point) for a in normals], n)
-    assert result is not None  # consistent by construction
-    return result

@@ -6,6 +6,10 @@ elimination, so rank, Smith-normal-form and deconing claims are checked
 against arithmetic the package never performs.  The restriction A∩G is
 re-derived by row reducing each covered flat's pulled-back system, and
 the poset's flats by a closure that cuts in `Fraction` row reduction.
+The flat utilities below them (`flat_relation`, `affine_image`,
+`flat_for`) and the Fourier-Motzkin witnesses (`feasible_point`,
+`satisfies`, `chamber_system`) serve only tests, so they live here and
+not in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import itertools
 import pathlib
 import random
+from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -25,12 +31,16 @@ from arrcoh.arrangement import (
     arrangement_from_coeffs,
     assemble_poset,
 )
+from arrcoh.chambers import LinearSystem, _elimination_levels
 from arrcoh.cli import load_arrangement
-from arrcoh.decomposition import decone_flats
+from arrcoh.decomposition import Induced, Sum, TensorTrivial, decone_flats
+from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
+    Vector,
     dot,
     intersect_flats,
+    null_space_basis,
     pull_equation,
     rref,
     solve_affine,
@@ -51,6 +61,110 @@ def load_corpus() -> dict[str, Arrangement]:
         path.stem: load_arrangement(str(path))
         for path in sorted(CORPUS_DIR.glob("*.json"))
     }
+
+
+class FlatRelation(Enum):
+    EQUAL = "EQUAL"
+    F1_STRICTLY_CONTAINS_F2 = "F1_STRICTLY_CONTAINS_F2"
+    F2_STRICTLY_CONTAINS_F1 = "F2_STRICTLY_CONTAINS_F1"
+    INCOMPARABLE = "INCOMPARABLE"
+
+
+def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:
+    """Exact containment classification of two nonempty flats."""
+    if not isinstance(f1, AffineSubspace) or not isinstance(f2, AffineSubspace):
+        raise InputError("flat_relation requires nonempty affine subspaces")
+    if f1.ambient_dim != f2.ambient_dim:
+        raise InputError("ambient dimension mismatch")
+    if f1 == f2:
+        return FlatRelation.EQUAL
+    if f1.contains(f2):
+        return FlatRelation.F1_STRICTLY_CONTAINS_F2
+    if f2.contains(f1):
+        return FlatRelation.F2_STRICTLY_CONTAINS_F1
+    return FlatRelation.INCOMPARABLE
+
+
+def affine_image(
+    s: AffineSubspace, m_rows: Sequence[Vector], shift: Sequence[Fraction]
+) -> AffineSubspace:
+    """Image of a subspace under the affine map x -> M x + shift, M given
+    by its rows; `dot` rejects a row whose width is not s.ambient_dim."""
+    point, directions = s.parametrize()
+    image_point = tuple(dot(row, point) + c for row, c in zip(m_rows, shift))
+    image_dirs = tuple(tuple(dot(row, d) for row in m_rows) for d in directions)
+    return from_point_and_directions(len(m_rows), image_point, image_dirs)
+
+
+def from_point_and_directions(
+    n: int, point: Sequence[Fraction], directions: Sequence[Vector]
+) -> AffineSubspace:
+    """Smallest affine subspace of Q^n through `point` containing the directions."""
+    normals = null_space_basis(directions, n)
+    result = solve_affine(normals, [dot(a, point) for a in normals], n)
+    assert result is not None  # consistent by construction
+    return result
+
+
+def flat_for(p: IntersectionPoset, subspace: AffineSubspace) -> Flat | None:
+    """The flat of p with the given subspace, or None."""
+    return next((f for f in p.flats if f.subspace == subspace), None)
+
+
+def feasible_point(s: LinearSystem) -> Vector | None:
+    """A rational point satisfying the system, via back-substitution.
+
+    Used as an exactness witness for `fm_feasible` in tests: every
+    feasibility claim can be certified by an explicit point.
+    """
+    levels = _elimination_levels(s)
+    if levels is None:
+        return None
+    point = [Fraction(0)] * s.ambient_dim
+    for var in range(s.ambient_dim - 1, -1, -1):
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        for c in levels[var]:
+            coef = c.coeffs[var]
+            if coef == 0:
+                continue
+            rest = sum(
+                (c.coeffs[j] * point[j] for j in range(len(c.coeffs)) if j != var),
+                Fraction(0),
+            )
+            bound = (c.rhs - rest) / coef
+            if coef > 0:
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
+        if lo is None and hi is None:
+            point[var] = Fraction(0)
+        elif lo is None:
+            point[var] = hi - 1
+        elif hi is None:
+            point[var] = lo + 1
+        else:
+            point[var] = (lo + hi) / 2
+    return tuple(point)
+
+
+def satisfies(s: LinearSystem, point: Sequence[Fraction]) -> bool:
+    for c in s.constraints:
+        value = dot(c.coeffs, point)
+        if c.strict:
+            if not value < c.rhs:
+                return False
+        elif not value <= c.rhs:
+            return False
+    return True
+
+
+def chamber_system(a: Arrangement, signs: Sequence[str]) -> LinearSystem:
+    relations = []
+    for h, sign in zip(a.hyperplanes, signs):
+        rel = ">" if sign == "+" else "<"
+        relations.append((h.normal, h.offset, rel))
+    return LinearSystem.from_relations(a.ambient_dim, relations)
 
 
 # Minimal 6-vertex triangulation of the projective plane (antipodal
@@ -252,6 +366,20 @@ def decone_view_rows(p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Ar
     ]
     rows.sort(key=lambda row: (-row[0].dim, row[0].sort_key()))
     return rows
+
+
+def distinct_modules(roots) -> list:
+    """The module objects reachable from `roots`, each once (by identity)."""
+    seen, pending = {}, list(roots)
+    while pending:
+        m = pending.pop()
+        if id(m) not in seen:
+            seen[id(m)] = m
+            if isinstance(m, Sum):
+                pending.extend(m.parts)
+            elif isinstance(m, (TensorTrivial, Induced)):
+                pending.append(m.inner)
+    return list(seen.values())
 
 
 def poset_rows(p: IntersectionPoset):

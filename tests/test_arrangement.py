@@ -28,19 +28,20 @@ from arrcoh.arrangement import (
 from arrcoh.errors import InputError, InternalConsistencyError, ResourceCapError
 from arrcoh.exact_linalg import (
     AffineSubspace,
-    affine_image,
-    flat_relation,
-    FlatRelation,
     intersect_flats,
     solve_affine,
     vector,
 )
 from arrcoh.invariants import beta_all_flats, mobius_interval_from, poincare_polynomial
 from helpers import (
+    FlatRelation,
+    affine_image,
     braid,
     closure_arrangements,
     containing_subarrangement,
     essential_braid,
+    flat_for,
+    flat_relation,
     fraction_closure_poset,
     generic,
     points,
@@ -372,7 +373,7 @@ class TestSubarrangement:
     def test_double_point_of_generic3(self, corpus, corpus_posets):
         a = corpus["generic3-c2"]
         p = corpus_posets["generic3-c2"]
-        origin = p.flat_for(subspace([[1, 0], [0, 1]], [0, 0]))
+        origin = flat_for(p, subspace([[1, 0], [0, 1]], [0, 0]))
         sub = subarrangement_at(a, origin)
         assert sub.hyperplanes == a.hyperplanes[:2]
 
@@ -384,7 +385,7 @@ class TestSubarrangement:
     def test_single_hyperplane(self, corpus, corpus_posets):
         a = corpus["generic3-c2"]
         p = corpus_posets["generic3-c2"]
-        h1 = p.flat_for(a.hyperplanes[0].subspace())
+        h1 = flat_for(p, a.hyperplanes[0].subspace())
         assert subarrangement_at(a, h1).hyperplanes == (a.hyperplanes[0],)
 
     def test_rank_is_codim(self, corpus, corpus_posets):
@@ -410,7 +411,7 @@ class TestRestriction:
     def test_generic3_on_first_line(self, corpus, corpus_posets):
         p = corpus_posets["generic3-c2"]
         a = corpus["generic3-c2"]
-        h1 = p.flat_for(a.hyperplanes[0].subspace())
+        h1 = flat_for(p, a.hyperplanes[0].subspace())
         # On {x = 0} with chart coordinate y: H2 cuts y = 0, H3 cuts y = 1.
         assert restriction_to(p, h1) == arrangement_from_coeffs(1, [((1,), 0), ((1,), 1)])
         assert len(restriction_covers(p, h1)) == 2

@@ -18,15 +18,20 @@ from arrcoh.chambers import (
     Chamber,
     LinearSystem,
     chamber_bounded,
-    chamber_system,
     enumerate_chambers,
-    feasible_point,
     fm_feasible,
-    satisfies,
 )
 from arrcoh.errors import InputError, ResourceCapError
 from arrcoh.invariants import euler_complement, mobius_from_top, poincare_polynomial
-from helpers import essential_braid, generic, shi, small_arrangements
+from helpers import (
+    chamber_system,
+    essential_braid,
+    feasible_point,
+    generic,
+    satisfies,
+    shi,
+    small_arrangements,
+)
 
 F = Fraction
 

@@ -9,12 +9,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh import cli, nerve_homology
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
 from arrcoh.verify import CheckResult
-from helpers import braid, corpus_file, essential_braid, generic, shi
+from helpers import braid, corpus_file, distinct_modules, essential_braid, generic, shi
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -600,3 +602,73 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+# Every kind of value the writer accepts: ints of any size next to bools,
+# any text (non-ASCII and control characters included), lists, tuples,
+# empty containers and dicts keyed by any text.
+json_scalars = st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | st.text()
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=5), children, max_size=4),
+        max_leaves=20,
+    )
+
+
+@st.composite
+def json_values_with_sharing(draw):
+    """A tree in which one sub-object is reached at several depths."""
+    shared = draw(json_trees(json_scalars))
+    tree = draw(json_trees(json_scalars | st.just(shared)))
+    return {"a": shared, "b": [tree, (shared, {"\x00é": shared})], "c": [[[shared]]]}
+
+
+class TestJsonBlocks:
+    @given(json_values_with_sharing())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert "".join(cli.json_blocks(value)) == expected
+
+    @given(json_trees(json_scalars))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_json_dumps_without_sharing(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert "".join(cli.json_blocks(value)) == expected
+
+    def test_unsupported_value_writes_nothing(self, capsys, monkeypatch):
+        # Enough chunks before the float that some are already joined into
+        # blocks: none of them may reach stdout.
+        report = {"a": [{"n": i} for i in range(10_000)], "b": [1.5]}
+        monkeypatch.setattr(cli, "poset_report", lambda *args: report)
+        with pytest.raises(TypeError):
+            cli.main(["poset", corpus_file("generic3-c2"), "--format", "json"])
+        assert capsys.readouterr().out == ""
+
+    def test_non_string_key_is_type_error(self):
+        with pytest.raises(TypeError):
+            cli.json_blocks({1: "a"})
+
+    def test_decompose_text_renders_each_module_once(self, monkeypatch):
+        # A distinct INDUCED object writes its flat's equations once, though
+        # the text repeats them at each of its occurrences.
+        p = cli.build_intersection_poset(braid(5))
+        dec = cli.decompose_cohomology(p)
+        modules = distinct_modules(s.module for s in dec.summands)
+        induced = sum(isinstance(m, cli.Induced) for m in modules)
+        calls = []
+        equations_str = cli.equations_str
+
+        def counting(flat):
+            calls.append(flat)
+            return equations_str(flat)
+
+        monkeypatch.setattr(cli, "equations_str", counting)
+        text = cli.decompose_report(p.arrangement, dec, "text")
+        assert len(calls) == len(dec.summands) + induced
+        assert text.count("Ind[") > induced

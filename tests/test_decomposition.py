@@ -38,6 +38,7 @@ from helpers import (
     containing_subarrangement,
     decone_by_inverse,
     decone_view_rows,
+    distinct_modules,
     essential_braid,
     generic,
     poset_rows,
@@ -214,6 +215,44 @@ class TestDecomposition:
         decompose_cohomology(build_intersection_poset(braid(5)))
         assert len(decones) > len(set(decones))
         assert len(sums) == len({d for d in decones if d.hyperplanes})
+
+    def test_to_json_has_one_object_per_module(self):
+        """Modules the decone memo shares are shared JSON objects: to_json
+        builds one dict per distinct module object, not one per occurrence."""
+        dec = decompose_cohomology(build_intersection_poset(braid(5)))
+        modules = distinct_modules(s.module for s in dec.summands)
+        objects, occurrences = {}, 0
+        pending = [s["module"] for s in dec.to_json()["summands"]]
+        while pending:
+            obj = pending.pop()
+            occurrences += 1
+            objects[id(obj)] = obj
+            if "parts" in obj:
+                pending.extend(obj["parts"])
+            elif "inner" in obj:
+                pending.append(obj["inner"])
+        assert len(objects) == len(modules) < occurrences
+
+    def test_only_printed_traces_are_solved(self, monkeypatch):
+        """The recursion solves a trace only for view members with positive
+        beta, the ones it prints."""
+        views, traces = [], []
+        view, trace = decomposition.decone_view, decomposition.decone_trace
+
+        def recording_view(*args):
+            views.append(view(*args))
+            return views[-1]
+
+        def counting_trace(*args):
+            traces.append(args)
+            return trace(*args)
+
+        monkeypatch.setattr(decomposition, "decone_view", recording_view)
+        monkeypatch.setattr(decomposition, "decone_trace", counting_trace)
+        decompose_cohomology(build_intersection_poset(generic(8, 3)))
+        betas = [b for rows in views for _, b in rows]
+        assert 0 in betas
+        assert len(traces) == sum(b > 0 for b in betas)
 
     def test_empty_arrangement(self, corpus_posets):
         dec = decompose_cohomology(corpus_posets["empty-c1"])

@@ -11,11 +11,7 @@ from arrcoh.arrangement import build_intersection_poset
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
-    FlatRelation,
-    affine_image,
     as_rational,
-    flat_relation,
-    from_point_and_directions,
     intersect_flats,
     null_space_basis,
     pull_equation,
@@ -24,7 +20,15 @@ from arrcoh.exact_linalg import (
     solve_affine,
     vector,
 )
-from helpers import closure_arrangements, det_cofactor, random_fraction_matrix
+from helpers import (
+    FlatRelation,
+    affine_image,
+    closure_arrangements,
+    det_cofactor,
+    flat_relation,
+    from_point_and_directions,
+    random_fraction_matrix,
+)
 
 F = Fraction
 

@@ -26,7 +26,7 @@ from arrcoh import (
     verify,
 )
 from arrcoh.errors import InputError
-from helpers import corpus_file, load_corpus
+from helpers import chamber_system, corpus_file, load_corpus
 
 MODULES = (arrangement, chambers, decomposition, exact_linalg, invariants, nerve_homology, verify)
 RECORDS = sorted(
@@ -82,7 +82,7 @@ def samples():
                 cli.main([command, corpus_file(name)])
         for a in corpus.values():
             for chamber in chambers.enumerate_chambers(a).chambers:
-                chambers.chamber_bounded(chambers.chamber_system(a, chamber.signs))
+                chambers.chamber_bounded(chamber_system(a, chamber.signs))
     return found
 
 
