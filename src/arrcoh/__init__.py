@@ -52,7 +52,6 @@ from .decomposition import (
     decone,
     decone_flats,
     graded_piece_is_trivial_z,
-    normalize_module_expr,
 )
 from .errors import (
     ArrcohError,

@@ -67,6 +67,9 @@ from .exact_linalg import (
 )
 
 DEFAULT_MAX_HYPERPLANES = 20
+# Coordinates past the rank only add a C^(n - l) factor, yet the poset
+# costs time and memory linear in n.
+MAX_AMBIENT_DIM = 1000
 
 
 @record
@@ -262,6 +265,8 @@ def build_intersection_poset(
         raise ResourceCapError(
             f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}"
         )
+    if a.ambient_dim > MAX_AMBIENT_DIM:
+        raise ResourceCapError(f"dimension {a.ambient_dim} exceeds the cap of {MAX_AMBIENT_DIM}")
     m, n = len(a), a.ambient_dim
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
     # E: row i < m is H_i's equation (a_i, -b_i) in integers, row m the

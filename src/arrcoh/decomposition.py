@@ -21,8 +21,11 @@ beta comes from A's order (`beta_all_flats`); linear algebra only writes
 each trace's canonical equations in the decone's chart.
 
 The recursion returns the module printed for each flat, and a memo maps
-each decone to its normalized module.  Depth and triviality are facts of
-the rank, proved in `decompose_cohomology`.
+each decone to its module, built in normal form (`_decone_sum`): the
+FREE part of the decone's top first, then the INDUCED parts, each repeated
+beta times, ordered by the JSON text of their flat.  Zero parts and empty
+sums cannot occur.  Depth and triviality are facts of the rank, proved in
+`decompose_cohomology`.
 
 The emitted object is symbolic: a tree of module expressions (FREE,
 TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring,
@@ -89,8 +92,6 @@ class Sum:
 
 ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum
 
-ZERO = Free(0)
-
 
 def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> dict:
     """The JSON object of a module, one per module object: `memo` maps id(m) to (m, object)."""
@@ -110,47 +111,6 @@ def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> d
         raise InputError(f"not a module expression: {m!r}")
     memo[id(m)] = (m, obj)
     return obj
-
-
-def _expr_key(m: ModuleExpr) -> tuple[int, str]:
-    kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
-    return (kind_rank[type(m)], json.dumps(module_to_json(m, {}), sort_keys=True))
-
-
-def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
-    """Flatten, drop zeros, merge FREE ranks, sort.  Parts must already be
-    in normal form; they are not normalized again."""
-    flat_parts: list[ModuleExpr] = []
-    for part in parts:
-        if isinstance(part, Sum):
-            flat_parts.extend(part.parts)
-        elif part != ZERO:
-            flat_parts.append(part)
-    free_rank = sum(p.rank for p in flat_parts if isinstance(p, Free))
-    rest = sorted((p for p in flat_parts if not isinstance(p, Free)), key=_expr_key)
-    merged: list[ModuleExpr] = ([Free(free_rank)] if free_rank else []) + rest
-    if not merged:
-        return ZERO
-    if len(merged) == 1:
-        return merged[0]
-    return Sum(tuple(merged))
-
-
-def normalize_module_expr(m: ModuleExpr) -> ModuleExpr:
-    """Canonical form: zero modules and empty sums eliminated, nested
-    sums flattened, FREE parts merged, parts in a deterministic order.
-    Idempotent; expressions are compared for equality only in this form."""
-    if isinstance(m, (Free, TrivialZ)):
-        return m
-    if isinstance(m, TensorTrivial):
-        inner = normalize_module_expr(m.inner)
-        return ZERO if inner == ZERO else TensorTrivial(inner)
-    if isinstance(m, Induced):
-        inner = normalize_module_expr(m.inner)
-        return ZERO if inner == ZERO else Induced(m.flat, inner)
-    if isinstance(m, Sum):
-        return _sum_of_normalized([normalize_module_expr(p) for p in m.parts])
-    raise InputError(f"not a module expression: {m!r}")
 
 
 def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
@@ -353,7 +313,7 @@ def _summand_module(
 ) -> ModuleExpr:
     """The module printed for p's flat y, seen as the flat `trace` of `a`
     with positive beta; p's hyperplane i is a's hyperplane position[i] in
-    a's chart.  `memo` maps each decone to its normalized module."""
+    a's chart.  `memo` maps each decone to its module, in normal form."""
     if trace.is_whole_space:
         return Free(beta)
     g = p.flats[y]
@@ -371,7 +331,7 @@ def _summand_module(
         if deconed.hyperplanes:
             inner_position = {i: j for j, i in enumerate(kept[1:])}
             # Only members with positive beta are printed: only their traces are solved.
-            inner = _sum_of_normalized([
+            inner = _decone_sum([
                 _summand_module(
                     p, deconed, inner_position, z,
                     decone_trace(deconed, inner_position, p.flats[z].containing_hyperplanes),
@@ -384,7 +344,26 @@ def _summand_module(
             # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
             inner = TrivialZ()
         memo[deconed] = inner
-    # Already in normal form: inner is normal and nonzero, and beta
-    # equal parts need no sorting.
     node = Induced(trace, TensorTrivial(inner))
     return node if beta == 1 else Sum((node,) * beta)
+
+
+def _decone_sum(parts: list[ModuleExpr]) -> ModuleExpr:
+    """A decone's module in normal form, from its printed members' modules
+    (`_summand_module`, one per member with beta > 0): the top's FREE
+    first, then every INDUCED node, ordered by the JSON text of its flat.
+
+    The members have distinct containing sets, hence distinct traces, and
+    only the top's trace is the whole chart (Orlik-Terao ch. 1-2): so at
+    most one part is FREE, and no two flats' INDUCED nodes tie.  A flat's
+    JSON text is one complete object, never a prefix of another's, so this
+    is the order of the nodes' own JSON texts.  No part is zero and the sum
+    is not empty: a minimal flat's restriction is empty, with beta 1."""
+
+    def key(m: ModuleExpr) -> str:
+        node = m.parts[0] if isinstance(m, Sum) else m
+        # The empty key puts FREE before every flat's text.
+        return "" if isinstance(node, Free) else json.dumps(node.flat.to_json(), sort_keys=True)
+
+    nodes = [n for m in sorted(parts, key=key) for n in (m.parts if isinstance(m, Sum) else (m,))]
+    return nodes[0] if len(nodes) == 1 else Sum(tuple(nodes))

@@ -9,12 +9,15 @@ the poset's flats by a closure that cuts in `Fraction` row reduction.
 The flat utilities below them (`flat_relation`, `affine_image`,
 `flat_for`) and the Fourier-Motzkin witnesses (`feasible_point`,
 `satisfies`, `chamber_system`) serve only tests, so they live here and
-not in the package.
+not in the package.  So does `normalize_module_expr`, the general normal
+form of a module expression: `decompose_cohomology` builds its modules in
+that form directly, and the tests compare them against it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import pathlib
 import random
 from enum import Enum
@@ -33,7 +36,16 @@ from arrcoh.arrangement import (
 )
 from arrcoh.chambers import LinearSystem, _elimination_levels
 from arrcoh.cli import load_arrangement
-from arrcoh.decomposition import Induced, Sum, TensorTrivial, decone_flats
+from arrcoh.decomposition import (
+    Free,
+    Induced,
+    ModuleExpr,
+    Sum,
+    TensorTrivial,
+    TrivialZ,
+    decone_flats,
+    module_to_json,
+)
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
@@ -380,6 +392,51 @@ def distinct_modules(roots) -> list:
             elif isinstance(m, (TensorTrivial, Induced)):
                 pending.append(m.inner)
     return list(seen.values())
+
+
+ZERO = Free(0)
+
+
+def _expr_key(m: ModuleExpr) -> tuple[int, str]:
+    kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
+    return (kind_rank[type(m)], json.dumps(module_to_json(m, {}), sort_keys=True))
+
+
+def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
+    """Flatten, drop zeros, merge FREE ranks, sort by each part's JSON text."""
+    flat_parts: list[ModuleExpr] = []
+    for part in parts:
+        if isinstance(part, Sum):
+            flat_parts.extend(part.parts)
+        elif part != ZERO:
+            flat_parts.append(part)
+    free_rank = sum(p.rank for p in flat_parts if isinstance(p, Free))
+    rest = sorted((p for p in flat_parts if not isinstance(p, Free)), key=_expr_key)
+    merged: list[ModuleExpr] = ([Free(free_rank)] if free_rank else []) + rest
+    if not merged:
+        return ZERO
+    if len(merged) == 1:
+        return merged[0]
+    return Sum(tuple(merged))
+
+
+def normalize_module_expr(m: ModuleExpr) -> ModuleExpr:
+    """Canonical form of any module expression: zero modules and empty
+    sums eliminated, nested sums flattened, FREE parts merged, the other
+    parts sorted by kind and then by their whole JSON text.  Idempotent.
+    `decompose_cohomology` builds its modules in this form directly, and
+    is compared against it."""
+    if isinstance(m, (Free, TrivialZ)):
+        return m
+    if isinstance(m, TensorTrivial):
+        inner = normalize_module_expr(m.inner)
+        return ZERO if inner == ZERO else TensorTrivial(inner)
+    if isinstance(m, Induced):
+        inner = normalize_module_expr(m.inner)
+        return ZERO if inner == ZERO else Induced(m.flat, inner)
+    if isinstance(m, Sum):
+        return _sum_of_normalized([normalize_module_expr(p) for p in m.parts])
+    raise InputError(f"not a module expression: {m!r}")
 
 
 def poset_rows(p: IntersectionPoset):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcoh import cli, nerve_homology
+from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
 from arrcoh.verify import CheckResult
@@ -146,6 +147,19 @@ class TestExitCodes:
             )
             assert code == 2 and out == "", command
             assert err == "error: 3 hyperplanes exceeds the cap of 2\n", command
+
+    def test_dimension_cap(self, tmp_path, capsys):
+        # 35 bytes that once cost seconds and hundreds of MB, linear in dim.
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 10000000, "hyperplanes": []}')
+        for command in ("poset", "verify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (2, ""), command
+            assert err == f"error: dimension 10000000 exceeds the cap of {MAX_AMBIENT_DIM}\n"
+        path.write_text(json.dumps({"dim": MAX_AMBIENT_DIM, "hyperplanes": []}))
+        for command in ("poset", "verify"):
+            code, _, err = run_cli(capsys, command, str(path))
+            assert (code, err) == (0, ""), command
 
     def test_raised_cap_reaches_every_verify_check(self, tmp_path, capsys):
         # 21 lines y = kx + k^2, then 21 lines y = kx through the origin; the

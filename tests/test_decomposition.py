@@ -27,7 +27,6 @@ from arrcoh.decomposition import (
     decompose_cohomology,
     decone,
     graded_piece_is_trivial_z,
-    normalize_module_expr,
     top_level_free_nodes,
 )
 from arrcoh.errors import InputError
@@ -41,6 +40,7 @@ from helpers import (
     distinct_modules,
     essential_braid,
     generic,
+    normalize_module_expr,
     poset_rows,
     shi,
     small_arrangements,
@@ -197,10 +197,10 @@ class TestDecomposition:
             assert listed == {i: v for i, v in betas.items() if v > 0}, name
 
     def test_repeated_decone_is_a_lookup(self, monkeypatch):
-        """The memo holds each decone's normalized module: only the first
-        occurrence of a nonempty decone sums and sorts its parts."""
+        """The memo holds each decone's module: only the first occurrence
+        of a nonempty decone sums and sorts its parts."""
         decones, sums = [], []
-        pull_back, sum_of_normalized = decomposition._pull_back, decomposition._sum_of_normalized
+        pull_back, decone_sum = decomposition._pull_back, decomposition._decone_sum
 
         def recording_pull_back(normals):
             decones.append(pull_back(normals))
@@ -208,10 +208,10 @@ class TestDecomposition:
 
         def counting_sum(parts):
             sums.append(parts)
-            return sum_of_normalized(parts)
+            return decone_sum(parts)
 
         monkeypatch.setattr(decomposition, "_pull_back", recording_pull_back)
-        monkeypatch.setattr(decomposition, "_sum_of_normalized", counting_sum)
+        monkeypatch.setattr(decomposition, "_decone_sum", counting_sum)
         decompose_cohomology(build_intersection_poset(braid(5)))
         assert len(decones) > len(set(decones))
         assert len(sums) == len({d for d in decones if d.hyperplanes})
@@ -309,11 +309,28 @@ class TestDecomposition:
                     assert contains_tensor_trivial(s.module), (name, s.flat_index)
 
     def test_normalized_modules(self, corpus):
-        # The three families add summands with beta > 1 below the top.
-        families = {"braid-4": braid(4), "shi-3": shi(3), "planes-8": generic(8, 3)}
+        """Each module is built in the form the general normalizer gives.
+        The families add summands with beta > 1 below the top, and decones
+        shared between flats."""
+        families = {
+            "braid-4": braid(4), "braid-5": braid(5), "shi-3": shi(3), "shi-4": shi(4),
+            "essential-braid-5": essential_braid(5), "planes-8": generic(8, 3),
+        }
         for name, a in {**corpus, **families}.items():
             for s in decompose_cohomology(build_intersection_poset(a)).summands:
                 assert normalize_module_expr(s.module) == s.module, name
+
+    def test_no_module_is_serialized(self, monkeypatch):
+        """The parts are ordered by their flats alone: no module is turned
+        into JSON while the decomposition is built."""
+
+        def refuse(*args):
+            raise AssertionError("module_to_json called")
+
+        p = build_intersection_poset(braid(5))
+        expected = decompose_cohomology(p)
+        monkeypatch.setattr(decomposition, "module_to_json", refuse)
+        assert decompose_cohomology(p) == expected
 
     def test_deterministic(self, corpus):
         for name, a in corpus.items():
