@@ -1,77 +1,130 @@
 """The JSON writer behind every `--format json` report.  It is a module of
-its own because compiling it within cli.py raised every command's peak RSS."""
+its own because compiling it within cli.py raised every command's peak RSS.
 
+`write_json` checks the whole value before its first write, so a report
+that cannot be rendered writes nothing.  It then writes the report in
+chunks as it renders, and holds each container reached more than once as
+one rope: its text at indent 0, cut where a shared child sits.  The
+writer's memory grows with the distinct content, not with the printed
+tree, in which the `decompose` memo's modules repeat many times."""
+
+from __future__ import annotations
+
+import sys
+from collections.abc import Callable
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
+# Tokens gathered before `write` is called with their join.
+FLUSH_TOKENS = 1024
 
-def json_blocks(value: object) -> list[str]:
-    """`json.dumps(value, indent=2, sort_keys=True) + "\n"` as blocks to write
-    in order, for dicts with str keys, lists, tuples, str, int, bool and None;
-    a float or any other value raises TypeError.  A nonempty dict or list
-    reached twice (by id(); `value` keeps it alive) is encoded once at indent
-    0 and re-indented at each occurrence: JSON strings hold no raw newline."""
+
+def write_json(value: object, write: Callable[[str], object]) -> None:
+    """Write `json.dumps(value, indent=2, sort_keys=True) + "\n"` through
+    `write`, for dicts with str keys, lists, tuples, str, int, bool and None.
+    Any other value or key raises TypeError, an int longer than
+    `sys.get_int_max_str_digits()` and a cycle raise ValueError, each before
+    the first write.  A nonempty dict or list reached twice (by id(); `value`
+    keeps it alive) is rendered once, at indent 0, and re-indented at each
+    occurrence: JSON strings hold no raw newline."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    too_long = 10**limit if limit else None
     reached: dict[int, int] = {}
+    inside: set[int] = set()
 
     def count(o: dict | list | tuple) -> None:
+        # The sharing pass, which also checks every value the render accepts.
+        if isinstance(o, dict):
+            for k in o:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
         for v in o.values() if isinstance(o, dict) else o:
-            if isinstance(v, (dict, list, tuple)) and v:
-                reached[id(v)] = n = reached.get(id(v), 0) + 1
-                if n == 1:
-                    count(v)
+            if isinstance(v, str):
+                continue
+            if isinstance(v, (dict, list, tuple)):
+                if v:
+                    reached[id(v)] = n = reached.get(id(v), 0) + 1
+                    if n == 1:
+                        inside.add(id(v))
+                        count(v)
+                        inside.discard(id(v))
+                    elif id(v) in inside:
+                        raise ValueError("Circular reference detected")
+            elif isinstance(v, int):  # bool included
+                if too_long is not None and not -too_long < v < too_long:
+                    raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
+            elif v is not None:
+                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
-    texts: dict[int, str] = {}
-    blocks: list[str] = []
-    out: list[str] = []
+    # A token is text, or a reference (rope, spaces): a shared container's
+    # rope, and the spaces of the indent at which it occurs.
+    ropes: dict[int, list] = {}
+    doc: list = []
+    pending: list[str] = []
 
-    def put(v: object, head: str, indent: str) -> None:
+    def put(v: object, head: str, indent: str, out: list) -> None:
         # `indent` is "\n" plus two spaces per level of v.
         if isinstance(v, str):
             out.append(head + encode_basestring_ascii(v))
-        elif isinstance(v, int):  # bool included
+        elif isinstance(v, int):
             out.append(head + ("true" if v is True else "false" if v is False else int.__repr__(v)))
         elif v is None:
             out.append(head + "null")
-        elif not isinstance(v, (dict, list, tuple)):
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
         elif not v:
             out.append(head + ("{}" if isinstance(v, dict) else "[]"))
         elif reached[id(v)] == 1:
             out.append(head)
-            container(v, indent)
+            container(v, indent, out)
         else:
-            if id(v) not in texts:
-                texts[id(v)] = alone(v)
-            out.append(head + texts[id(v)].replace("\n", indent))
+            out.append(head)
+            out.append((rope(v), indent[1:]))
 
-    def container(o: dict | list | tuple, indent: str) -> None:
+    def container(o: dict | list | tuple, indent: str, out: list) -> None:
         inner = indent + "  "
         sep, comma = inner, "," + inner
         if isinstance(o, dict):
             out.append("{")
             for k, v in sorted(o.items()):
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                put(v, sep + encode_basestring_ascii(k) + ": ", inner)
+                put(v, sep + encode_basestring_ascii(k) + ": ", inner, out)
                 sep = comma
             out.append(indent + "}")
         else:
             out.append("[")
             for v in o:
-                put(v, sep, inner)
+                put(v, sep, inner, out)
                 sep = comma
             out.append(indent + "]")
-        if len(out) > 4096:  # join into a block: no list of every token is kept
-            blocks.append("".join(out))
-            out.clear()
+        if out is doc and len(doc) > FLUSH_TOKENS:
+            emit(doc, "\n")
+            doc.clear()
 
-    def alone(o: dict | list | tuple) -> str:
-        nonlocal blocks, out
-        outer, blocks, out = (blocks, out), [], []
-        container(o, "\n")
-        text, (blocks, out) = "".join(blocks) + "".join(out), outer
-        return text
+    def rope(o: dict | list | tuple) -> list:
+        if id(o) not in ropes:
+            tokens: list = []
+            container(o, "\n", tokens)
+            pieces: list = []
+            for text, run in groupby(tokens, key=lambda t: isinstance(t, str)):
+                if text:
+                    pieces.append("".join(run))
+                else:
+                    pieces.extend(run)
+            ropes[id(o)] = pieces
+        return ropes[id(o)]
+
+    def emit(tokens: list, indent: str) -> None:
+        # Tokens rendered at indent "\n", written at `indent`.
+        for t in tokens:
+            if isinstance(t, str):
+                pending.append(t.replace("\n", indent))
+            else:
+                r, spaces = t
+                emit(r, indent + spaces)
+        if len(pending) > FLUSH_TOKENS:
+            write("".join(pending))
+            pending.clear()
 
     count((value,))
-    put(value, "", "\n")
-    blocks.append("".join(out) + "\n")
-    return blocks
+    put(value, "", "\n", doc)
+    emit(doc, "\n")
+    pending.append("\n")
+    write("".join(pending))

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._writer import json_blocks
+from ._writer import write_json
 from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
@@ -319,8 +319,10 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if output_format == "json":
-        # Rendered in full before the first write, so stdout gets all or nothing.
-        sys.stdout.writelines(json_blocks(out))
+        # Every value is checked before the first write, so a report that
+        # cannot be rendered writes nothing.  The report is then written in
+        # chunks as it renders, each shared module held once.
+        write_json(out, sys.stdout.write)
     else:
         print(out)
     return 0 if verify_ok else 3

@@ -7,12 +7,14 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh import cli, nerve_homology
+from arrcoh import _writer, cli, nerve_homology
 from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
@@ -642,18 +644,56 @@ def json_values_with_sharing(draw):
     return {"a": shared, "b": [tree, (shared, {"\x00é": shared})], "c": [[[shared]]]}
 
 
+def written(value: object) -> str:
+    parts: list[str] = []
+    cli.write_json(value, parts.append)
+    return "".join(parts)
+
+
+@st.composite
+def json_values_with_nested_sharing(draw):
+    """Two shared containers, one holding the other, each reached directly
+    under the document's root and again a drawn number of levels down."""
+    inner = [draw(json_trees(json_scalars))]
+    outer = {"inner": inner, "tree": draw(json_trees(json_scalars | st.just(inner)))}
+
+    def nested(shared):
+        for _ in range(draw(st.integers(1, 6))):
+            shared = [shared] if draw(st.booleans()) else {"k": shared}
+        return shared
+
+    return [inner, outer, nested(outer), nested(inner), {"both": (outer, inner)}]
+
+
+def cyclic_list() -> list:
+    cycle: list = []
+    cycle.append(cycle)
+    return cycle
+
+
 class TestJsonBlocks:
     @given(json_values_with_sharing())
     @settings(max_examples=200, deadline=None)
     def test_equals_json_dumps(self, value):
         expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
-        assert "".join(cli.json_blocks(value)) == expected
+        assert written(value) == expected
 
     @given(json_trees(json_scalars))
     @settings(max_examples=100, deadline=None)
     def test_equals_json_dumps_without_sharing(self, value):
         expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
-        assert "".join(cli.json_blocks(value)) == expected
+        assert written(value) == expected
+
+    @given(json_values_with_nested_sharing())
+    @settings(max_examples=200, deadline=None)
+    def test_nested_sharing_equals_json_dumps(self, value):
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @given(json_values_with_nested_sharing())
+    @settings(max_examples=100, deadline=None)
+    def test_nested_sharing_written_one_token_at_a_time(self, value):
+        with mock.patch.object(_writer, "FLUSH_TOKENS", 1):
+            assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     def test_unsupported_value_writes_nothing(self, capsys, monkeypatch):
         # Enough chunks before the float that some are already joined into
@@ -666,7 +706,48 @@ class TestJsonBlocks:
 
     def test_non_string_key_is_type_error(self):
         with pytest.raises(TypeError):
-            cli.json_blocks({1: "a"})
+            cli.write_json({1: "a"}, [].append)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (1.5, TypeError),
+            ({1: "a"}, TypeError),
+            (10 ** sys.get_int_max_str_digits(), ValueError),
+            (cyclic_list(), ValueError),
+        ],
+        ids=["float", "non-str-key", "int-past-digit-limit", "cycle"],
+    )
+    def test_invalid_value_after_chunks_writes_nothing(self, bad, error):
+        # Sorted keys put "b" after more than one chunk's worth of "a".
+        report = {"a": [{"n": i} for i in range(2 * _writer.FLUSH_TOKENS)], "b": [bad]}
+        calls = []
+        with pytest.raises(error):
+            cli.write_json(report, calls.append)
+        assert calls == []
+
+    def test_int_at_digit_limit_is_written(self):
+        value = [-(10 ** sys.get_int_max_str_digits() - 1)]
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_memory_below_characters_written(self):
+        # The printed tree repeats the decone memo's shared modules; the
+        # writer holds each once, and its own output only a chunk at a time.
+        p = cli.build_intersection_poset(braid(6))
+        report = cli.decompose_report(p.arrangement, cli.decompose_cohomology(p), "json")
+        size = 0
+
+        def discard(text):
+            nonlocal size
+            size += len(text)
+
+        tracemalloc.start()
+        try:
+            cli.write_json(report, discard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
 
     def test_decompose_text_renders_each_module_once(self, monkeypatch):
         # A distinct INDUCED object writes its flat's equations once, though
