@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._writer import write_json
+from . import _writer, chambers, decomposition, invariants, nerve_homology, verify
 from .arrangement import (
     DEFAULT_MAX_HYPERPLANES,
     Arrangement,
@@ -24,31 +24,11 @@ from .arrangement import (
     build_intersection_poset,
     validate_arrangement,
 )
-from .chambers import enumerate_chambers
-from .decomposition import (
-    DUALITY_NOTE,
-    L2_NOTE,
-    Free,
-    GradedDecomposition,
-    Induced,
-    ModuleExpr,
-    Sum,
-    TensorTrivial,
-    TrivialZ,
-    decompose_cohomology,
-    graded_piece_is_trivial_z,
-)
 from .errors import InputError, ResourceCapError
 from .exact_linalg import AffineSubspace, rational_str
-from .invariants import (
-    beta_all_flats,
-    characteristic_polynomial,
-    euler_complement,
-    mobius_from_top,
-    poincare_polynomial,
-)
-from .nerve_homology import DEFAULT_NERVE_ORACLE_CAP, sigma_wedge_check
-from .verify import run_all_checks
+
+# The layers imported from `.` load on first use (`arrcoh/__init__.py`), so
+# each command executes only those it reads a name from.
 
 COMMANDS = ("poset", "invariants", "beta", "nerve", "chambers", "decompose", "verify")
 
@@ -78,19 +58,21 @@ def equations_str(s: AffineSubspace) -> str:
     return ", ".join(parts)
 
 
-def module_str(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, str]]) -> str:
+def module_str(
+    m: decomposition.ModuleExpr, memo: dict[int, tuple[decomposition.ModuleExpr, str]]
+) -> str:
     """The text of a module, once per module object: `memo` maps id(m) to (m, text)."""
     if id(m) in memo:
         return memo[id(m)][1]
-    if isinstance(m, Free):
+    if isinstance(m, decomposition.Free):
         text = f"(Zpi)^{m.rank}"
-    elif isinstance(m, TrivialZ):
+    elif isinstance(m, decomposition.TrivialZ):
         text = "Z"
-    elif isinstance(m, TensorTrivial):
+    elif isinstance(m, decomposition.TensorTrivial):
         text = f"({module_str(m.inner, memo)} (x) Z[triv])"
-    elif isinstance(m, Induced):
+    elif isinstance(m, decomposition.Induced):
         text = f"Ind[{equations_str(m.flat)}]({module_str(m.inner, memo)})"
-    elif isinstance(m, Sum):
+    elif isinstance(m, decomposition.Sum):
         text = "(" + " (+) ".join(module_str(p, memo) for p in m.parts) + ")"
     else:
         raise InputError(f"not a module expression: {m!r}")
@@ -141,10 +123,10 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
 
 
 def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
-    mu = mobius_from_top(p)
-    chi = characteristic_polynomial(p)
-    pi = poincare_polynomial(p)
-    euler = euler_complement(p)
+    mu = invariants.mobius_from_top(p)
+    chi = invariants.characteristic_polynomial(p)
+    pi = invariants.poincare_polynomial(p)
+    euler = invariants.euler_complement(p)
     # Written in both formats, so that a flat whose equations are too long
     # to print exits 2 whatever the format.
     equations = [equations_str(f.subspace) for f in p.flats]
@@ -167,7 +149,7 @@ def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | 
 
 
 def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
-    values = beta_all_flats(p)
+    values = invariants.beta_all_flats(p)
     # Written in both formats, as in `invariants_report`.
     equations = [equations_str(b.flat.subspace) for b in values]
     if fmt == "json":
@@ -187,7 +169,7 @@ def beta_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
 
 
 def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
-    wedge = sigma_wedge_check(p)
+    wedge = nerve_homology.sigma_wedge_check(p)
     nerve = wedge.nerve
     hom = wedge.homology
     counts = [len(nerve.simplices_of_dim(d)) for d in range(nerve.max_dim + 1)]
@@ -217,7 +199,7 @@ def nerve_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
 
 
 def chambers_report(a: Arrangement, fmt: str) -> dict | str:
-    report = enumerate_chambers(a)
+    report = chambers.enumerate_chambers(a)
     if fmt == "json":
         return report.to_json()
     lines = [f"chambers: {report.total} total, {report.bounded} bounded"]
@@ -226,7 +208,9 @@ def chambers_report(a: Arrangement, fmt: str) -> dict | str:
     return "\n".join(lines)
 
 
-def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> dict | str:
+def decompose_report(
+    a: Arrangement, dec: decomposition.GradedDecomposition, fmt: str
+) -> dict | str:
     if fmt == "json":
         return dec.to_json()
     lines = [
@@ -234,14 +218,14 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> dict
         f"hyperplanes in C^{a.ambient_dim}",
         f"concentrated in degree {dec.concentration_degree}; free rank {dec.free_rank}",
     ]
-    if graded_piece_is_trivial_z(dec):
+    if decomposition.graded_piece_is_trivial_z(dec):
         lines.append(f"H^{dec.concentration_degree} = Z (trivial module)")
     lines += [
-        f"note: {L2_NOTE}",
-        f"note: {DUALITY_NOTE}",
+        f"note: {decomposition.L2_NOTE}",
+        f"note: {decomposition.DUALITY_NOTE}",
         "summands (one per flat with positive beta):",
     ]
-    memo: dict[int, tuple[ModuleExpr, str]] = {}
+    memo: dict[int, tuple[decomposition.ModuleExpr, str]] = {}
     for s in dec.summands:
         suffix = "  = trivial module Z" if s.is_trivial_z else ""
         lines.append(
@@ -252,7 +236,7 @@ def decompose_report(a: Arrangement, dec: GradedDecomposition, fmt: str) -> dict
 
 
 def verify_report(a: Arrangement, max_hyperplanes: int, fmt: str) -> tuple[dict | str, bool]:
-    results = run_all_checks(a, max_hyperplanes=max_hyperplanes)
+    results = verify.run_all_checks(a, max_hyperplanes=max_hyperplanes)
     ok = all(r.passed for r in results)
     if fmt == "json":
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
@@ -286,10 +270,11 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
     """Dispatch a command; prints the report and returns the exit code."""
     try:
         a = load_arrangement(input_path)
-        if command == "nerve" and len(a) > DEFAULT_NERVE_ORACLE_CAP:
+        if command == "nerve" and len(a) > nerve_homology.DEFAULT_NERVE_ORACLE_CAP:
             # Checked before the poset: nerve homology grows like 2^|A|.
             raise ResourceCapError(
-                f"{len(a)} hyperplanes exceeds the oracle cap of {DEFAULT_NERVE_ORACLE_CAP}"
+                f"{len(a)} hyperplanes exceeds the oracle cap of "
+                f"{nerve_homology.DEFAULT_NERVE_ORACLE_CAP}"
             )
         if len(a) > max_hyperplanes:  # every command, `chambers` included
             raise ResourceCapError(f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}")
@@ -309,7 +294,7 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
             elif command == "nerve":
                 out = nerve_report(a, p, output_format)
             elif command == "decompose":
-                out = decompose_report(a, decompose_cohomology(p), output_format)
+                out = decompose_report(a, decomposition.decompose_cohomology(p), output_format)
             else:
                 raise InputError(f"unknown command {command!r}")
     except InputError as exc:
@@ -322,7 +307,7 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
         # Every value is checked before the first write, so a report that
         # cannot be rendered writes nothing.  The report is then written in
         # chunks as it renders, each shared module held once.
-        write_json(out, sys.stdout.write)
+        _writer.write_json(out, sys.stdout.write)
     else:
         print(out)
     return 0 if verify_ok else 3

@@ -21,7 +21,8 @@ beta comes from A's order (`beta_all_flats`); linear algebra only writes
 each trace's canonical equations in the decone's chart.
 
 The recursion returns the module printed for each flat, and a memo maps
-each decone to its module, built in normal form (`_decone_sum`): the
+each decone to its module, looked up first by the normals the decone is
+pulled back from, and built in normal form (`_decone_sum`): the
 FREE part of the decone's top first, then the INDUCED parts, each repeated
 beta times, ordered by the JSON text of their flat.  Zero parts and empty
 sums cannot occur.  Depth and triviality are facts of the rank, proved in
@@ -292,11 +293,14 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     """
     a = p.arrangement
     betas = beta_all_flats(p)
+    front: dict[tuple[Vector, ...], ModuleExpr] = {}
     memo: dict[Arrangement, ModuleExpr] = {}
     summands = []
     for f, b in zip(p.flats, betas):
         if b.value:
-            module = _summand_module(p, a, range(len(a)), f.index, f.subspace, b.value, memo)
+            module = _summand_module(
+                p, a, range(len(a)), f.index, f.subspace, b.value, front, memo
+            )
             trivial = len(f.containing_hyperplanes) == len(a) == f.codim
             summands.append(Summand(f.index, f.subspace, b.value, module, trivial))
     return GradedDecomposition(p.rank_l, tuple(summands), free_rank=betas[0].value)
@@ -309,41 +313,47 @@ def _summand_module(
     y: int,
     trace: AffineSubspace,
     beta: int,
+    front: dict[tuple[Vector, ...], ModuleExpr],
     memo: dict[Arrangement, ModuleExpr],
 ) -> ModuleExpr:
     """The module printed for p's flat y, seen as the flat `trace` of `a`
     with positive beta; p's hyperplane i is a's hyperplane position[i] in
-    a's chart.  `memo` maps each decone to its module, in normal form."""
+    a's chart.  `memo` maps each decone to its module, in normal form, and
+    `front` maps the normals a decone is pulled back from to the same module."""
     if trace.is_whole_space:
         return Free(beta)
     g = p.flats[y]
     kept = sorted(g.containing_hyperplanes)
     # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first.
     pivots = trace.pivot_columns()
-    deconed = _pull_back(
-        [tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept]
-    )
-    # Keyed by the decone, not by G: charts depend on the path, and the
-    # INDUCED flats are printed in each chart, so one G can stand for
-    # several distinct decones.
-    inner = memo.get(deconed)
+    normals = tuple(tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept)
+    # The decone is a function of these normals, so a repeated tuple skips
+    # the pull-back.
+    inner = front.get(normals)
     if inner is None:
-        if deconed.hyperplanes:
-            inner_position = {i: j for j, i in enumerate(kept[1:])}
-            # Only members with positive beta are printed: only their traces are solved.
-            inner = _decone_sum([
-                _summand_module(
-                    p, deconed, inner_position, z,
-                    decone_trace(deconed, inner_position, p.flats[z].containing_hyperplanes),
-                    z_beta, memo,
-                )
-                for z, z_beta in decone_view(p, g, 0)
-                if z_beta
-            ])
-        else:
-            # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
-            inner = TrivialZ()
-        memo[deconed] = inner
+        deconed = _pull_back(normals)
+        # Keyed by the decone, not by G: charts depend on the path, and the
+        # INDUCED flats are printed in each chart, so one G can stand for
+        # several distinct decones.
+        inner = memo.get(deconed)
+        if inner is None:
+            if deconed.hyperplanes:
+                inner_position = {i: j for j, i in enumerate(kept[1:])}
+                # Only members with positive beta are printed: only their traces are solved.
+                inner = _decone_sum([
+                    _summand_module(
+                        p, deconed, inner_position, z,
+                        decone_trace(deconed, inner_position, p.flats[z].containing_hyperplanes),
+                        z_beta, front, memo,
+                    )
+                    for z, z_beta in decone_view(p, g, 0)
+                    if z_beta
+                ])
+            else:
+                # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
+                inner = TrivialZ()
+            memo[deconed] = inner
+        front[normals] = inner
     node = Induced(trace, TensorTrivial(inner))
     return node if beta == 1 else Sum((node,) * beta)
 

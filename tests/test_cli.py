@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh import _writer, cli, nerve_homology
+import arrcoh
+from arrcoh import _writer, cli, decomposition, nerve_homology, verify
 from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
@@ -215,7 +216,7 @@ class TestExitCodes:
         # The battery has no honest failure on valid corpus input, so fake one
         # to pin the exit-code wiring.
         monkeypatch.setattr(
-            cli,
+            verify,
             "run_all_checks",
             lambda a, max_hyperplanes=20: [CheckResult("stub", False, "forced")],
         )
@@ -620,6 +621,127 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+def run_fresh(probe: str, *argv: str) -> str:
+    """Stdout of `probe` run in a fresh `python -S` process on the source tree."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return done.stdout
+
+
+# Runs one command in text, then in JSON, and prints the arrcoh module
+# bodies executed after each.  An `exec` audit event fires for every module
+# body, compiled from source or read from a cached .pyc alike.
+EXECUTED_PROBE = """
+import contextlib, io, json, os, sys
+executed = set()
+
+def hook(event, args):
+    name = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.sep + "arrcoh" + os.sep in name:
+        executed.add(os.path.basename(name).removesuffix(".py"))
+
+sys.addaudithook(hook)
+from arrcoh.cli import main
+after = []
+for fmt in ("text", "json"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([sys.argv[1], sys.argv[2], "--format", fmt])
+    after.append(sorted(executed))
+print(json.dumps(after))
+"""
+
+# command: (the layer it runs, the layers it must not execute)
+COMMAND_LAYERS = {
+    "poset": (
+        "arrangement", {"invariants", "nerve_homology", "chambers", "decomposition", "verify"}
+    ),
+    "invariants": ("invariants", {"nerve_homology", "chambers", "decomposition", "verify"}),
+    "beta": ("invariants", {"nerve_homology", "chambers", "decomposition", "verify"}),
+    "nerve": ("nerve_homology", {"chambers", "decomposition", "verify"}),
+    "chambers": ("chambers", {"decomposition", "nerve_homology", "verify"}),
+    "decompose": ("decomposition", {"chambers", "nerve_homology", "verify"}),
+    "verify": ("verify", set()),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_command_executes_only_its_layers(command):
+    """Start-up: a command executes the bodies of the layers it runs and
+    no others, and the JSON writer only for `--format json`."""
+    layer, excluded = COMMAND_LAYERS[command]
+    text, both = json.loads(run_fresh(EXECUTED_PROBE, command, corpus_file("generic4-c2")))
+    assert layer in text and "_writer" not in text
+    assert "_writer" in both and not excluded & set(both)
+
+
+# Eight threads read a name of one layer at once, its first reads in a
+# fresh process, with the switch interval cut so that they interleave.
+# Prints the threads still alive and the reads that failed.
+THREADED_PROBE = """
+import sys, threading
+import arrcoh
+
+sys.setswitchinterval(1e-6)
+barrier, failed = threading.Barrier(8), []
+
+def read():
+    barrier.wait()
+    try:
+        arrcoh.verify.run_all_checks
+    except AttributeError as exc:
+        failed.append(exc)
+
+threads = [threading.Thread(target=read) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(sum(thread.is_alive() for thread in threads), len(failed))
+"""
+
+
+def test_threads_wait_while_another_loads_a_layer():
+    assert run_fresh(THREADED_PROBE) == "0 0\n"
+
+
+# `arrcoh.__all__` as it stood when it was derived from `dir()`.
+PUBLIC_NAMES = [
+    "AffineSubspace", "Arrangement", "ArrcohError", "BetaValue", "Chamber",
+    "ChamberReport", "Constraint", "Flat", "Free", "GradedDecomposition",
+    "HomologyResult", "Hyperplane", "Induced", "InputError", "IntPolynomial",
+    "InternalConsistencyError", "IntersectionPoset", "LinearSystem", "ModuleExpr",
+    "Rational", "ResourceCapError", "SimplicialComplex", "Sum", "Summand",
+    "TensorTrivial", "TrivialZ", "WedgeCheck", "arrangement", "arrangement_from_coeffs",
+    "as_rational", "beta_all_flats", "beta_combinatorial", "build_intersection_poset",
+    "build_singular_nerve", "chamber_bounded", "chambers", "characteristic_polynomial",
+    "decompose_cohomology", "decomposition", "decone", "decone_flats",
+    "enumerate_chambers", "errors", "essentialize", "essentialize_with_chart",
+    "euler_complement", "exact_linalg", "fm_feasible", "graded_piece_is_trivial_z",
+    "intersect_flats", "invariants", "mobius_from_top", "nerve_homology",
+    "poincare_polynomial", "poset_subspaces_bruteforce", "rational_str",
+    "restriction_to", "rref", "sigma_wedge_check", "simplicial_homology",
+    "smith_normal_form", "solve_affine", "subarrangement_at", "validate_arrangement",
+]
+
+
+def test_all_names_the_public_api():
+    assert sorted(arrcoh.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        getattr(arrcoh, name)
+    assert arrcoh.decone is decomposition.decone
+    assert set(PUBLIC_NAMES) <= set(dir(arrcoh))
+    assert not hasattr(arrcoh, "no_such_name")
+
+
+def test_star_import_binds_all_in_a_fresh_process():
+    probe = "from arrcoh import *; import arrcoh; print(sorted(set(arrcoh.__all__) - set(dir())))"
+    assert run_fresh(probe) == "[]\n"
+
+
 # Every kind of value the writer accepts: ints of any size next to bools,
 # any text (non-ASCII and control characters included), lists, tuples,
 # empty containers and dicts keyed by any text.
@@ -646,7 +768,7 @@ def json_values_with_sharing(draw):
 
 def written(value: object) -> str:
     parts: list[str] = []
-    cli.write_json(value, parts.append)
+    _writer.write_json(value, parts.append)
     return "".join(parts)
 
 
@@ -706,7 +828,7 @@ class TestJsonBlocks:
 
     def test_non_string_key_is_type_error(self):
         with pytest.raises(TypeError):
-            cli.write_json({1: "a"}, [].append)
+            _writer.write_json({1: "a"}, [].append)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -723,7 +845,7 @@ class TestJsonBlocks:
         report = {"a": [{"n": i} for i in range(2 * _writer.FLUSH_TOKENS)], "b": [bad]}
         calls = []
         with pytest.raises(error):
-            cli.write_json(report, calls.append)
+            _writer.write_json(report, calls.append)
         assert calls == []
 
     def test_int_at_digit_limit_is_written(self):
@@ -734,7 +856,7 @@ class TestJsonBlocks:
         # The printed tree repeats the decone memo's shared modules; the
         # writer holds each once, and its own output only a chunk at a time.
         p = cli.build_intersection_poset(braid(6))
-        report = cli.decompose_report(p.arrangement, cli.decompose_cohomology(p), "json")
+        report = cli.decompose_report(p.arrangement, decomposition.decompose_cohomology(p), "json")
         size = 0
 
         def discard(text):
@@ -743,7 +865,7 @@ class TestJsonBlocks:
 
         tracemalloc.start()
         try:
-            cli.write_json(report, discard)
+            _writer.write_json(report, discard)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -753,9 +875,9 @@ class TestJsonBlocks:
         # A distinct INDUCED object writes its flat's equations once, though
         # the text repeats them at each of its occurrences.
         p = cli.build_intersection_poset(braid(5))
-        dec = cli.decompose_cohomology(p)
+        dec = decomposition.decompose_cohomology(p)
         modules = distinct_modules(s.module for s in dec.summands)
-        induced = sum(isinstance(m, cli.Induced) for m in modules)
+        induced = sum(isinstance(m, decomposition.Induced) for m in modules)
         calls = []
         equations_str = cli.equations_str
 

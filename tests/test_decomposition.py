@@ -216,6 +216,27 @@ class TestDecomposition:
         assert len(decones) > len(set(decones))
         assert len(sums) == len({d for d in decones if d.hyperplanes})
 
+    def test_pull_back_once_per_normals(self, monkeypatch):
+        """The memo is looked up first by A_G's normals in G's pivot
+        coordinates: the pull-back runs once per distinct tuple, fewer times
+        than the recursion meets a decone."""
+        keys, lookups = [], 0
+        pull_back, summand_module = decomposition._pull_back, decomposition._summand_module
+
+        def recording_pull_back(normals):
+            keys.append(tuple(normals))
+            return pull_back(normals)
+
+        def counting_summand_module(p, a, position, y, trace, *rest):
+            nonlocal lookups
+            lookups += not trace.is_whole_space
+            return summand_module(p, a, position, y, trace, *rest)
+
+        monkeypatch.setattr(decomposition, "_pull_back", recording_pull_back)
+        monkeypatch.setattr(decomposition, "_summand_module", counting_summand_module)
+        decompose_cohomology(build_intersection_poset(braid(5)))
+        assert len(keys) == len(set(keys)) < lookups
+
     def test_to_json_has_one_object_per_module(self):
         """Modules the decone memo shares are shared JSON objects: to_json
         builds one dict per distinct module object, not one per occurrence."""
