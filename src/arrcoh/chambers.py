@@ -1,13 +1,13 @@
-"""Real-geometry oracle: chambers of the realified arrangement.
+"""Real-geometry oracle: faces and chambers of the realified arrangement.
 
-A chamber is a sign vector s in {+,-}^|A| whose open region
-{x : sign(a_i.x - b_i) = s_i for all i} is nonempty.  Chambers are found
-by deletion-restriction (Zaslavsky 1975; Orlik-Terao ch. 2): the
-hyperplanes are added in input order, each region keeps one rational
-interior witness, and H_k splits exactly the regions that some chamber
-of the restriction to H_k meets; those chambers come from the same
-routine one dimension down.  Boundedness needs no solver: when the
-normals have full rank, a chamber is unbounded iff one of the finitely
+A face of A is a nonempty set {x : sign(a_i.x - b_i) = s_i for all i},
+s in {+,0,-}^|A|.  Its affine hull is the flat G where s is 0, and the
+faces with hull G are exactly the chambers of the restriction A∩G
+(Zaslavsky 1975; Orlik-Terao ch. 2); A's chambers have hull the whole
+space.  So one list of A's faces answers every flat: `list_faces` builds
+it bottom-up over the intersection poset from integer homogeneous
+witnesses, whose signs come from A's integer rows.  Boundedness needs no
+solver: when A is essential, a face is unbounded iff one of the finitely
 many candidate extreme rays of the recession cones (+-d, d spanning the
 null space of n - 1 independent normals) keeps its signs.
 
@@ -18,29 +18,24 @@ bounded iff its recession cone is {0}).  They are the single-system
 reference the enumeration is tested against, and are not on its path.
 
 For an essential arrangement defined over the reals the bounded-chamber
-count is a classical third route to the beta invariant of the whole
-arrangement; it is wired as a cross-check elsewhere, never as the
-definition.
+count of A∩G is a classical third route to beta(A∩G); `verify` reads it
+off the face list as a cross-check, never as the definition.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .arrangement import Arrangement, Hyperplane
-from .errors import InputError, ResourceCapError
-from .exact_linalg import (
-    Vector,
-    as_rational,
-    dot,
-    null_space_basis,
-    pull_equation,
-    rref,
-    vector,
+from .arrangement import (
+    Arrangement,
+    IntersectionPoset,
+    _integer_multiple,
+    build_intersection_poset,
 )
+from .errors import InputError, ResourceCapError
+from .exact_linalg import Vector, as_rational, vector
 
 MAX_FM_DIM = 6
 MAX_FM_CONSTRAINTS = 24
@@ -228,96 +223,85 @@ class ChamberReport:
         }
 
 
-def _restriction_points(
-    rows: Sequence[tuple[Vector, Fraction]], normal: Vector, offset: Fraction
-) -> list[Vector]:
-    """A point of every region of `rows` cut down to {normal.x = offset}.
+Signs = tuple[int, int]  # masks of the hyperplanes with a.x > b and with a.x < b
+Faces = dict[Signs, tuple[tuple[int, ...], tuple[int, ...]]]
 
-    Every row is canonically scaled (lead 1), so the hyperplane's one-row
-    system is its canonical form, charted by its free columns: all but
-    its first nonzero coordinate p.  Hyperplanes parallel to it leave no
-    trace; traces that coincide are merged, so the restriction is again a
-    set of distinct, canonically scaled hyperplanes, one dimension down.
+
+def _signs(values: Sequence[int]) -> Signs:
+    return (sum(1 << i for i, v in enumerate(values) if v > 0),
+            sum(1 << i for i, v in enumerate(values) if v < 0))
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def list_faces(
+    p: IntersectionPoset, members: Iterable[int]
+) -> tuple[dict[int, Faces], set[Signs]]:
+    """The faces of A whose affine hull is G, for each flat G of the
+    down-set `members` (the chambers of A∩G), and the signs of the
+    candidate extreme rays of their recession cones.
+
+    A face is keyed by its signs and holds an integer homogeneous witness
+    w = (y, t), t > 0, of the point y / t, with its values r.w on A's
+    integer rows r = (a, -b), whose signs are those of a.x - b.  A minimal
+    flat is one face.  Otherwise each chamber of A∩G has a facet, a face
+    of some K covered by G, so the flats are visited by ascending
+    dimension, and each face w of K steps to s w +- (v, 0), where v is a
+    direction of G but not of K and s > |r.v| / |r.w| wherever r.w != 0,
+    so no sign of w changes.
+
+    A face is unbounded iff a ray of its recession cone keeps its signs.
+    If A is not essential, every face holds a line, with signs (0, 0).
+    Otherwise the cone of a face with hull G is pointed, so it is nonzero
+    iff it has an extreme ray, cut out by n - 1 independent normals,
+    C(G)'s and the tight ones: it is +-v for v the direction of the line
+    they cut out, a flat of `members` below G.
     """
-    flat = Hyperplane(normal, offset).subspace()
-    traces: dict[tuple[Vector, Fraction], None] = {}
-    for a, b in rows:
-        trace, const = pull_equation(flat, a, b)
-        lead = next((c for c in trace if c != 0), None)
-        if lead is not None:
-            if lead != 1:
-                trace, const = tuple(c / lead for c in trace), const / lead
-            traces.setdefault((trace, const))
-    # Lift y to x_p = offset - sum over the free columns of normal_i y_i.
-    p = flat.pivot_columns()[0]
-    rest = [(c, i - (i > p)) for i, c in enumerate(normal) if c != 0 and i != p]
-    points = []
-    for y in _region_witnesses(list(traces), flat.dim).values():
-        x_p = offset - sum((c * y[j] for c, j in rest), Fraction(0))
-        points.append(y[:p] + (x_p,) + y[p:])
-    return points
-
-
-def _region_witnesses(rows: Sequence[tuple[Vector, Fraction]], n: int) -> dict[str, Vector]:
-    """An interior rational point of every region of the real arrangement
-    `rows` (distinct hyperplanes a.x = b in Q^n), keyed by sign vector.
-
-    Deletion-restriction: H_k splits exactly the regions that meet it,
-    and those are the regions holding a point of some region of the
-    restriction to H_k.  Each such point x on H_k gives the two new
-    witnesses x +- delta a_k, with delta short enough not to reach any
-    earlier hyperplane.  A region that H_k does not split keeps its
-    witness, which then lies off H_k.
-    """
-    regions: dict[str, Vector] = {"": (Fraction(0),) * n}
-    for k, (a_k, b_k) in enumerate(rows):
-        earlier = rows[:k]
-        slopes = [dot(a, a_k) for a, _ in earlier]
-        split: dict[str, Vector] = {}
-        for x in _restriction_points(earlier, a_k, b_k):
-            values = [dot(a, x) - b for a, b in earlier]
-            signs = "".join("+" if v > 0 else "-" for v in values)
-            reach = [abs(v / slope) for v, slope in zip(values, slopes) if slope != 0]
-            delta = min(reach) / 2 if reach else Fraction(1)
-            split[signs + "+"] = tuple(v + delta * c for v, c in zip(x, a_k))
-            split[signs + "-"] = tuple(v - delta * c for v, c in zip(x, a_k))
-        regions = {
-            signs + ("+" if dot(a_k, w) > b_k else "-"): w
-            for signs, w in regions.items()
-            if signs + "+" not in split
-        } | split
-    return regions
-
-
-def _recession_rays(normals: Sequence[Vector], n: int) -> set[tuple[int, int]] | None:
-    """The candidate extreme rays of every chamber's recession cone, as
-    (mask of i with a_i.d > 0, mask of i with a_i.d < 0); None when the
-    normals have rank < n, so that every chamber holds a line.
-
-    With rank n each recession cone {d : s_i a_i.d >= 0} is pointed, so
-    it is nonzero iff it has an extreme ray; such a ray is cut out by
-    n - 1 independent tight constraints, hence is +-d for d spanning the
-    null space of n - 1 independent normals.
-    """
-    distinct = list(dict.fromkeys(normals))
-    if len(rref(distinct, n)[1]) < n:
-        return None
-    rays: set[tuple[int, int]] = set()
-    for subset in itertools.combinations(distinct, n - 1) if n else ():  # Q^0 is a point
-        basis = null_space_basis(subset, n)
-        if len(basis) != 1:
+    rows = [_integer_multiple(h.normal + (-h.offset,)) for h in p.arrangement.hyperplanes]
+    faces: dict[int, Faces] = {}
+    rays = {(0, 0)} if p.n0 else set()
+    for g in sorted(members, key=lambda i: p.flats[i].dim):
+        flat = p.flats[g]
+        point, basis = flat.subspace.parametrize()
+        if not p.covers[g]:
+            w = _integer_multiple(point + (Fraction(1),))
+            values = tuple(_dot(r, w) for r in rows)
+            faces[g] = {_signs(values): (w, values)}
             continue
-        for d in (basis[0], tuple(-c for c in basis[0])):
-            values = [dot(a, d) for a in normals]
-            rays.add((
-                sum(1 << i for i, v in enumerate(values) if v > 0),
-                sum(1 << i for i, v in enumerate(values) if v < 0),
-            ))
-    return rays
+        directions = [_integer_multiple(d) for d in basis]
+        found: Faces = {}
+        for k in p.covers[g]:
+            # K = G ∩ H_h, so a.v != 0 for a direction v of G exactly when
+            # v is not a direction of K.
+            h = min(p.flats[k].containing_hyperplanes - flat.containing_hyperplanes)
+            v = next(d for d in directions if _dot(rows[h], d)) + (0,)
+            slopes = [_dot(r, v) for r in rows]
+            if flat.dim == 1:
+                up, down = _signs(slopes)
+                rays |= {(up, down), (down, up)}
+            for w, values in faces[k].values():
+                s = 1 + max((abs(c) // abs(x) for c, x in zip(slopes, values) if x), default=0)
+                for side in (1, -1):
+                    stepped = tuple(s * x + side * c for x, c in zip(values, slopes))
+                    signs = _signs(stepped)
+                    if signs not in found:
+                        found[signs] = (tuple(s * x + side * c for x, c in zip(w, v)), stepped)
+        faces[g] = found
+    return faces, rays
+
+
+def is_bounded(signs: Signs, rays: Iterable[Signs]) -> bool:
+    """Whether the face with these signs is bounded: no ray of
+    `list_faces` has each nonzero sign equal to the face's."""
+    plus, minus = signs
+    return not any(up & ~plus == 0 and down & ~minus == 0 for up, down in rays)
 
 
 def enumerate_chambers(a: Arrangement) -> ChamberReport:
-    """All feasible sign vectors of the real arrangement, with boundedness."""
+    """All feasible sign vectors of the real arrangement, with boundedness:
+    the faces of A whose hull is the whole space."""
     m = len(a)
     if m > MAX_CHAMBER_HYPERPLANES:
         raise ResourceCapError(
@@ -325,14 +309,12 @@ def enumerate_chambers(a: Arrangement) -> ChamberReport:
         )
     if a.ambient_dim > MAX_FM_DIM:
         raise ResourceCapError(f"dimension {a.ambient_dim} exceeds the cap of {MAX_FM_DIM}")
-    rows = [(h.normal, h.offset) for h in a.hyperplanes]
-    rays = _recession_rays([h.normal for h in a.hyperplanes], a.ambient_dim)
-    chambers = []
-    for signs in sorted(_region_witnesses(rows, a.ambient_dim)):
-        plus = sum(1 << i for i, s in enumerate(signs) if s == "+")
-        bounded = rays is not None and not any(
-            up & ~plus == 0 and down & plus == 0 for up, down in rays
-        )
-        chambers.append(Chamber(signs, bounded))
+    p = build_intersection_poset(a)
+    faces, rays = list_faces(p, range(len(p.flats)))
+    chambers = sorted(
+        (Chamber("".join("-+"[s[0] >> i & 1] for i in range(m)), is_bounded(s, rays))
+         for s in faces[p.top.index]),
+        key=lambda c: c.signs,
+    )
     bounded_count = sum(c.bounded for c in chambers)
     return ChamberReport(len(chambers), bounded_count, tuple(chambers))

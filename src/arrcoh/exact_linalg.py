@@ -134,12 +134,6 @@ def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[V
     return tuple(basis)
 
 
-def null_space_basis(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[Vector, ...]:
-    """Basis of {x : rows x = 0}, one vector per free column of the rref."""
-    reduced, pivots = rref(rows, cols)
-    return _kernel(reduced, pivots, cols)
-
-
 @record
 class AffineSubspace:
     """Nonempty affine subspace {x in Q^n : system x = rhs}, canonical.

@@ -22,7 +22,7 @@ from .arrangement import (
     nbc_flats,
     restriction_to,
 )
-from .chambers import MAX_CHAMBER_HYPERPLANES, MAX_FM_DIM, enumerate_chambers
+from .chambers import MAX_CHAMBER_HYPERPLANES, MAX_FM_DIM, is_bounded, list_faces
 from .decomposition import (
     GradedDecomposition,
     decompose_cohomology,
@@ -144,11 +144,33 @@ def check_nerve_euler(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckRe
 
 def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckResult:
     name = "beta-triple-oracle"
-    if restriction_to(p, p.top) != p.arrangement:
+    a = p.arrangement
+    if restriction_to(p, p.top) != a:
         return CheckResult(name, False, "top flat: restriction differs from the arrangement")
+    # A∩G is essential iff A is.  Its chambers are the faces of A whose
+    # hull is G, listed at once for the down-set of flats within the caps.
+    # They number r(A∩G) = sum of |mu(G, Y)| over Y <= G (Zaslavsky), and
+    # h(G) = (-1)^d(G) r(A∩G) inverts to (-1)^d(G) = sum of h(Y) over
+    # Y <= G: one bottom-up pass, as in `beta_all_flats`.
+    faces, h = {}, {}
+    if p.n0 == 0:
+        members = [f.index for f in p.flats if f.dim <= MAX_FM_DIM
+                   and len(p.covers[f.index]) <= MAX_CHAMBER_HYPERPLANES]
+        faces, rays = list_faces(p, members)
+        for y in sorted(members, key=lambda i: p.flats[i].dim):
+            h[y] = (-1) ** p.flats[y].dim - sum(h[j] for j in p.strictly_below[y])
     comparisons = []
     skipped = []
     for f, b in zip(p.flats, beta_all_flats(p)):
+        found = faces.get(f.index, {})
+        for plus, minus in found:
+            zeros = [i for i in range(len(a)) if not (plus | minus) >> i & 1]
+            if set(zeros) != f.containing_hyperplanes:
+                return CheckResult(name, False, f"flat {f.index}: a face's zero set {zeros} "
+                                   f"!= C(G) = {sorted(f.containing_hyperplanes)}")
+        if found and len(found) != (-1) ** f.dim * h[f.index]:
+            return CheckResult(name, False, f"flat {f.index}: {len(found)} faces "
+                               f"!= r(A∩G) = {(-1) ** f.dim * h[f.index]}")
         beta = b.value
         size = len(p.covers[f.index])  # |A∩G|
         if not size:
@@ -169,15 +191,17 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
                 f"flat {f.index}: combinatorial beta {beta} != nerve beta {nerve_beta}",
             )
         entry = [f.index, beta, nerve_beta]
-        # A∩G is essential iff A is; its chambers need its geometry.
-        if p.n0 == 0 and size <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM:
-            chambers = enumerate_chambers(restriction_to(p, f))
-            entry.append(chambers.bounded)
-            if chambers.bounded != beta:
+        if found:
+            # Only the rays among G's directions can keep a face's signs.
+            zero = sum(1 << i for i in f.containing_hyperplanes)
+            inside = [r for r in rays if not (r[0] | r[1]) & zero]
+            bounded = sum(is_bounded(signs, inside) for signs in found)
+            entry.append(bounded)
+            if bounded != beta:
                 return CheckResult(
                     name,
                     False,
-                    f"flat {f.index}: beta {beta} != bounded chambers {chambers.bounded}",
+                    f"flat {f.index}: beta {beta} != bounded chambers {bounded}",
                 )
         comparisons.append(tuple(entry))
     detail = "per-flat (index, combinatorial, nerve[, chambers]): " + "; ".join(

@@ -4,8 +4,12 @@ The oracles deliberately avoid the library's own code paths: the
 determinant is cofactor expansion and the inverse is the adjugate, not
 elimination, so rank, Smith-normal-form and deconing claims are checked
 against arithmetic the package never performs.  The restriction A∩G is
-re-derived by row reducing each covered flat's pulled-back system, and
-the poset's flats by a closure that cuts in `Fraction` row reduction.
+re-derived by row reducing each covered flat's pulled-back system, the
+poset's flats by a closure that cuts in `Fraction` row reduction, and an
+arrangement's chambers by `reference_chambers`, which splits regions one
+hyperplane at a time in the arrangement's own chart, with rational
+witnesses and its own recession rays (the package reads every
+restriction's chambers off one face list of A instead).
 The flat utilities below them (`flat_relation`, `affine_image`,
 `flat_for`) and the Fourier-Motzkin witnesses (`feasible_point`,
 `satisfies`, `chamber_system`) serve only tests, so they live here and
@@ -34,7 +38,7 @@ from arrcoh.arrangement import (
     arrangement_from_coeffs,
     assemble_poset,
 )
-from arrcoh.chambers import LinearSystem, _elimination_levels
+from arrcoh.chambers import Chamber, LinearSystem, _elimination_levels
 from arrcoh.cli import load_arrangement
 from arrcoh.decomposition import (
     Free,
@@ -50,9 +54,9 @@ from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
     Vector,
+    _kernel,
     dot,
     intersect_flats,
-    null_space_basis,
     pull_equation,
     rref,
     solve_affine,
@@ -80,6 +84,12 @@ class FlatRelation(Enum):
     F1_STRICTLY_CONTAINS_F2 = "F1_STRICTLY_CONTAINS_F2"
     F2_STRICTLY_CONTAINS_F1 = "F2_STRICTLY_CONTAINS_F1"
     INCOMPARABLE = "INCOMPARABLE"
+
+
+def null_space_basis(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[Vector, ...]:
+    """Basis of {x : rows x = 0}, one vector per free column of the rref."""
+    reduced, pivots = rref(rows, cols)
+    return _kernel(reduced, pivots, cols)
 
 
 def flat_relation(f1: AffineSubspace, f2: AffineSubspace) -> FlatRelation:
@@ -177,6 +187,111 @@ def chamber_system(a: Arrangement, signs: Sequence[str]) -> LinearSystem:
         rel = ">" if sign == "+" else "<"
         relations.append((h.normal, h.offset, rel))
     return LinearSystem.from_relations(a.ambient_dim, relations)
+
+
+def _restriction_points(
+    rows: Sequence[tuple[Vector, Fraction]], normal: Vector, offset: Fraction
+) -> list[Vector]:
+    """A point of every region of `rows` cut down to {normal.x = offset}.
+
+    Every row is canonically scaled (lead 1), so the hyperplane's one-row
+    system is its canonical form, charted by its free columns: all but
+    its first nonzero coordinate p.  Hyperplanes parallel to it leave no
+    trace; traces that coincide are merged, so the restriction is again a
+    set of distinct, canonically scaled hyperplanes, one dimension down.
+    """
+    flat = Hyperplane(normal, offset).subspace()
+    traces: dict[tuple[Vector, Fraction], None] = {}
+    for a, b in rows:
+        trace, const = pull_equation(flat, a, b)
+        lead = next((c for c in trace if c != 0), None)
+        if lead is not None:
+            if lead != 1:
+                trace, const = tuple(c / lead for c in trace), const / lead
+            traces.setdefault((trace, const))
+    # Lift y to x_p = offset - sum over the free columns of normal_i y_i.
+    p = flat.pivot_columns()[0]
+    rest = [(c, i - (i > p)) for i, c in enumerate(normal) if c != 0 and i != p]
+    points = []
+    for y in _region_witnesses(list(traces), flat.dim).values():
+        x_p = offset - sum((c * y[j] for c, j in rest), Fraction(0))
+        points.append(y[:p] + (x_p,) + y[p:])
+    return points
+
+
+def _region_witnesses(rows: Sequence[tuple[Vector, Fraction]], n: int) -> dict[str, Vector]:
+    """An interior rational point of every region of the real arrangement
+    `rows` (distinct hyperplanes a.x = b in Q^n), keyed by sign vector.
+
+    Deletion-restriction: H_k splits exactly the regions that meet it,
+    and those are the regions holding a point of some region of the
+    restriction to H_k.  Each such point x on H_k gives the two new
+    witnesses x +- delta a_k, with delta short enough not to reach any
+    earlier hyperplane.  A region that H_k does not split keeps its
+    witness, which then lies off H_k.
+    """
+    regions: dict[str, Vector] = {"": (Fraction(0),) * n}
+    for k, (a_k, b_k) in enumerate(rows):
+        earlier = rows[:k]
+        slopes = [dot(a, a_k) for a, _ in earlier]
+        split: dict[str, Vector] = {}
+        for x in _restriction_points(earlier, a_k, b_k):
+            values = [dot(a, x) - b for a, b in earlier]
+            signs = "".join("+" if v > 0 else "-" for v in values)
+            reach = [abs(v / slope) for v, slope in zip(values, slopes) if slope != 0]
+            delta = min(reach) / 2 if reach else Fraction(1)
+            split[signs + "+"] = tuple(v + delta * c for v, c in zip(x, a_k))
+            split[signs + "-"] = tuple(v - delta * c for v, c in zip(x, a_k))
+        regions = {
+            signs + ("+" if dot(a_k, w) > b_k else "-"): w
+            for signs, w in regions.items()
+            if signs + "+" not in split
+        } | split
+    return regions
+
+
+def _recession_rays(normals: Sequence[Vector], n: int) -> set[tuple[int, int]] | None:
+    """The candidate extreme rays of every chamber's recession cone, as
+    (mask of i with a_i.d > 0, mask of i with a_i.d < 0); None when the
+    normals have rank < n, so that every chamber holds a line.
+
+    With rank n each recession cone {d : s_i a_i.d >= 0} is pointed, so
+    it is nonzero iff it has an extreme ray; such a ray is cut out by
+    n - 1 independent tight constraints, hence is +-d for d spanning the
+    null space of n - 1 independent normals.
+    """
+    distinct = list(dict.fromkeys(normals))
+    if len(rref(distinct, n)[1]) < n:
+        return None
+    rays: set[tuple[int, int]] = set()
+    for subset in itertools.combinations(distinct, n - 1) if n else ():  # Q^0 is a point
+        basis = null_space_basis(subset, n)
+        if len(basis) != 1:
+            continue
+        for d in (basis[0], tuple(-c for c in basis[0])):
+            values = [dot(a, d) for a in normals]
+            rays.add((
+                sum(1 << i for i, v in enumerate(values) if v > 0),
+                sum(1 << i for i, v in enumerate(values) if v < 0),
+            ))
+    return rays
+
+
+def reference_chambers(a: Arrangement) -> tuple[Chamber, ...]:
+    """Every chamber of `a` in sign-vector order, by splitting its regions
+    hyperplane by hyperplane in its own chart, each restriction's regions
+    from the same routine one dimension down, with its own recession rays.
+    """
+    rows = [(h.normal, h.offset) for h in a.hyperplanes]
+    rays = _recession_rays([h.normal for h in a.hyperplanes], a.ambient_dim)
+    chambers = []
+    for signs in sorted(_region_witnesses(rows, a.ambient_dim)):
+        plus = sum(1 << i for i, s in enumerate(signs) if s == "+")
+        bounded = rays is not None and not any(
+            up & ~plus == 0 and down & plus == 0 for up, down in rays
+        )
+        chambers.append(Chamber(signs, bounded))
+    return tuple(chambers)
 
 
 # Minimal 6-vertex triangulation of the projective plane (antipodal

@@ -15,19 +15,31 @@ from arrcoh.arrangement import (
     build_intersection_poset,
 )
 from arrcoh.chambers import (
+    MAX_CHAMBER_HYPERPLANES,
+    MAX_FM_DIM,
     Chamber,
     LinearSystem,
     chamber_bounded,
     enumerate_chambers,
     fm_feasible,
+    is_bounded,
+    list_faces,
 )
 from arrcoh.errors import InputError, ResourceCapError
-from arrcoh.invariants import euler_complement, mobius_from_top, poincare_polynomial
+from arrcoh.exact_linalg import dot
+from arrcoh.invariants import (
+    euler_complement,
+    mobius_from_top,
+    mobius_interval_from,
+    poincare_polynomial,
+)
 from helpers import (
     chamber_system,
     essential_braid,
     feasible_point,
     generic,
+    reference_chambers,
+    restriction_by_rref,
     satisfies,
     shi,
     small_arrangements,
@@ -185,6 +197,7 @@ class TestSplittingMatchesSweep:
     def test_corpus(self, corpus):
         for name, a in corpus.items():
             assert enumerate_chambers(a).chambers == sweep_chambers(a), name
+            assert reference_chambers(a) == sweep_chambers(a), name
 
     @pytest.mark.parametrize(
         "a", [essential_braid(4), generic(7, 2)], ids=["essential-braid-4", "lines-7"]
@@ -196,6 +209,58 @@ class TestSplittingMatchesSweep:
     @settings(max_examples=60, deadline=None)
     def test_random_arrangements(self, a):
         assert enumerate_chambers(a).chambers == sweep_chambers(a)
+        assert reference_chambers(a) == sweep_chambers(a)
+
+
+def assert_faces_are_restriction_chambers(a):
+    """Every flat within the chamber caps: its faces are witnessed by
+    points of G off every other hyperplane, number Zaslavsky's
+    sum of |mu(G, Y)| over Y <= G, and match the chambers the reference
+    finds in A∩G's own chart, bounded ones included."""
+    p = build_intersection_poset(a)
+    members = [
+        f.index for f in p.flats
+        if len(p.covers[f.index]) <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM
+    ]
+    faces, rays = list_faces(p, members)
+    assert sorted(faces) == sorted(members)
+    for g in members:
+        f = p.flats[g]
+        for (plus, minus), (w, values) in faces[g].items():
+            assert w[-1] > 0
+            x = tuple(Fraction(c, w[-1]) for c in w[:-1])
+            exact = [dot(h.normal, x) - h.offset for h in a.hyperplanes]
+            assert plus == sum(1 << i for i, v in enumerate(exact) if v > 0)
+            assert minus == sum(1 << i for i, v in enumerate(exact) if v < 0)
+            assert {i for i, v in enumerate(exact) if v == 0} == f.containing_hyperplanes
+            assert [v > 0 for v in values] == [v > 0 for v in exact]
+        assert len(faces[g]) == sum(abs(mu) for mu in mobius_interval_from(p, f).values())
+        reference = reference_chambers(restriction_by_rref(p, f)[0])
+        bounded = sum(is_bounded(signs, rays) for signs in faces[g])
+        assert (len(faces[g]), bounded) == (
+            len(reference), sum(c.bounded for c in reference)
+        ), g
+
+
+class TestFaceList:
+    @given(st.one_of(small_arrangements(), small_arrangements().map(centralize)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_arrangements(self, a):
+        assert_faces_are_restriction_chambers(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [generic(8, 3), essential_braid(5), shi(3), generic(6, 4)],
+        ids=["planes-8", "essential-braid-5", "shi-3", "generic-6-in-C4"],
+    )
+    def test_families(self, a):
+        assert_faces_are_restriction_chambers(a)
+
+    def test_only_the_members_are_listed(self):
+        # 13 generic lines: the top has 13 > 12 hyperplanes, every line 12.
+        p = build_intersection_poset(generic(13, 2))
+        members = list(range(1, len(p.flats)))
+        assert sorted(list_faces(p, members)[0]) == members
 
 
 class TestBeyondTheSweep:

@@ -16,11 +16,19 @@ from hypothesis import strategies as st
 
 import arrcoh
 from arrcoh import _writer, cli, decomposition, nerve_homology, verify
-from arrcoh.arrangement import MAX_AMBIENT_DIM
+from arrcoh.arrangement import MAX_AMBIENT_DIM, Arrangement, arrangement_from_coeffs
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
 from arrcoh.verify import CheckResult
-from helpers import braid, corpus_file, distinct_modules, essential_braid, generic, shi
+from helpers import (
+    braid,
+    corpus_file,
+    distinct_modules,
+    essential_braid,
+    generic,
+    load_corpus,
+    shi,
+)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -384,6 +392,9 @@ DIGEST_INPUTS = {
     "planes-8": lambda: generic(8, 3),
     "essential-braid-5": lambda: essential_braid(5),
     "generic-8-c4": lambda: generic(8, 4),
+    "lines-8": lambda: generic(8, 2),
+    "essential-braid-4": lambda: essential_braid(4),
+    "planes-12": lambda: generic(12, 3),
 }
 
 
@@ -509,12 +520,30 @@ CHAMBER_DIGESTS = {
         "24a03653709b30f84bea4f5b93e5c31c5c0596d9eb620f8a26452d8fe1b1db9a",
     ("verify", "planes-8", "json"):
         "67ad7ad57d46111368c6ce5a619f153dd7e5960c5a277a8a1c0b4c51e70aebe1",
+    # Recorded while each restriction's chambers were split in its own
+    # chart.  A point in C^0 is one bounded chamber; two parallel lines
+    # leave three unbounded ones and no recession rays to test.
+    ("chambers", "point-c0", "json"):
+        "e54582800b2ed89479ef966674febec9316d109700614fecbab150abb87829ac",
+    ("chambers", "point-c0", "text"):
+        "d8e983ad84adc1cacd06255cde76a966a2bd1c35911d557abf71c60b4771577e",
+    ("chambers", "two-parallel-lines", "json"):
+        "a06ab51c0fcfd8e09b51f19f17f4dcc01d0d9617ebdd7c1338e976036c9a42f1",
+    ("chambers", "two-parallel-lines", "text"):
+        "fcd49e7dafa35f694189bb679c9277bfde0ee1e2ce1179db96994cf36edbd7b6",
+    ("chambers", "boolean-c3", "json"):
+        "1680252609d472789f5a6e2eb7aaac5098f36c1eb5162f71587fd6aaaace988a",
+    ("chambers", "boolean-c3", "text"):
+        "df65fc2bebf780d980050b86667571caa77b2961215b4b183e30203894558f28",
 }
 CHAMBER_INPUTS = {
     "planes-8": lambda: generic(8, 3),
     "lines-8": lambda: generic(8, 2),
     "essential-braid-5": lambda: essential_braid(5),
     "shi-3": lambda: shi(3),
+    "point-c0": lambda: Arrangement(0, ()),
+    "two-parallel-lines": lambda: arrangement_from_coeffs(2, [((1, 0), 0), ((1, 0), 1)]),
+    "boolean-c3": lambda: load_corpus()["boolean-c3"],
 }
 
 
@@ -572,6 +601,17 @@ VERIFY_DIGESTS = {
         "e62812fa2c7687e7528868849493da04ad1cee9d0709151310d654df90a35b9b",
     ("essential-braid-5", "text"):
         "57231a23a9cba32d3398c9597ca567eeeed9e4ccd12c830115832fd4157bcdf4",
+    # Recorded while the beta oracle enumerated every restriction's
+    # chambers in its own chart; reading them off one face list of A must
+    # not move a byte.  All three are essential, so the chamber leg runs.
+    ("lines-8", "json"): "7badab091014fe17f6767799f795628322c8f8f2e93947dd81d7121afc2d4cbc",
+    ("lines-8", "text"): "ffd93356eb665a61c2bc36530121ef92b352cca4a46375a1c0f673295eb3874e",
+    ("essential-braid-4", "json"):
+        "47044cc1c40bdb090363a56784c55d243c04dd0f7259da8cdfa183af9a1e6735",
+    ("essential-braid-4", "text"):
+        "0470b063b0a4030ff8c00b64db041ef55ebfb16d13250d358ba8f78410f1e734",
+    ("planes-12", "json"): "06cac87071109fced535c89efca349fcb57ebb2dddd5c417da094e938b95bf39",
+    ("planes-12", "text"): "8587bce6ba98af827ca95ab5dd6bd0123b31e66a97dcf1fe677df5e0a8b2997c",
 }
 
 

@@ -13,7 +13,6 @@ from arrcoh.exact_linalg import (
     AffineSubspace,
     as_rational,
     intersect_flats,
-    null_space_basis,
     pull_equation,
     rational_str,
     rref,
@@ -27,6 +26,7 @@ from helpers import (
     det_cofactor,
     flat_relation,
     from_point_and_directions,
+    null_space_basis,
     random_fraction_matrix,
 )
 

@@ -4,7 +4,9 @@ import random
 import re
 import sys
 
-from arrcoh import arrangement, nerve_homology, verify
+import pytest
+
+from arrcoh import arrangement, chambers, nerve_homology, verify
 from arrcoh.arrangement import (
     Arrangement,
     Flat,
@@ -190,6 +192,92 @@ def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
         assert result.detail == (
             f"flat {i}: combinatorial beta {betas[i] + 1} != nerve beta {betas[i]}"
         )
+
+
+def test_chamber_leg_runs_no_restriction_and_no_enumeration(monkeypatch):
+    # Essential braid A_5 and 12 planes: every flat's chambers are read off
+    # one face list of A, so restriction_to runs once, for the top's
+    # identity check, and enumerate_chambers never.
+    for a in (essential_braid(5), generic(12, 3)):
+        p = build_intersection_poset(a)
+        wedge = nerve_homology.sigma_wedge_check(p)
+        restrictions, enumerations = [], []
+        wrapper = counting(restrictions, arrangement.restriction_to)
+        monkeypatch.setattr(arrangement, "restriction_to", wrapper)
+        monkeypatch.setattr(verify, "restriction_to", wrapper)
+        monkeypatch.setattr(
+            chambers, "enumerate_chambers", counting(enumerations, chambers.enumerate_chambers)
+        )
+        result = verify.check_beta_oracles(p, wedge)
+        assert result.passed, result.detail
+        assert len(re.findall(r"\(\d+, \d+, \d+, \d+\)", result.detail)) == len(p.flats) - len(
+            p.minimal_flats
+        )
+        assert restrictions == [(p, p.top)] and enumerations == []
+
+
+def dropping_a_face(monkeypatch):
+    original = verify.list_faces
+
+    def dropped(p, members):
+        faces, rays = original(p, members)
+        del faces[1][next(iter(faces[1]))]
+        return faces, rays
+
+    monkeypatch.setattr(verify, "list_faces", dropped)
+
+
+def flipping_a_witness_sign(monkeypatch):
+    # The first point's witness (y, t) becomes (-y, -t), the same point
+    # read with every sign flipped: A's 8 integer rows come first.
+    original, calls = chambers._integer_multiple, []
+
+    def flipped(values):
+        calls.append(values)
+        w = original(values)
+        return tuple(-x for x in w) if len(calls) == 9 else w
+
+    monkeypatch.setattr(chambers, "_integer_multiple", flipped)
+
+
+def removing_a_ray(monkeypatch):
+    original = verify.list_faces
+
+    def removed(p, members):
+        faces, rays = original(p, members)
+        rays.discard(min(rays))
+        return faces, rays
+
+    monkeypatch.setattr(verify, "list_faces", removed)
+
+
+def putting_a_face_on_a_hyperplane(monkeypatch):
+    original = verify.list_faces
+
+    def moved(p, members):
+        faces, rays = original(p, members)
+        (plus, minus), witness = faces[1].popitem()
+        faces[1][plus & (plus - 1), minus & (minus - 1)] = witness
+        return faces, rays
+
+    monkeypatch.setattr(verify, "list_faces", moved)
+
+
+@pytest.mark.parametrize("plant, detail", [
+    (dropping_a_face, "flat 1: 7 faces != r(A∩G) = 8"),
+    (flipping_a_witness_sign, "flat 0: beta 21 != bounded chambers 22"),
+    (removing_a_ray, "flat 8: beta 6 != bounded chambers 7"),
+    (putting_a_face_on_a_hyperplane, "flat 1: a face's zero set [0, 1, 7] != C(G) = [0]"),
+])
+def test_beta_oracle_catches_a_planted_face_fault(monkeypatch, plant, detail):
+    # 8 generic lines: each line meets the other 7 in 7 points, so 8 faces
+    # and 6 bounded ones.  Only the beta oracle reads the face list.
+    plant(monkeypatch)
+    results = {r.name: r for r in run_all_checks(generic(8, 2))}
+    beta = results.pop("beta-triple-oracle")
+    assert not beta.passed
+    assert beta.detail == detail
+    assert all(r.passed for r in results.values())
 
 
 def with_flat_below_top(p, subspace):
