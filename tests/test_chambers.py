@@ -233,7 +233,7 @@ def assert_faces_are_restriction_chambers(a):
             assert plus == sum(1 << i for i, v in enumerate(exact) if v > 0)
             assert minus == sum(1 << i for i, v in enumerate(exact) if v < 0)
             assert {i for i, v in enumerate(exact) if v == 0} == f.containing_hyperplanes
-            assert [v > 0 for v in values] == [v > 0 for v in exact]
+            assert [(v > 0) - (v < 0) for v in values] == [(v > 0) - (v < 0) for v in exact]
         assert len(faces[g]) == sum(abs(mu) for mu in mobius_interval_from(p, f).values())
         reference = reference_chambers(restriction_by_rref(p, f)[0])
         bounded = sum(is_bounded(signs, rays) for signs in faces[g])

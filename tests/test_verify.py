@@ -205,14 +205,13 @@ def test_chamber_leg_runs_no_restriction_and_no_enumeration(monkeypatch):
         wrapper = counting(restrictions, arrangement.restriction_to)
         monkeypatch.setattr(arrangement, "restriction_to", wrapper)
         monkeypatch.setattr(verify, "restriction_to", wrapper)
-        monkeypatch.setattr(
-            chambers, "enumerate_chambers", counting(enumerations, chambers.enumerate_chambers)
-        )
+        wrapper = counting(enumerations, chambers.enumerate_chambers)
+        monkeypatch.setattr(chambers, "enumerate_chambers", wrapper)
+        monkeypatch.setattr(verify, "enumerate_chambers", wrapper, raising=False)
         result = verify.check_beta_oracles(p, wedge)
         assert result.passed, result.detail
-        assert len(re.findall(r"\(\d+, \d+, \d+, \d+\)", result.detail)) == len(p.flats) - len(
-            p.minimal_flats
-        )
+        compared = re.findall(r"\(\d+, \d+, \d+, \d+\)", result.detail)
+        assert len(compared) == len(p.flats) - len(p.minimal_flats)
         assert restrictions == [(p, p.top)] and enumerations == []
 
 
@@ -251,7 +250,7 @@ def removing_a_ray(monkeypatch):
     monkeypatch.setattr(verify, "list_faces", removed)
 
 
-def putting_a_face_on_a_hyperplane(monkeypatch):
+def putting_a_face_on_two_more_hyperplanes(monkeypatch):
     original = verify.list_faces
 
     def moved(p, members):
@@ -267,7 +266,7 @@ def putting_a_face_on_a_hyperplane(monkeypatch):
     (dropping_a_face, "flat 1: 7 faces != r(A∩G) = 8"),
     (flipping_a_witness_sign, "flat 0: beta 21 != bounded chambers 22"),
     (removing_a_ray, "flat 8: beta 6 != bounded chambers 7"),
-    (putting_a_face_on_a_hyperplane, "flat 1: a face's zero set [0, 1, 7] != C(G) = [0]"),
+    (putting_a_face_on_two_more_hyperplanes, "flat 1: a face's zero set [0, 1, 7] != C(G) = [0]"),
 ])
 def test_beta_oracle_catches_a_planted_face_fault(monkeypatch, plant, detail):
     # 8 generic lines: each line meets the other 7 in 7 points, so 8 faces
