@@ -579,6 +579,17 @@ NERVE_DIGESTS = {
         "0273f05ee3a34c380ed6af56fdab921c1913a4d61f666da4b7e0a942c94ad752",
     ("verify", "braid-5", "json"):
         "64d163599470ed150b2071a236c59b09ac4569e03561287b05bd6a7762d38cfd",
+    # Recorded while unit pivots were taken from a Markowitz-cost heap;
+    # invariant factors are unique, so eliminating the units in another
+    # order must not move a byte.  generic(12, 3) is at the nerve cap.
+    ("nerve", "planes-12", "json"):
+        "3b6b79588914050feb2f76fa4cacdcc75447869a6229ae50a14470969bde73b2",
+    ("nerve", "planes-12", "text"):
+        "e668ce1457b568b6350f565b425e2e1cc4082672511cf1ba67fd52ec1e01c944",
+    ("nerve", "generic-8-c4", "json"):
+        "6ba466381fe272a73c317620a32d36f63f5571025373a3cbd44e0ee6bf48c426",
+    ("nerve", "generic-8-c4", "text"):
+        "c49041160815d90642a0e7485b84b916c7fba9d9998ce62ad1dfce9f8a505ccd",
 }
 
 
