@@ -273,21 +273,25 @@ def list_faces(
         directions = [_integer_multiple(d) for d in basis]
         found: Faces = {}
         for k in p.covers[g]:
-            # K = G ∩ H_h, so a.v != 0 for a direction v of G exactly when
-            # v is not a direction of K.
-            h = min(p.flats[k].containing_hyperplanes - flat.containing_hyperplanes)
-            v = next(d for d in directions if _dot(rows[h], d)) + (0,)
+            # K = G ∩ H_i for every i in C(K) - C(G), so a.v != 0 there for
+            # a direction v of G exactly when v is not a direction of K.
+            new_zeros = p.flats[k].containing_hyperplanes - flat.containing_hyperplanes
+            v = next(d for d in directions if _dot(rows[min(new_zeros)], d)) + (0,)
             slopes = [_dot(r, v) for r in rows]
+            up, down = _signs(slopes)
             if flat.dim == 1:
-                up, down = _signs(slopes)
                 rays |= {(up, down), (down, up)}
-            for w, values in faces[k].values():
+            # A stepped face keeps every nonzero sign of w, and the hyperplanes
+            # of C(K) - C(G), zero on w, take the sign of side * slope.
+            mask = sum(1 << i for i in new_zeros)
+            sides = ((1, up & mask, down & mask), (-1, down & mask, up & mask))
+            for (plus, minus), (w, values) in faces[k].items():
                 s = 1 + max((abs(c) // abs(x) for c, x in zip(slopes, values) if x), default=0)
-                for side in (1, -1):
-                    stepped = tuple(s * x + side * c for x, c in zip(values, slopes))
-                    signs = _signs(stepped)
+                for side, to_plus, to_minus in sides:
+                    signs = (plus | to_plus, minus | to_minus)
                     if signs not in found:
-                        found[signs] = (tuple(s * x + side * c for x, c in zip(w, v)), stepped)
+                        found[signs] = (tuple(s * x + side * c for x, c in zip(w, v)),
+                                        tuple(s * x + side * c for x, c in zip(values, slopes)))
         faces[g] = found
     return faces, rays
 

@@ -19,17 +19,16 @@ only needs chains up to dimension l(G)+1, and degrees above l(G)-1 are
 exactly the ones being checked for vanishing.
 
 Boundary matrices have +-1 entries, so Smith normal form first
-eliminates unit pivots sparsely, least fill-in first, and runs dense
-elimination only on what is left (Dumas-Saunders-Villard 2001;
+eliminates unit pivots sparsely, column by column on the shortest row,
+and runs dense elimination only on what is left (Dumas-Saunders-Villard 2001;
 Kaczynski-Mrozek-Slusarek 1998).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import record
 from .arrangement import Flat, IntersectionPoset, restriction_covers
@@ -114,18 +113,19 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     Phase 1 eliminates unit pivots sparsely.  The nonzero entries are held
     as row dicts {col: value} with an index from each column to its rows.
-    While some entry is +-1, the one of least Markowitz cost
-    (|row| - 1)(|col| - 1) is taken, ties going to the least (row, col);
-    every other row meeting its column is cleared by subtracting a
-    multiple of the pivot row, and the pivot row and column are dropped.
-    Each step is a Z-equivalence M ~ diag(1) + M': the row operations are
-    unimodular, and the pivot row's other entries are cleared by column
-    operations that touch no other row.
+    The columns are swept in ascending order; in each, the +-1 entry of
+    the shortest row is the pivot, ties going to the lower row.  Every
+    other row meeting its column is cleared by subtracting a multiple of
+    the pivot row, and the pivot row and column are dropped.  Clearing can
+    make a unit in a column already passed, so the sweep repeats until a
+    pass finds none.  Each step is a Z-equivalence M ~ diag(1) + M': the
+    row operations are unimodular, and the pivot row's other entries are
+    cleared by column operations that touch no other row.
 
-    Phase 2 runs dense elimination on the remainder M', which is small or
-    empty for nerve boundary matrices.  SNF is unique and 1 divides
-    everything, so the result is (1,) * units followed by the remainder's
-    factors; torsion comes out of the remainder.
+    Phase 2 runs dense elimination on the remainder M', which holds no
+    unit and is small or empty for nerve boundary matrices.  SNF is unique
+    and 1 divides everything, so the result is (1,) * units followed by
+    the remainder's factors; torsion comes out of the remainder.
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -135,58 +135,36 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
             rows[i] = entries
             for j in entries:
                 col_rows.setdefault(j, set()).add(i)
-    # Every unit entry sits in the heap under its current (cost, row, col);
-    # an entry whose row or column changes size is pushed again, and a
-    # popped entry that no longer matches its matrix entry is stale.
-    heap: list[tuple[int, int, int]] = []
-
-    def push_units(i: int, cols: Iterable[int]) -> None:
-        row = rows[i]
-        width = len(row) - 1
-        for j in cols:
-            if abs(row[j]) == 1:
-                heapq.heappush(heap, (width * (len(col_rows[j]) - 1), i, j))
-
-    for i, row in rows.items():
-        push_units(i, row)
     units = 0
-    while heap:
-        cost, p, q = heapq.heappop(heap)
-        pivot_row = rows.get(p)
-        if (
-            pivot_row is None
-            or abs(pivot_row.get(q, 0)) != 1
-            or cost != (len(pivot_row) - 1) * (len(col_rows[q]) - 1)
-        ):
-            continue
-        del rows[p]
-        u = pivot_row[q]
-        for j in pivot_row:
-            col_rows[j].discard(p)
-        touched = col_rows.pop(q)
-        for i in touched:
-            row = rows[i]
-            f = row[q] * u  # u = 1/u for a unit
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    if j != q:
-                        col_rows[j].discard(i)
-            if not row:
-                del rows[i]
-        units += 1
-        for i in touched:
-            if i in rows:
-                push_units(i, rows[i])
-        for j in pivot_row:
-            if j != q:
-                for i in col_rows[j] - touched:
-                    push_units(i, (j,))
+    swept = True
+    while swept:
+        swept = False
+        for q in sorted(col_rows):
+            candidates = [i for i in col_rows.get(q, ()) if abs(rows[i][q]) == 1]
+            if not candidates:
+                continue
+            p = min(candidates, key=lambda i: (len(rows[i]), i))
+            pivot_row = rows.pop(p)
+            u = pivot_row[q]
+            for j in pivot_row:
+                col_rows[j].discard(p)
+            for i in col_rows.pop(q):
+                row = rows[i]
+                f = row[q] * u  # u = 1/u for a unit
+                for j, x in pivot_row.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        if j not in row:
+                            col_rows[j].add(i)
+                        row[j] = y
+                    else:
+                        del row[j]
+                        if j != q:
+                            col_rows[j].discard(i)
+                if not row:
+                    del rows[i]
+            units += 1
+            swept = True
     used = sorted({j for row in rows.values() for j in row})
     rest = [[row.get(j, 0) for j in used] for row in rows.values()]
     return (1,) * units + _dense_smith_normal_form(rest)

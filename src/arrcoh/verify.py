@@ -245,18 +245,19 @@ def check_deconing(p: IntersectionPoset) -> CheckResult:
             return CheckResult(
                 name, False, f"H_inf = {h}: rank {dp.rank_l} != {p.rank_l} - 1"
             )
-        # C(center) is all of A: labels above h move down one.  The view
-        # is in A's order; sort it like the decone's poset.
-        view = [
-            (trace, frozenset(i - (i > h) for i in p.flats[y].containing_hyperplanes), b)
+        # C(center) is all of A: labels above h move down one.  A flat is
+        # its containing set, so both sides are keyed by it; a view that
+        # lists a flat twice has more rows than keys.
+        rows = [
+            (frozenset(i - (i > h) for i in p.flats[y].containing_hyperplanes), (trace, b))
             for y, trace, b in decone_flats(p, center, h, deconed)
         ]
-        view.sort(key=lambda row: (-row[0].dim, row[0].sort_key()))
-        built = [
-            (f.subspace, f.containing_hyperplanes, b.value)
+        view = dict(rows)
+        built = {
+            f.containing_hyperplanes: (f.subspace, b.value)
             for f, b in zip(dp.flats, beta_all_flats(dp))
-        ]
-        if view != built:
+        }
+        if view != built or len(rows) > len(view):
             return CheckResult(
                 name,
                 False,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrcoh import nerve_homology
 from arrcoh.arrangement import arrangement_from_coeffs, build_intersection_poset, restriction_to
 from arrcoh.errors import InputError, ResourceCapError
 from arrcoh.exact_linalg import rref, vector
@@ -304,6 +305,24 @@ class TestSparseMatchesDense:
     @settings(max_examples=100, deadline=None)
     def test_determinantal_divisors_hypothesis(self, m):
         assert smith_normal_form(m) == determinantal_factors(m)
+
+    def test_no_unit_reaches_the_dense_phase(self, corpus_posets, monkeypatch):
+        # The sweep repeats until a pass finds no unit.  In [[2, 1], [3, 1]]
+        # clearing column 1 makes a unit in column 0, which one pass has
+        # already left behind.
+        def unit_free(m):
+            assert all(abs(x) != 1 for row in m for x in row), m
+            return _dense_smith_normal_form(m)
+
+        monkeypatch.setattr(nerve_homology, "_dense_smith_normal_form", unit_free)
+        rng = random.Random(2027)
+        matrices = [[[2, 1], [3, 1]]]
+        matrices += [mixed_matrix(rng, rng.randint(0, 7), rng.randint(0, 7)) for _ in range(400)]
+        for p in corpus_posets.values():
+            if p.arrangement.hyperplanes:
+                matrices += nerve_boundary_matrices(build_singular_nerve(p))
+        for m in matrices:
+            assert smith_normal_form(m) == _dense_smith_normal_form(m), m
 
 
 class TestHomology:

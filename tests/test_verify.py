@@ -129,6 +129,16 @@ def test_deconing_check_catches_a_beta_off_by_one(monkeypatch):
     assert_only_deconing_fails(monkeypatch, shifting_the_top_beta)
 
 
+def test_deconing_check_catches_a_flat_listed_twice(monkeypatch):
+    original = verify.decone_flats
+
+    def repeating_the_top(p, g, h_infinity, deconed):
+        view = original(p, g, h_infinity, deconed)
+        return [view[0], *view]
+
+    assert_only_deconing_fails(monkeypatch, repeating_the_top)
+
+
 def assert_beta_oracle_names_every_flat(a, skipped):
     """Every flat is either compared or listed as not compared."""
     p = build_intersection_poset(a)
