@@ -14,9 +14,12 @@ of them.  For the restriction A∩G, whose hyperplanes are the flats K
 covered by G, a flat X < G lies in K iff C(X) meets C(K) - C(G), so the
 nerve of every A∩G is read straight off A's poset (at the top, A∩G = A).
 A∩G has rank l(G) = d(G) - n0, its minimal flats being A's below G.
+Every X < G lies on one of them, Z, with C(Z) ⊇ C(X) (Orlik-Terao 1992,
+ch. 2), so the minimal flats' vertex sets are the maximal faces.
 Simplices above dimension l(G)+1 are dropped: homology in degrees <= l(G)
 only needs chains up to dimension l(G)+1, and degrees above l(G)-1 are
-exactly the ones being checked for vanishing.
+exactly the ones being checked for vanishing.  Each degree's simplices
+are sorted once, into the basis both its boundary maps are written in.
 
 Boundary matrices have +-1 entries, so Smith normal form first
 eliminates unit pivots sparsely, column by column on the shortest row,
@@ -78,7 +81,8 @@ def build_singular_nerve(p: IntersectionPoset, g: Flat | None = None) -> Simplic
 
     G defaults to the top, where A∩G = A.  Vertex k is A∩G's k-th
     hyperplane (`restriction_covers`); the simplices are the sets of covers
-    met by C(X) - C(G), X < G, up to dimension l(G) + 1.  The cap counts |A∩G|.
+    met by C(Z) - C(G), Z a minimal flat below G, and their faces, up to
+    dimension l(G) + 1.  The cap counts |A∩G|.
     """
     g = g or p.top
     covered, c_g = restriction_covers(p, g), g.containing_hyperplanes
@@ -93,7 +97,7 @@ def build_singular_nerve(p: IntersectionPoset, g: Flat | None = None) -> Simplic
     }
     max_vertices = p.level(g) + 2  # simplices of dimension <= l(G) + 1
     simplices: set[Simplex] = set()
-    for x in p.strictly_below[g.index]:
+    for x in p.strictly_below[g.index] & p.minimal_flats:
         members = sorted({vertex[h] for h in p.flats[x].containing_hyperplanes - c_g})
         for r in range(1, min(len(members), max_vertices) + 1):
             simplices.update(itertools.combinations(members, r))
@@ -103,9 +107,10 @@ def build_singular_nerve(p: IntersectionPoset, g: Flat | None = None) -> Simplic
 def nerve_is_truncated(p: IntersectionPoset) -> bool:
     """True when some flat's containing set exceeds the dimension cap,
     i.e. the built nerve dropped simplices (so its Euler characteristic
-    is not that of the full nerve)."""
+    is not that of the full nerve).  The largest containing sets are the
+    minimal flats'."""
     cap = p.rank_l + 2
-    return any(len(f.containing_hyperplanes) > cap for f in p.flats)
+    return any(len(p.flats[z].containing_hyperplanes) > cap for z in p.minimal_flats)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -271,10 +276,9 @@ class HomologyResult:
         return rank - 1 if k == 0 else rank
 
 
-def boundary_matrix(c: SimplicialComplex, k: int) -> list[list[int]]:
-    """Matrix of the boundary map C_k -> C_{k-1} in the sorted simplex bases."""
-    k_simplices = c.simplices_of_dim(k)
-    faces = c.simplices_of_dim(k - 1)
+def boundary_matrix(k_simplices: Sequence[Simplex], faces: Sequence[Simplex]) -> list[list[int]]:
+    """Matrix of the boundary map C_k -> C_{k-1}, columns in the basis
+    `k_simplices` and rows in the basis `faces`, which holds every face."""
     face_index = {s: i for i, s in enumerate(faces)}
     matrix = [[0] * len(k_simplices) for _ in range(len(faces))]
     for col, simplex in enumerate(k_simplices):
@@ -285,22 +289,17 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> list[list[int]]:
 
 
 def simplicial_homology(c: SimplicialComplex) -> HomologyResult:
-    """Integer homology via Smith normal forms of the boundary matrices."""
-    top = c.max_dim
-    if top < 0:
-        return HomologyResult(())
-    counts = [len(c.simplices_of_dim(k)) for k in range(top + 1)]
-    factors: list[tuple[int, ...]] = []
-    for k in range(top + 2):
-        if 1 <= k <= top and counts[k] > 0 and counts[k - 1] > 0:
-            factors.append(smith_normal_form(boundary_matrix(c, k)))
-        else:
-            factors.append(())
+    """Integer homology via Smith normal forms of the boundary matrices.
+    Each degree's simplices are sorted once; a complex closed under faces
+    has some in every degree up to max_dim."""
+    bases = [c.simplices_of_dim(k) for k in range(c.max_dim + 1)]
+    factors = [()] + [
+        smith_normal_form(boundary_matrix(k_simplices, faces))
+        for faces, k_simplices in zip(bases, bases[1:])
+    ] + [()]
     groups = []
-    for k in range(top + 1):
-        rank_dk = len(factors[k])
-        rank_dk1 = len(factors[k + 1])
-        free = counts[k] - rank_dk - rank_dk1
+    for k, basis in enumerate(bases):
+        free = len(basis) - len(factors[k]) - len(factors[k + 1])
         torsion = tuple(d for d in factors[k + 1] if d > 1)
         groups.append(HomologyGroup(k, free, torsion))
     return HomologyResult(tuple(groups))

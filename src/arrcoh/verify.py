@@ -183,7 +183,11 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
         if size > DEFAULT_NERVE_ORACLE_CAP:
             skipped.append(f.index)
             continue
-        nerve_beta = wedge.beta if f.is_top else sigma_wedge_check(p, f).beta
+        w = wedge if f.is_top else sigma_wedge_check(p, f)
+        if not w.is_wedge:
+            return CheckResult(name, False, f"flat {f.index}: reduced nerve homology of A∩G is "
+                               f"not torsion-free and concentrated in degree {p.level(f) - 1}")
+        nerve_beta = w.beta
         if nerve_beta != beta:
             return CheckResult(
                 name,

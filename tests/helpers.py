@@ -4,8 +4,10 @@ The oracles deliberately avoid the library's own code paths: the
 determinant is cofactor expansion and the inverse is the adjugate, not
 elimination, so rank, Smith-normal-form and deconing claims are checked
 against arithmetic the package never performs.  The restriction A∩G is
-re-derived by row reducing each covered flat's pulled-back system, the
-poset's flats by a closure that cuts in `Fraction` row reduction, and an
+re-derived by row reducing each covered flat's pulled-back system, its
+nerve by `reference_nerve` from every flat below G (the package reads it
+off the minimal flats alone), the poset's flats by a closure that cuts
+in `Fraction` row reduction, and an
 arrangement's chambers by `reference_chambers`, which splits regions one
 hyperplane at a time in the arrangement's own chart, with rational
 witnesses and its own recession rays (the package reads every
@@ -37,6 +39,7 @@ from arrcoh.arrangement import (
     IntersectionPoset,
     arrangement_from_coeffs,
     assemble_poset,
+    restriction_covers,
 )
 from arrcoh.chambers import Chamber, LinearSystem, _elimination_levels
 from arrcoh.cli import load_arrangement
@@ -473,6 +476,23 @@ def face_closure_holds(c: SimplicialComplex) -> bool:
     )
 
 
+def reference_nerve(p: IntersectionPoset, g: Flat) -> SimplicialComplex:
+    """The nerve of A∩G's hyperplane cover read off every flat X < G: the
+    sets of covers met by C(X) - C(G), up to dimension l(G) + 1.  The
+    package reads it off the minimal flats below G alone."""
+    covered, c_g = restriction_covers(p, g), g.containing_hyperplanes
+    vertex = {
+        h: k for k, j in enumerate(covered) for h in p.flats[j].containing_hyperplanes - c_g
+    }
+    max_vertices = p.level(g) + 2  # simplices of dimension <= l(G) + 1
+    simplices: set = set()
+    for x in p.strictly_below[g.index]:
+        members = sorted({vertex[h] for h in p.flats[x].containing_hyperplanes - c_g})
+        for r in range(1, min(len(members), max_vertices) + 1):
+            simplices.update(itertools.combinations(members, r))
+    return SimplicialComplex(len(covered), frozenset(simplices))
+
+
 def containing_subarrangement(p: IntersectionPoset, g: Flat) -> Arrangement:
     """A_G in A's coordinates: the hyperplanes of G's containing set, in order."""
     a = p.arrangement
@@ -613,6 +633,41 @@ def generic(m, n):
 def points(k):
     """{x = c : c = 0..k-1} in C^1."""
     return arrangement_from_coeffs(1, [((1,), c) for c in range(k)])
+
+
+def _unit_sum(n, i, j):
+    row = [0] * n
+    row[i], row[j] = 1, 1
+    return row
+
+
+def _type_d_rows(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    return [(f(n, i, j), 0) for f in (_unit_difference, _unit_sum) for i, j in pairs]
+
+
+def coxeter_d(n):
+    """{x_i - x_j = 0, x_i + x_j = 0 : i < j} in C^n."""
+    return arrangement_from_coeffs(n, _type_d_rows(n))
+
+
+def coxeter_b(n):
+    """coxeter_d(n) plus {x_i = 0}."""
+    axes = [([int(k == i) for k in range(n)], 0) for i in range(n)]
+    return arrangement_from_coeffs(n, axes + _type_d_rows(n))
+
+
+def catalan(n):
+    """{x_i - x_j = c : i < j, c = -1, 0, 1} in C^n."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [(_unit_difference(n, i, j), c) for c in (-1, 0, 1) for i, j in pairs]
+    return arrangement_from_coeffs(n, rows)
+
+
+def linial(n):
+    """{x_i - x_j = 1 : i < j} in C^n."""
+    pairs = itertools.combinations(range(n), 2)
+    return arrangement_from_coeffs(n, [(_unit_difference(n, i, j), 1) for i, j in pairs])
 
 
 @st.composite

@@ -26,11 +26,13 @@ from arrcoh.nerve_homology import (
 from helpers import (
     PROJECTIVE_PLANE_FACES,
     braid,
+    closure_arrangements,
     det_cofactor,
     essential_braid,
     face_closure_holds,
     generic,
     random_int_matrix,
+    reference_nerve,
     shi,
     small_arrangements,
 )
@@ -156,6 +158,40 @@ class TestRestrictionNerve:
             sigma_wedge_check(p, point)
 
 
+def assert_nerves_match_reference(p):
+    """At every flat G whose A∩G has 1 to 12 hyperplanes, the nerve read off
+    the minimal flats below G is the one read off every flat below G, and
+    the truncation test reads the minimal flats' containing sets alone."""
+    compared = 0
+    for g in p.flats:
+        if 1 <= len(p.covers[g.index]) <= 12:
+            assert build_singular_nerve(p, g) == reference_nerve(p, g), g.index
+            compared += 1
+    cap = p.rank_l + 2
+    assert nerve_is_truncated(p) == any(len(f.containing_hyperplanes) > cap for f in p.flats)
+    return compared
+
+
+class TestMinimalFlatNerve:
+    def test_matches_reference_on_corpus(self, corpus_posets):
+        assert sum(assert_nerves_match_reference(p) for p in corpus_posets.values()) > 0
+
+    @pytest.mark.parametrize(
+        "a, truncated",
+        [(braid(5), True), (shi(4), True), (generic(8, 3), False)],
+        ids=["braid-5", "shi-4", "generic-8-planes"],
+    )
+    def test_matches_reference_on_families(self, a, truncated):
+        p = build_intersection_poset(a)
+        assert nerve_is_truncated(p) == truncated
+        assert assert_nerves_match_reference(p) > len(a)
+
+    @given(closure_arrangements())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_arrangements(self, a):
+        assert_nerves_match_reference(build_intersection_poset(a))
+
+
 class TestSmithNormalForm:
     def test_examples(self):
         assert smith_normal_form([[2]]) == (2,)
@@ -240,7 +276,8 @@ def mixed_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
 
 
 def nerve_boundary_matrices(c: SimplicialComplex) -> list[list[list[int]]]:
-    return [boundary_matrix(c, k) for k in range(1, c.max_dim + 1)]
+    bases = [c.simplices_of_dim(k) for k in range(c.max_dim + 1)]
+    return [boundary_matrix(k_simplices, faces) for faces, k_simplices in zip(bases, bases[1:])]
 
 
 def int_matrices(side: int):
@@ -350,9 +387,27 @@ class TestHomology:
         assert hom.free_rank(1) == 0 and hom.torsion(1) == (2,)
         assert hom.free_rank(2) == 0 and hom.torsion(2) == ()
         # Independent rank route for the boundary maps.
-        d2 = boundary_matrix(rp2, 2)
+        d2 = boundary_matrix(rp2.simplices_of_dim(2), rp2.simplices_of_dim(1))
         _, pivots = rref([vector(row) for row in d2], len(d2[0]))
         assert len(pivots) == 10  # kills all of ker d1 except the Z/2
+
+    def test_each_degree_is_sorted_once(self, corpus_posets, monkeypatch):
+        # One sorted basis per degree serves the counts and both boundary
+        # maps that meet it.
+        calls = []
+        original = SimplicialComplex.simplices_of_dim
+
+        def counting(c, d):
+            calls.append(d)
+            return original(c, d)
+
+        monkeypatch.setattr(SimplicialComplex, "simplices_of_dim", counting)
+        rp2 = SimplicialComplex.from_maximal(6, PROJECTIVE_PLANE_FACES)
+        for c in (rp2, build_singular_nerve(corpus_posets["boolean-c3"])):
+            calls.clear()
+            simplicial_homology(c)
+            assert c.max_dim == 2
+            assert sorted(calls) == [0, 1, 2]
 
     def test_point_is_contractible(self):
         point = SimplicialComplex.from_maximal(1, [(0,)])

@@ -204,6 +204,50 @@ def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
         )
 
 
+def planting_torsion_at(monkeypatch, target):
+    """Z/2 in degree 0 of the nerve homology of A∩G at flat `target` alone.
+    Every free rank, so beta, is unchanged."""
+    original_check, original_homology = verify.sigma_wedge_check, nerve_homology.simplicial_homology
+
+    def with_torsion(c):
+        groups = original_homology(c).groups
+        return nerve_homology.HomologyResult((replace(groups[0], torsion=(2,)),) + groups[1:])
+
+    def planted(p, g=None):
+        if g is None or g.index != target:
+            return original_check(p, g)
+        with monkeypatch.context() as m:
+            m.setattr(nerve_homology, "simplicial_homology", with_torsion)
+            return original_check(p, g)
+
+    monkeypatch.setattr(verify, "sigma_wedge_check", planted)
+
+
+def test_beta_oracle_catches_torsion_in_a_restriction(monkeypatch):
+    # Braid A_4: its 13 restrictions that are neither A nor empty.  With
+    # beta unchanged, only the wedge shape of A∩G can show the fault.
+    p = build_intersection_poset(braid(4))
+    wedge = nerve_homology.sigma_wedge_check(p)
+    planted = [f for f in p.flats if not f.is_top and p.covers[f.index]]
+    assert len(planted) == 13 and {p.level(f) for f in planted} == {1, 2}
+    for f in planted:
+        with monkeypatch.context() as m:
+            planting_torsion_at(m, f.index)
+            result = verify.check_beta_oracles(p, wedge)
+        assert not result.passed, f.index
+        assert result.detail == (
+            f"flat {f.index}: reduced nerve homology of A∩G is not torsion-free "
+            f"and concentrated in degree {p.level(f) - 1}"
+        )
+    # In the whole battery, the beta oracle alone reads A∩G's homology.
+    target = planted[-1].index
+    planting_torsion_at(monkeypatch, target)
+    results = {r.name: r for r in run_all_checks(braid(4))}
+    beta = results.pop("beta-triple-oracle")
+    assert not beta.passed and beta.detail.startswith(f"flat {target}: ")
+    assert all(r.passed for r in results.values())
+
+
 def test_chamber_leg_runs_no_restriction_and_no_enumeration(monkeypatch):
     # Essential braid A_5 and 12 planes: every flat's chambers are read off
     # one face list of A, so restriction_to runs once, for the top's
