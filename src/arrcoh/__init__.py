@@ -3,7 +3,7 @@ rational affine hyperplane arrangements.
 
 The public surface, by layer:
 
-  exact_linalg    rational row systems, rref, canonical affine subspaces
+  exact_linalg    integer row systems, rref, canonical affine subspaces
   arrangement     hyperplanes, the intersection poset, restrictions,
                   sub-arrangements, essentialization
   invariants      Möbius function, characteristic/Poincaré polynomials,

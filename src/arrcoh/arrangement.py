@@ -20,7 +20,7 @@ integer columns spanning the image of its homogenized solution space
 under the equation rows (a_i, -b_i), and cutting by H_i is one
 fraction-free elimination step (Bareiss, Math. Comp. 22, 1968).  Flats
 are keyed by their containing sets, and each new flat's canonical
-`Fraction` equations are written once, by `intersect_flats`.  Everything
+integer rows are written once, by `intersect_flats`.  Everything
 else is combinatorics on the containing sets C(G) = {H in A : H contains G}
 (Orlik-Terao, Arrangements of Hyperplanes, ch. 1-2):
 
@@ -49,21 +49,21 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from ._record import record
 from .errors import InputError, InternalConsistencyError, ResourceCapError
 from .exact_linalg import (
     AffineSubspace,
+    Row,
     Vector,
-    as_rational,
-    dot,
+    integer_row,
     intersect_flats,
+    primitive,
     pull_equation,
-    rational_str,
     rref,
-    solve_affine,
-    vector,
+    solve_rows,
 )
 
 DEFAULT_MAX_HYPERPLANES = 20
@@ -76,34 +76,41 @@ MAX_AMBIENT_DIM = 1000
 class Hyperplane:
     """Affine hyperplane {x : normal.x = offset}, canonically scaled.
 
-    Canonical scaling: the first nonzero entry of `normal` is 1, so two
-    hyperplanes are equal iff their fields are equal.
+    Stored as the integer row (normal | offset) with gcd 1 and a positive
+    lead, so two hyperplanes are equal iff their rows are.  `normal` and
+    `offset` are `Fraction` views, scaled so that the lead is 1.
     """
 
-    normal: Vector
-    offset: Fraction
+    row: Row
 
     @staticmethod
     def from_coeffs(
         normal: Sequence[int | str | Fraction], offset: int | str | Fraction
     ) -> Hyperplane:
-        a = vector(normal)
-        b = as_rational(offset)
-        lead = next((x for x in a if x != 0), None)
-        if lead is None:
+        return Hyperplane.from_row(integer_row(list(normal) + [offset]))
+
+    @staticmethod
+    def from_row(row: Sequence[int]) -> Hyperplane:
+        """The hyperplane of the integer row (normal | offset), any scale."""
+        if not any(row[:-1]):
             raise InputError("hyperplane normal vector is zero")
-        if lead != 1:
-            a = tuple(x / lead for x in a)
-            b = b / lead
-        return Hyperplane(a, b)
+        return Hyperplane(primitive(row))
+
+    @property
+    def normal(self) -> Vector:
+        return self.subspace().system[0]
+
+    @property
+    def offset(self) -> Fraction:
+        return self.subspace().rhs[0]
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.normal)
+        return len(self.row) - 1
 
     def subspace(self) -> AffineSubspace:
-        # Canonical scaling makes the row (normal | offset) its own rref.
-        return AffineSubspace(len(self.normal), (self.normal,), (self.offset,))
+        # Canonical scaling makes the row its own canonical rows.
+        return AffineSubspace(len(self.row) - 1, (self.row,))
 
 
 @record
@@ -129,16 +136,9 @@ class Arrangement:
         return len(self.hyperplanes)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.ambient_dim,
-            "hyperplanes": [
-                {
-                    "normal": [rational_str(x) for x in h.normal],
-                    "offset": rational_str(h.offset),
-                }
-                for h in self.hyperplanes
-            ],
-        }
+        rows = [h.subspace().to_json() for h in self.hyperplanes]
+        hyperplanes = [{"normal": r["system"][0], "offset": r["rhs"][0]} for r in rows]
+        return {"dim": self.ambient_dim, "hyperplanes": hyperplanes}
 
 
 def arrangement_from_coeffs(
@@ -273,7 +273,7 @@ def build_intersection_poset(
     # homogenizing coordinate t.  A flat G is carried as integer columns
     # spanning E(V_G), V_G = span{(x, 1) : x in G}, so row i vanishes on
     # every column iff H_i contains G, and G is empty iff t does.
-    equations = [_integer_multiple(h.normal + (-h.offset,)) for h in a.hyperplanes]
+    equations = [h.row[:-1] + (-h.row[-1],) for h in a.hyperplanes]
     columns = [tuple(row[j] for row in equations) + (int(j == n),) for j in range(n + 1)]
     top = AffineSubspace.whole_space(n)
     found = {frozenset(): top}
@@ -324,10 +324,11 @@ def _fraction_free_cut(columns: list[tuple[int, ...]], i: int) -> list[tuple[int
         if c == 0:
             cut.append(col)
             continue
-        new = [p * x - c * y for x, y in zip(col, pivot)]
+        g = math.gcd(p, c)
+        new = tuple(p // g * x - c // g * y for x, y in zip(col, pivot))
         d = math.gcd(*new)
         if d:
-            cut.append(tuple(x // d for x in new))
+            cut.append(new if d == 1 else tuple(x // d for x in new))
     return cut
 
 
@@ -337,15 +338,17 @@ def assemble_poset(
     """The poset of the flats `containing` maps to their containing sets:
     sorted, ordered by the containing sets, covered by rank."""
     n = a.ambient_dim
-    # By descending dimension, then canonical form (`sort_key`), with each
-    # Fraction replaced by its rank among the values that occur: the same
-    # order, compared in ints.
-    values = sorted({x for s in containing for row in s.augmented_rows() for x in row})
-    rank = {x: r for r, x in enumerate(values)}
+    # By descending dimension, then the rref with pivots 1, entry by entry:
+    # each entry is replaced by its rank among the values that occur.  They
+    # are (numerator, denominator > 0) pairs, so q < r iff q0 r1 < r0 q1.
+    keys = {s: s.ratios() for s in containing}
+    values = {q for rows in keys.values() for row in rows for q in row}
+    by_value = cmp_to_key(lambda q, r: q[0] * r[1] - r[0] * q[1])
+    rank = {q: r for r, q in enumerate(sorted(values, key=by_value))}
     ordered = sorted(containing, key=lambda s: (
         -s.dim,
-        [[rank[x] for x in row] for row in s.system],
-        [rank[x] for x in s.rhs],
+        [[rank[q] for q in row[:-1]] for row in keys[s]],
+        [rank[row[-1]] for row in keys[s]],
     ))
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])
@@ -360,12 +363,11 @@ def assemble_poset(
     for f in flats:
         for i in f.containing_hyperplanes:
             with_hyperplane[i].add(f.index)
-    everything = set(range(count))
     below = []
     for f in flats:
-        lower = everything.intersection(
-            *(with_hyperplane[i] for i in f.containing_hyperplanes)
-        )
+        # From the smallest set: each step then iterates the smaller side.
+        sets = sorted((with_hyperplane[i] for i in f.containing_hyperplanes), key=len)
+        lower = sets[0].intersection(*sets[1:]) if sets else set(range(count))
         lower.discard(f.index)
         below.append(frozenset(lower))
     above: list[set[int]] = [set() for _ in range(count)]
@@ -374,10 +376,10 @@ def assemble_poset(
             above[j].add(i)
     # The poset is ranked by dimension: the covers of G are the flats
     # below it of dimension exactly dim G - 1.
-    covers = tuple(
-        frozenset(j for j in below[i] if flats[j].dim == flats[i].dim - 1)
-        for i in range(count)
-    )
+    of_dim: dict[int, set[int]] = {}
+    for f in flats:
+        of_dim.setdefault(f.dim, set()).add(f.index)
+    covers = tuple(below[f.index] & of_dim.get(f.dim - 1, set()) for f in flats)
 
     minimal = frozenset(i for i in range(count) if not below[i])
     min_dims = {flats[i].dim for i in minimal}
@@ -396,12 +398,6 @@ def assemble_poset(
         n0=n0,
         rank_l=n - n0,
     )
-
-
-def _integer_multiple(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """The vector times the lcm of its denominators: same zero tests, in ints."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
 def poset_subspaces_bruteforce(a: Arrangement) -> frozenset[AffineSubspace]:
@@ -437,7 +433,7 @@ def nbc_flats(a: Arrangement) -> tuple[frozenset[AffineSubspace], tuple[int, ...
     so a hyperplane not containing it misses it: such an X is not cut.
     """
     hyper_subspaces = [h.subspace() for h in a.hyperplanes]
-    r = len(rref([h.normal for h in a.hyperplanes], a.ambient_dim)[1])
+    r = len(rref([h.row[:-1] for h in a.hyperplanes], a.ambient_dim)[1])
     found = {AffineSubspace.whole_space(a.ambient_dim)}
     counts = [1] + [0] * a.ambient_dim
     stack = list(enumerate(hyper_subspaces))
@@ -502,12 +498,12 @@ def restriction_to(p: IntersectionPoset, g: Flat) -> Arrangement:
         h = p.arrangement.hyperplanes[
             min(p.flats[j].containing_hyperplanes - g.containing_hyperplanes)
         ]
-        normal, offset = pull_equation(g.subspace, h.normal, h.offset)
-        if all(x == 0 for x in normal):
+        pulled = pull_equation(g.subspace, h.row)
+        if not any(pulled[:-1]):
             raise InternalConsistencyError(
                 "codimension-one flat does not restrict to a chart hyperplane"
             )
-        hyperplanes.append(Hyperplane.from_coeffs(normal, offset))
+        hyperplanes.append(Hyperplane.from_row(pulled))
     return Arrangement(g.dim, tuple(hyperplanes))
 
 
@@ -518,17 +514,15 @@ def essential_arrangement(
 
     The center's canonical system M x = r is in rref with pivot columns
     p_1 < ... < p_k, so a normal a = c M has c = (a[p_1], ..., a[p_k]) in
-    the coordinates u = M x - r, canonically scaled when a is.
+    the coordinates u = M x - r.  H contains the center iff its row
+    reduces to zero against the center's rows.
     """
     pivots = center.pivot_columns()
-    columns = list(zip(*center.system))
     essential = []
     for h in hyperplanes:
-        c = tuple(h.normal[p] for p in pivots)
-        if (tuple(dot(c, col) for col in columns) != h.normal
-                or dot(c, center.rhs) != h.offset):
+        if any(pull_equation(center, h.row)):
             raise InternalConsistencyError("hyperplane does not contain the center")
-        essential.append(Hyperplane.from_coeffs(c, 0))
+        essential.append(Hyperplane.from_row([h.row[p] for p in pivots] + [0]))
     return Arrangement(len(pivots), tuple(essential))
 
 
@@ -542,8 +536,7 @@ def essentialize_with_chart(
     a = c M becomes {u : c.u = 0}.  The intersection poset maps isomorphically
     under u (flats map to flats through the affine image).
     """
-    normals = tuple(h.normal for h in a.hyperplanes)
-    center = solve_affine(normals, [h.offset for h in a.hyperplanes], a.ambient_dim)
+    center = solve_rows([h.row for h in a.hyperplanes], a.ambient_dim)
     if center is None:
         raise InputError("arrangement is not central")
     shift = tuple(-b for b in center.rhs)

@@ -28,12 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .arrangement import (
-    Arrangement,
-    IntersectionPoset,
-    _integer_multiple,
-    build_intersection_poset,
-)
+from .arrangement import Arrangement, IntersectionPoset, build_intersection_poset
 from .errors import InputError, ResourceCapError
 from .exact_linalg import Vector, as_rational, vector
 
@@ -259,18 +254,16 @@ def list_faces(
     C(G)'s and the tight ones: it is +-v for v the direction of the line
     they cut out, a flat of `members` below G.
     """
-    rows = [_integer_multiple(h.normal + (-h.offset,)) for h in p.arrangement.hyperplanes]
+    rows = [h.row[:-1] + (-h.row[-1],) for h in p.arrangement.hyperplanes]
     faces: dict[int, Faces] = {}
     rays = {(0, 0)} if p.n0 else set()
     for g in sorted(members, key=lambda i: p.flats[i].dim):
         flat = p.flats[g]
-        point, basis = flat.subspace.parametrize()
+        w, directions = flat.subspace.lattice_chart()
         if not p.covers[g]:
-            w = _integer_multiple(point + (Fraction(1),))
             values = tuple(_dot(r, w) for r in rows)
             faces[g] = {_signs(values): (w, values)}
             continue
-        directions = [_integer_multiple(d) for d in basis]
         found: Faces = {}
         for k in p.covers[g]:
             # K = G ∩ H_i for every i in C(K) - C(G), so a.v != 0 there for

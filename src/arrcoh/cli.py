@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import _writer, chambers, decomposition, invariants, nerve_homology, verify
 from .arrangement import (
@@ -25,23 +24,18 @@ from .arrangement import (
     validate_arrangement,
 )
 from .errors import InputError, ResourceCapError
-from .exact_linalg import AffineSubspace, rational_str
+from .exact_linalg import AffineSubspace, ratio_str
 
-# The layers imported from `.` load on first use (`arrcoh/__init__.py`), so
-# each command executes only those it reads a name from.
-
-COMMANDS = ("poset", "invariants", "beta", "nerve", "chambers", "decompose", "verify")
+# The layers imported from `.` load on first use (`arrcoh/__init__.py`).
+# Per command, the layers its report runs: `run` loads them, and `_writer`
+# under --format json, before it reads the input, so none compiles after.
+COMMAND_LAYERS = {"poset": (), "invariants": (invariants,), "beta": (invariants,),
+                  "nerve": (nerve_homology,), "chambers": (chambers,),
+                  "decompose": (decomposition,), "verify": (verify,)}
+COMMANDS = tuple(COMMAND_LAYERS)
 
 
 # --- rendering helpers ----------------------------------------------------
-
-
-def format_coefficient(c: Fraction, variable: str, first: bool) -> str:
-    mag = abs(c)
-    body = variable if mag == 1 else f"{rational_str(mag)}*{variable}"
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f"+ {body}" if c > 0 else f"- {body}"
 
 
 def equations_str(s: AffineSubspace) -> str:
@@ -49,12 +43,14 @@ def equations_str(s: AffineSubspace) -> str:
     if s.is_whole_space:
         return f"C^{s.ambient_dim} (whole space)"
     parts = []
-    for row, b in zip(s.system, s.rhs):
+    for row in s.ratios():
         terms = []
-        for j, c in enumerate(row):
-            if c != 0:
-                terms.append(format_coefficient(c, f"x{j + 1}", not terms))
-        parts.append(" ".join(terms) + f" = {rational_str(b)}")
+        for j, (c, d) in enumerate(row[:-1]):
+            if c:
+                body = f"x{j + 1}" if (abs(c), d) == (1, 1) else f"{ratio_str(abs(c), d)}*x{j + 1}"
+                sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+                terms.append(sign + body)
+        parts.append(" ".join(terms) + f" = {ratio_str(*row[-1])}")
     return ", ".join(parts)
 
 
@@ -269,6 +265,9 @@ def load_arrangement(path: str) -> Arrangement:
 def run(command: str, input_path: str, output_format: str, max_hyperplanes: int) -> int:
     """Dispatch a command; prints the report and returns the exit code."""
     try:
+        layers = COMMAND_LAYERS.get(command, ())
+        for layer in layers + (_writer,) if output_format == "json" else layers:
+            vars(layer)  # the first attribute read runs the layer's body
         a = load_arrangement(input_path)
         if command == "nerve" and len(a) > nerve_homology.DEFAULT_NERVE_ORACLE_CAP:
             # Checked before the poset: nerve homology grows like 2^|A|.

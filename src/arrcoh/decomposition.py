@@ -50,7 +50,7 @@ from .arrangement import (
     IntersectionPoset,
 )
 from .errors import InputError
-from .exact_linalg import AffineSubspace, Vector, pull_equation, solve_affine
+from .exact_linalg import AffineSubspace, Row, primitive, pull_equation, solve_rows
 from .invariants import beta_all_flats
 
 
@@ -141,14 +141,14 @@ def contains_tensor_trivial(m: ModuleExpr) -> bool:
 # --- deconing -----------------------------------------------------------
 
 
-def _pull_back(normals: Sequence[Vector]) -> Arrangement:
+def _pull_back(normals: Sequence[Row]) -> Arrangement:
     """Decone of the central essential arrangement {c.u = 0 : c in normals}
-    at H_inf = normals[0]: every other equation pulled back to the chart
-    {H_inf = 1}.  Normals must be canonically scaled."""
-    chart = Hyperplane(normals[0], 1).subspace()
-    return Arrangement(
-        chart.dim, tuple(Hyperplane.from_coeffs(*pull_equation(chart, c, 0)) for c in normals[1:])
-    )
+    (integer normals) at H_inf = normals[0]: every other equation pulled
+    back to the chart {H_inf = 1}, i.e. {c.u = c_p}, c = normals[0], c_p its lead."""
+    head = normals[0]
+    chart = Hyperplane.from_row(head + (next(filter(None, head)),)).subspace()
+    pulled = (Hyperplane.from_row(pull_equation(chart, c + (0,))) for c in normals[1:])
+    return Arrangement(chart.dim, tuple(pulled))
 
 
 def decone(a: Arrangement, h_infinity: int) -> Arrangement:
@@ -163,12 +163,12 @@ def decone(a: Arrangement, h_infinity: int) -> Arrangement:
         raise InputError("cannot decone an empty arrangement")
     if not 0 <= h_infinity < len(a.hyperplanes):
         raise InputError(f"hyperplane index {h_infinity} out of range")
-    normals = tuple(h.normal for h in a.hyperplanes)
-    center = solve_affine(normals, [h.offset for h in a.hyperplanes], a.ambient_dim)
+    center = solve_rows([h.row for h in a.hyperplanes], a.ambient_dim)
     if center is None:
         raise InputError("deconing requires a central arrangement")
     if center.dim != 0:
         raise InputError("deconing requires an essential arrangement")
+    normals = tuple(h.row[:-1] for h in a.hyperplanes)
     return _pull_back((normals[h_infinity],) + normals[:h_infinity] + normals[h_infinity + 1:])
 
 
@@ -191,8 +191,7 @@ def decone_view(p: IntersectionPoset, g: Flat, h_infinity: int) -> list[tuple[in
 
 def decone_trace(deconed: Arrangement, position: dict[int, int], c: frozenset[int]) -> AffineSubspace:
     """The trace of a view member with containing set c: p's hyperplane i is position[i]."""
-    rows = [deconed.hyperplanes[position[i]] for i in c]
-    return solve_affine([h.normal for h in rows], [h.offset for h in rows], deconed.ambient_dim)
+    return solve_rows([deconed.hyperplanes[position[i]].row for i in c], deconed.ambient_dim)
 
 
 def decone_flats(
@@ -293,7 +292,7 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     """
     a = p.arrangement
     betas = beta_all_flats(p)
-    front: dict[tuple[Vector, ...], ModuleExpr] = {}
+    front: dict[tuple[Row, ...], ModuleExpr] = {}
     memo: dict[Arrangement, ModuleExpr] = {}
     summands = []
     for f, b in zip(p.flats, betas):
@@ -313,7 +312,7 @@ def _summand_module(
     y: int,
     trace: AffineSubspace,
     beta: int,
-    front: dict[tuple[Vector, ...], ModuleExpr],
+    front: dict[tuple[Row, ...], ModuleExpr],
     memo: dict[Arrangement, ModuleExpr],
 ) -> ModuleExpr:
     """The module printed for p's flat y, seen as the flat `trace` of `a`
@@ -324,9 +323,10 @@ def _summand_module(
         return Free(beta)
     g = p.flats[y]
     kept = sorted(g.containing_hyperplanes)
-    # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first.
+    # ess(A_G) in G's pivot coordinates, H_inf = min C(G) first, each
+    # normal primitive: the decone depends on no normal's scale.
     pivots = trace.pivot_columns()
-    normals = tuple(tuple(a.hyperplanes[position[i]].normal[c] for c in pivots) for i in kept)
+    normals = tuple(primitive([a.hyperplanes[position[i]].row[c] for c in pivots]) for i in kept)
     # The decone is a function of these normals, so a repeated tuple skips
     # the pull-back.
     inner = front.get(normals)

@@ -1,27 +1,27 @@
-"""Exact rational linear algebra: row reduction, affine solution sets,
-and flat intersection.
+"""Exact linear algebra over Q in integer rows: row reduction, affine
+solution sets, and flat intersection.
 
-Everything downstream reduces to questions about linear systems over Q,
-and poset correctness is all-or-nothing, so this module is exact by
-construction: scalars are `fractions.Fraction` (arbitrary precision,
-canonical p/q form), a linear system is a tuple of `Fraction` row
-vectors, and there is no floating point anywhere.  Rows are not coerced:
-an int row would divide to a float, so callers pass `Fraction` rows.
+Poset correctness is all-or-nothing, so this module is exact by
+construction, with no floating point anywhere.  Rationals are read once
+(`as_rational`); every row is then stored as integers, a rational row
+times the lcm of its denominators, and a value is written from its
+integer pair (`ratio_str`).  `Fraction` is left only in views such as
+`AffineSubspace.system` / `.rhs`, which no command reads.
 
 The canonical form of an affine subspace {x : A x = b} is the reduced
-row echelon form of the augmented system [A | b] with zero rows dropped.
-RREF is unique, so one routine (`_insert_row`) builds every such form,
-joining rows in any order.  Two subspaces are equal iff their canonical
-forms are bit-equal: hashable dict keys and exact poset elements.  A
-rational system also cuts out a subspace of C^n, and every incidence
-question (containment, intersection, dimension) about such complex flats
-is decided by the same rational eliminations, so nothing here ever
-needs complex arithmetic.
+row echelon form of [A | b], zero rows dropped, each row scaled to
+integers with gcd 1 and a positive pivot.  That form is unique, so one
+fraction-free Gauss-Jordan routine (`_insert_row`) builds it, joining
+rows in any order, and two subspaces are equal iff their rows are:
+exact dict keys, compared and hashed in ints.  A rational system also
+cuts out a subspace of C^n, and every incidence question about such
+complex flats is decided by the same eliminations.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import re
 import sys
 from fractions import Fraction
@@ -32,6 +32,7 @@ from .errors import InputError, ResourceCapError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 
@@ -52,55 +53,87 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         raise InputError(f"not a rational number: {value!r}") from exc
 
 
+# The text of each distinct value written, keyed by it in lowest terms.
+_TEXT: dict[tuple[int, int], str] = {}
+
+
+def ratio_str(num: int, den: int) -> str:
+    """Serialize num/den, in lowest terms with den > 0, as 'p/q', or 'p'
+    when den is 1; a value met again reuses its string.  A number longer
+    than the interpreter's integer digit limit is a ResourceCapError."""
+    key = (num, den)
+    text = _TEXT.get(key)
+    if text is None:
+        try:
+            text = _TEXT[key] = str(key[0]) if key[1] == 1 else f"{key[0]}/{key[1]}"
+        except ValueError as exc:
+            raise ResourceCapError(
+                f"a computed number has more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's integer digit limit"
+            ) from exc
+    return text
+
+
 def rational_str(value: Fraction) -> str:
-    """Serialize as 'p/q', or just 'p' when the denominator is 1.  A number
-    with more digits than the interpreter's integer digit limit cannot be
-    written: that is a ResourceCapError."""
-    try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise ResourceCapError(
-            f"a computed number has more than {sys.get_int_max_str_digits()} digits, "
-            "the interpreter's integer digit limit"
-        ) from exc
+    """`ratio_str` of a Fraction."""
+    return ratio_str(value.numerator, value.denominator)
 
 
 def vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(as_rational(v) for v in values)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise InputError(f"dot product length mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def integer_row(values: Sequence[int | str | Fraction]) -> Row:
+    """The values, read by `as_rational`, times the lcm of their
+    denominators: the same row up to a positive scale, in ints."""
+    if all(type(x) is int for x in values):
+        return tuple(values)
+    v = [as_rational(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
 
 
-def _insert_row(
-    rows: list[list[Fraction]], pivots: list[int], new: list[Fraction], stop: int
-) -> int | None:
-    """Join `new` to the reduced system (rows, ascending pivots) in place;
-    return its pivot, or None when it reduces to zero (it is dependent).
+def primitive(row: Sequence[int]) -> Row:
+    """The row divided by the gcd of its entries, signed so that its first
+    nonzero entry is positive; a zero row is returned as it is."""
+    g = math.gcd(*row)
+    if g and next(filter(None, row)) < 0:
+        g = -g
+    return tuple(row) if g in (0, 1) else tuple(x // g for x in row)
 
+
+def _reduce(new: Sequence[int], rows: Sequence[Row], pivots: Sequence[int]) -> list[int]:
+    """`new` with every pivot column of the reduced system cleared, times a
+    positive integer: new[p] is cleared by d new - c row, d = row[p] > 0,
+    each row being zero in the other rows' pivot columns."""
+    new = list(new)
+    for row, p in zip(rows, pivots):
+        if c := new[p]:
+            g = math.gcd(c, row[p])
+            d, c = row[p] // g, c // g
+            new = [d * x - c * y for x, y in zip(new, row)]
+    return new
+
+
+def _insert_row(rows: list[Row], pivots: list[int], new: Sequence[int], stop: int) -> int | None:
+    """Join the integer row `new` to the canonical rows (ascending pivots)
+    in place, fraction-free: reduce it, make it primitive with a positive
+    pivot, clear its pivot column from the other rows and make those
+    primitive again.  Return its pivot, or None when it reduces to zero.
     A leading column at or after `stop` (an augmented system's rhs column:
     0 = nonzero) is returned without joining, so it costs no clearing.
-    RREF is unique, so the order rows are joined in cannot change it.
     """
-    for row, p in zip(rows, pivots):
-        c = new[p]
-        if c != 0:
-            new = [a - c * b for a, b in zip(new, row)]
-    lead = next((j for j, x in enumerate(new) if x != 0), None)
+    new = _reduce(new, rows, pivots)
+    first = next(filter(None, new), 0)
+    lead = new.index(first) if first else None
     if lead is None or lead >= stop:
         return lead
+    new = primitive(new)
     pv = new[lead]
-    if pv != 1:
-        new = [x / pv for x in new]
     for i, row in enumerate(rows):
-        c = row[lead]
-        if c != 0:
-            rows[i] = [a - c * b for a, b in zip(row, new)]
+        if c := row[lead]:
+            g = math.gcd(c, pv)
+            rows[i] = primitive([pv // g * a - c // g * b for a, b in zip(row, new)])
     k = bisect.bisect(pivots, lead)
     rows.insert(k, new)
     pivots.insert(k, lead)
@@ -108,177 +141,158 @@ def _insert_row(
 
 
 def rref(
-    rows: Iterable[Sequence[Fraction]], cols: int
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form of `rows` (of width `cols`), zero rows
-    dropped, and its pivot columns.  Idempotent on rref input."""
-    reduced, pivots = [], []
+    rows: Iterable[Sequence[int | str | Fraction]], cols: int
+) -> tuple[tuple[Row, ...], tuple[int, ...]]:
+    """The canonical rows of `rows` (of width `cols`) and their pivot
+    columns.  Idempotent on its output."""
+    reduced: list[Row] = []
+    pivots: list[int] = []
     for row in rows:
-        _insert_row(reduced, pivots, list(row), cols)
-    return tuple(map(tuple, reduced)), tuple(pivots)
-
-
-def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[Vector, ...]:
-    """Kernel of a reduced system: per free column f, ascending, 1 at f and
-    minus the pivot rows' entries in column f at their pivots."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return tuple(basis)
+        _insert_row(reduced, pivots, integer_row(row), cols)
+    return tuple(reduced), tuple(pivots)
 
 
 @record
 class AffineSubspace:
     """Nonempty affine subspace {x in Q^n : system x = rhs}, canonical.
 
-    Canonical means [system | rhs] is in reduced row echelon form with no
-    zero rows, so the number of rows is the codimension and equality of
-    subspaces is plain record equality.  Construct through
-    `solve_affine` or `whole_space`; the raw constructor trusts its input.
+    `rows` are the canonical rows of [system | rhs] (see the module
+    docstring), so the number of rows is the codimension and equality of
+    subspaces is plain record equality.  Construct through `solve_affine`,
+    `solve_rows` or `whole_space`; the raw constructor trusts its input.
     """
 
     ambient_dim: int
-    system: tuple[Vector, ...]
-    rhs: Vector
+    rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        for row in self.system:
-            if len(row) != self.ambient_dim:
-                raise InputError(
-                    f"system row of length {len(row)}, expected {self.ambient_dim}"
-                )
-        if len(self.rhs) != len(self.system):
-            raise InputError("rhs length does not match system rows")
+        for row in self.rows:
+            if len(row) != self.ambient_dim + 1:
+                raise InputError(f"row of length {len(row)}, expected {self.ambient_dim + 1}")
 
     @staticmethod
     def whole_space(n: int) -> AffineSubspace:
-        return AffineSubspace(n, (), ())
+        return AffineSubspace(n, ())
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - len(self.system)
+        return self.ambient_dim - len(self.rows)
 
     @property
     def codim(self) -> int:
-        return len(self.system)
+        return len(self.rows)
 
     @property
     def is_whole_space(self) -> bool:
-        return not self.system
+        return not self.rows
 
-    def augmented_rows(self) -> list[list[Fraction]]:
-        return [list(row) + [b] for row, b in zip(self.system, self.rhs)]
+    @property
+    def system(self) -> tuple[Vector, ...]:
+        """The rref's coefficients (pivots 1), as `Fraction`s built when read."""
+        return tuple(tuple(Fraction(*q) for q in row[:-1]) for row in self.ratios())
+
+    @property
+    def rhs(self) -> Vector:
+        return tuple(Fraction(*row[-1]) for row in self.ratios())
+
+    def ratios(self) -> list[list[tuple[int, int]]]:
+        """Each entry of the rref (pivots 1) as (numerator, denominator) in
+        lowest terms, row by row: what is printed and sorted."""
+        return [[(x // g, d // g) for x in row for g in (math.gcd(x, d),)]
+                for row in self.rows for d in (next(filter(None, row)),)]
 
     def pivot_columns(self) -> tuple[int, ...]:
-        # Canonical rref: the pivot of each row is its first nonzero entry.
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.system)
+        return tuple(row.index(next(filter(None, row))) for row in self.rows)
 
     def contains(self, other: AffineSubspace) -> bool:
-        """True iff self's equations hold on all of other (self >= other).
-
-        self >= other iff self's augmented rows lie in the row space of
-        other's augmented system, i.e. stacking them adds no rank.  An
-        oracle only: the intersection poset decides incidence by integer
-        cuts and its order by containing sets.
-        """
+        """True iff self's equations hold on all of other (self >= other):
+        each of self's rows reduces to zero against other's.  An oracle
+        only: the poset decides incidence by integer cuts."""
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
-        if self.is_whole_space:
-            return True
-        stacked = other.augmented_rows() + self.augmented_rows()
-        _, pivots = rref(stacked, self.ambient_dim + 1)
-        return len(pivots) == other.codim
+        pivots = other.pivot_columns()
+        return not any(any(_reduce(row, other.rows, pivots)) for row in self.rows)
 
     def contains_point(self, point: Sequence[Fraction]) -> bool:
-        return all(dot(row, point) == b for row, b in zip(self.system, self.rhs))
+        return all(sum(a * x for a, x in zip(row, point)) == row[-1] for row in self.rows)
+
+    def lattice_chart(self) -> tuple[Row, tuple[Row, ...]]:
+        """`parametrize` in integers, each vector with gcd 1: (y, t), t > 0,
+        a multiple of (point, 1), and each direction, positive at its free
+        column."""
+        n, pivots = self.ambient_dim, self.pivot_columns()
+        free = sorted(set(range(n)).difference(pivots))
+        scale = math.lcm(*(row[p] for row, p in zip(self.rows, pivots)))
+        vectors = [[0] * n + [scale]] + [[scale * (j == f) for j in range(n)] for f in free]
+        for row, p in zip(self.rows, pivots):
+            m = scale // row[p]
+            vectors[0][p] = row[-1] * m
+            for d, f in zip(vectors[1:], free):
+                d[p] = -row[f] * m
+        point, *directions = (tuple(x // g for x in v) for v in vectors for g in (math.gcd(*v),))
+        return point, tuple(directions)
 
     def parametrize(self) -> tuple[Vector, tuple[Vector, ...]]:
-        """A point of the subspace plus a basis of its direction space."""
-        pivots = self.pivot_columns()
-        point = [Fraction(0)] * self.ambient_dim
-        for i, p in enumerate(pivots):
-            point[p] = self.rhs[i]
-        return tuple(point), _kernel(self.system, pivots, self.ambient_dim)
-
-    def sort_key(self) -> tuple:
-        return (self.ambient_dim, self.system, self.rhs)
+        """A point of the subspace plus a basis of its direction space: per
+        free column f, ascending, the direction with 1 at f."""
+        (*y, t), directions = self.lattice_chart()
+        free = sorted(set(range(self.ambient_dim)).difference(self.pivot_columns()))
+        return tuple(Fraction(x, t) for x in y), tuple(
+            tuple(Fraction(x, d[f]) for x in d) for d, f in zip(directions, free))
 
     def to_json(self) -> dict:
+        ratios = self.ratios()
         return {
             "dim": self.dim,
             "ambient_dim": self.ambient_dim,
-            "system": [[rational_str(x) for x in row] for row in self.system],
-            "rhs": [rational_str(x) for x in self.rhs],
+            "system": [[ratio_str(*q) for q in row[:-1]] for row in ratios],
+            "rhs": [ratio_str(*row[-1]) for row in ratios],
         }
 
 
+def _join(flat: AffineSubspace, rows: Iterable[Sequence[int]]) -> AffineSubspace | None:
+    """The points of `flat` where each integer row (a | b) has a.x = b,
+    canonical; None when there are none.  The flat's rows are already
+    reduced, so the new rows are joined to them one at a time."""
+    n = flat.ambient_dim
+    reduced, pivots = list(flat.rows), list(flat.pivot_columns())
+    for row in rows:
+        if _insert_row(reduced, pivots, row, n) == n:
+            return None  # 0 = nonzero: no solution
+    return AffineSubspace(n, tuple(reduced))
+
+
+def solve_rows(rows: Iterable[Sequence[int]], n: int) -> AffineSubspace | None:
+    """Canonical solution set in Q^n of integer rows (a | b), a.x = b each."""
+    return _join(AffineSubspace.whole_space(n), rows)
+
+
 def solve_affine(
-    system: Sequence[Sequence[Fraction]], rhs: Sequence[int | str | Fraction], n: int
+    system: Sequence[Sequence[int | str | Fraction]], rhs: Sequence[int | str | Fraction], n: int
 ) -> AffineSubspace | None:
     """Canonical solution set in Q^n of `system x = rhs`, or None when empty."""
-    b = vector(rhs)
-    if len(b) != len(system):
-        raise InputError(f"rhs length {len(b)} does not match {len(system)} equations")
+    if len(rhs) != len(system):
+        raise InputError(f"rhs length {len(rhs)} does not match {len(system)} equations")
     for row in system:
         if len(row) != n:
             raise InputError(f"equation of length {len(row)}, expected {n}")
-    rows, pivots = [], []
-    for row, r in zip(system, b):
-        if _insert_row(rows, pivots, list(row) + [r], n) == n:
-            return None  # 0 = nonzero: no solution
-    return AffineSubspace(n, tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows))
+    return solve_rows((integer_row(list(row) + [b]) for row, b in zip(system, rhs)), n)
 
 
 def intersect_flats(f1: AffineSubspace, f2: AffineSubspace) -> AffineSubspace | None:
-    """Canonical form of f1 ∩ f2; None when disjoint.
-
-    f1's augmented system is already reduced, so f2's equations are joined
-    to it one row at a time (`_insert_row`) and the stacked system is never
-    eliminated in full.  RREF is unique, so the result is the canonical
-    form `solve_affine` gives for the stacked equations.
-    """
+    """Canonical form of f1 ∩ f2, f2's rows joined to f1's; None when disjoint."""
     if f1.ambient_dim != f2.ambient_dim:
         raise InputError("cannot intersect flats of different ambient dimension")
-    n = f1.ambient_dim
-    rows = f1.augmented_rows()
-    pivots = list(f1.pivot_columns())
-    for new in f2.augmented_rows():
-        if _insert_row(rows, pivots, new, n) == n:
-            return None  # 0 = nonzero: disjoint
-    return AffineSubspace(n, tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows))
+    return _join(f1, f2.rows)
 
 
-def pull_equation(
-    flat: AffineSubspace, normal: Sequence[Fraction], offset: Fraction
-) -> tuple[Vector, Fraction]:
-    """Restrict normal.x = offset to the flat, in the flat's chart.
-
-    The chart coordinates are the flat's free (non-pivot) columns,
-    ascending.  On the flat each pivot variable is x_{p_i} = r_i - M_i.y,
-    so the coefficient of free column f is normal[f] - sum_i
-    normal[p_i] M_i[f], and the constant is offset - sum_i normal[p_i] r_i.
-    """
+def pull_equation(flat: AffineSubspace, row: Sequence[int]) -> Row:
+    """Restrict a.x = b, row = (a | b) in integers, to the flat, in its
+    chart y (its free columns, ascending): the row (c | k) with c.y - k a
+    positive multiple of a.x - b on the flat.  Clearing the pivot columns
+    subtracts equations that hold on the flat (`_reduce`)."""
     pivots = flat.pivot_columns()
-    pivot_set = set(pivots)
-    free = [f for f in range(flat.ambient_dim) if f not in pivot_set]
-    coeffs = [normal[f] for f in free]
-    const = offset
-    for row, p, r in zip(flat.system, pivots, flat.rhs):
-        w = normal[p]
-        if w == 0:
-            continue
-        for j, f in enumerate(free):
-            c = row[f]
-            if c != 0:
-                coeffs[j] -= w * c
-        if r != 0:
-            const -= w * r
-    return tuple(coeffs), const
-
+    pulled = _reduce(row, flat.rows, pivots)
+    for p in reversed(pivots):
+        del pulled[p]
+    return tuple(pulled)

@@ -7,8 +7,9 @@ against arithmetic the package never performs.  The restriction A∩G is
 re-derived by row reducing each covered flat's pulled-back system, its
 nerve by `reference_nerve` from every flat below G (the package reads it
 off the minimal flats alone), the poset's flats by a closure that cuts
-in `Fraction` row reduction, and an
-arrangement's chambers by `reference_chambers`, which splits regions one
+in `Fraction` row reduction (the package's exact core before it moved to
+integer rows, kept below as the reference), and an arrangement's
+chambers by `reference_chambers`, which splits regions one
 hyperplane at a time in the arrangement's own chart, with rational
 witnesses and its own recession rays (the package reads every
 restriction's chambers off one face list of A instead).
@@ -22,13 +23,15 @@ that form directly, and the tests compare them against it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import math
 import pathlib
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -54,18 +57,135 @@ from arrcoh.decomposition import (
     module_to_json,
 )
 from arrcoh.errors import InputError
-from arrcoh.exact_linalg import (
-    AffineSubspace,
-    Vector,
-    _kernel,
-    dot,
-    intersect_flats,
-    pull_equation,
-    rref,
-    solve_affine,
-)
+from arrcoh.exact_linalg import AffineSubspace, Row, Vector, solve_affine
 from arrcoh.invariants import beta_all_flats
 from arrcoh.nerve_homology import SimplicialComplex
+
+# --- the Fraction reference for the integer core ------------------------
+#
+# The package's exact core once ran on `Fraction` rows: the reduced row
+# echelon form with pivots 1, built by one row-insertion routine.  It now
+# runs on primitive integer rows.  The `Fraction` routines are kept here as
+# the reference the integer ones are tested against, over (system, rhs)
+# pairs of `Fraction` tuples.
+
+
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    if len(u) != len(v):
+        raise InputError(f"dot product length mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _insert_row(
+    rows: list[list[Fraction]], pivots: list[int], new: list[Fraction], stop: int
+) -> int | None:
+    """Join `new` to the reduced system (rows, ascending pivots) in place;
+    return its pivot, or None when it reduces to zero.  A leading column at
+    or after `stop` is returned without joining."""
+    for row, p in zip(rows, pivots):
+        c = new[p]
+        if c != 0:
+            new = [a - c * b for a, b in zip(new, row)]
+    lead = next((j for j, x in enumerate(new) if x != 0), None)
+    if lead is None or lead >= stop:
+        return lead
+    pv = new[lead]
+    if pv != 1:
+        new = [x / pv for x in new]
+    for i, row in enumerate(rows):
+        c = row[lead]
+        if c != 0:
+            rows[i] = [a - c * b for a, b in zip(row, new)]
+    k = bisect.bisect(pivots, lead)
+    rows.insert(k, new)
+    pivots.insert(k, lead)
+    return lead
+
+
+def reference_rref(
+    rows: Iterable[Sequence[Fraction]], cols: int
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form (pivots 1, zero rows dropped) and its pivots."""
+    reduced, pivots = [], []
+    for row in rows:
+        _insert_row(reduced, pivots, [Fraction(x) for x in row], cols)
+    return tuple(map(tuple, reduced)), tuple(pivots)
+
+
+def _kernel(rows: Sequence[Vector], pivots: Sequence[int], cols: int) -> tuple[Vector, ...]:
+    """Kernel of a reduced system: per free column f, ascending, 1 at f and
+    minus the pivot rows' entries in column f at their pivots."""
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+FractionFlat = tuple[tuple[Vector, ...], Vector]  # (system, rhs) in rref
+
+
+def reference_solve(
+    system: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
+) -> FractionFlat | None:
+    """The rref (system, rhs) of `system x = rhs`, or None when it is empty."""
+    rows, pivots = [], []
+    for row, b in zip(system, rhs):
+        if _insert_row(rows, pivots, [Fraction(x) for x in row] + [Fraction(b)], n) == n:
+            return None
+    return tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows)
+
+
+def reference_intersect(f1: FractionFlat, f2: FractionFlat, n: int) -> FractionFlat | None:
+    """f1 ∩ f2 by joining f2's rows to f1's reduced rows; None when disjoint."""
+    rows = [list(row) + [b] for row, b in zip(*f1)]
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in f1[0]]
+    for row, b in zip(*f2):
+        if _insert_row(rows, pivots, list(row) + [b], n) == n:
+            return None
+    return tuple(tuple(r[:n]) for r in rows), tuple(r[n] for r in rows)
+
+
+def reference_pull(
+    flat: AffineSubspace, normal: Sequence[Fraction], offset: Fraction
+) -> tuple[Vector, Fraction]:
+    """normal.x = offset restricted to the flat, in its chart (its free
+    columns, ascending): on the flat x_{p_i} = r_i - M_i.y, so the
+    coefficient of free column f is normal[f] - sum_i normal[p_i] M_i[f],
+    and the constant is offset - sum_i normal[p_i] r_i."""
+    pivots = flat.pivot_columns()
+    free = [f for f in range(flat.ambient_dim) if f not in pivots]
+    coeffs = [Fraction(normal[f]) for f in free]
+    const = Fraction(offset)
+    for row, p, r in zip(flat.system, pivots, flat.rhs):
+        w = normal[p]
+        for j, f in enumerate(free):
+            coeffs[j] -= w * row[f]
+        const -= w * r
+    return tuple(coeffs), const
+
+
+def reference_sort_key(s: AffineSubspace) -> tuple:
+    """The poset's order on flats: descending dimension, then the rref rows
+    with pivots 1, compared as Fractions."""
+    return (-s.dim, s.system, s.rhs)
+
+
+def scaled_rows(system: Sequence[Vector], rhs: Vector) -> tuple[Row, ...]:
+    """Each rref row (row | b) times the lcm of its denominators: the
+    package's canonical integer rows of the same subspace."""
+    scaled = []
+    for row, b in zip(system, rhs):
+        values = tuple(row) + (b,)
+        scale = math.lcm(*(x.denominator for x in values))
+        scaled.append(tuple(x.numerator * (scale // x.denominator) for x in values))
+    return tuple(scaled)
+
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -91,7 +211,7 @@ class FlatRelation(Enum):
 
 def null_space_basis(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[Vector, ...]:
     """Basis of {x : rows x = 0}, one vector per free column of the rref."""
-    reduced, pivots = rref(rows, cols)
+    reduced, pivots = reference_rref(rows, cols)
     return _kernel(reduced, pivots, cols)
 
 
@@ -203,10 +323,10 @@ def _restriction_points(
     trace; traces that coincide are merged, so the restriction is again a
     set of distinct, canonically scaled hyperplanes, one dimension down.
     """
-    flat = Hyperplane(normal, offset).subspace()
+    flat = Hyperplane.from_coeffs(normal, offset).subspace()
     traces: dict[tuple[Vector, Fraction], None] = {}
     for a, b in rows:
-        trace, const = pull_equation(flat, a, b)
+        trace, const = reference_pull(flat, a, b)
         lead = next((c for c in trace if c != 0), None)
         if lead is not None:
             if lead != 1:
@@ -264,7 +384,7 @@ def _recession_rays(normals: Sequence[Vector], n: int) -> set[tuple[int, int]] |
     null space of n - 1 independent normals.
     """
     distinct = list(dict.fromkeys(normals))
-    if len(rref(distinct, n)[1]) < n:
+    if len(reference_rref(distinct, n)[1]) < n:
         return None
     rays: set[tuple[int, int]] = set()
     for subset in itertools.combinations(distinct, n - 1) if n else ():  # Q^0 is a point
@@ -385,27 +505,32 @@ def decone_by_inverse(a: Arrangement, h_infinity: int) -> list[tuple[list, Fract
 
 def fraction_closure_poset(a: Arrangement) -> IntersectionPoset:
     """The intersection poset by a breadth-first closure in `Fraction` rref:
-    every cut is an `intersect_flats` keyed by its canonical form, and each
-    new flat's containing set comes from dot products with its point and
+    every cut is a `reference_intersect` keyed by its rref, and each new
+    flat's containing set comes from dot products with its point and
     direction basis.  The integer closure must give the same poset."""
     n = a.ambient_dim
-    top = AffineSubspace.whole_space(n)
-    hyper_subspaces = [h.subspace() for h in a.hyperplanes]
-    containing: dict[AffineSubspace, frozenset[int]] = {top: frozenset()}
+    top: FractionFlat = ((), ())
+    hyper_flats = [((h.normal,), (h.offset,)) for h in a.hyperplanes]
+    containing: dict[FractionFlat, frozenset[int]] = {top: frozenset()}
     frontier = [top]
     while frontier:
         fresh = []
         for f in frontier:
             done = set(containing[f])
-            for i, hs in enumerate(hyper_subspaces):
+            for i, hf in enumerate(hyper_flats):
                 if i in done:
                     continue
-                cut = intersect_flats(f, hs)
+                cut = reference_intersect(f, hf, n)
                 if cut is None:
                     continue
                 inside = containing.get(cut)
                 if inside is None:
-                    point, directions = cut.parametrize()
+                    system, rhs = cut
+                    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in system]
+                    point = [Fraction(0)] * n
+                    for p, b in zip(pivots, rhs):
+                        point[p] = b
+                    directions = _kernel(system, pivots, n)
                     inside = containing[cut] = frozenset(
                         j
                         for j, h in enumerate(a.hyperplanes)
@@ -415,7 +540,9 @@ def fraction_closure_poset(a: Arrangement) -> IntersectionPoset:
                     fresh.append(cut)
                 done |= inside
         frontier = fresh
-    return assemble_poset(a, containing)
+    return assemble_poset(
+        a, {AffineSubspace(n, scaled_rows(*f)): inside for f, inside in containing.items()}
+    )
 
 
 def restriction_by_rref(p: IntersectionPoset, g: Flat) -> tuple[Arrangement, list[int]]:
@@ -426,7 +553,7 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> tuple[Arrangement, lis
     candidates.sort(
         key=lambda j: (
             sorted(p.flats[j].containing_hyperplanes),
-            p.flats[j].subspace.sort_key(),
+            reference_sort_key(p.flats[j].subspace),
         )
     )
     hyperplanes = []
@@ -434,9 +561,9 @@ def restriction_by_rref(p: IntersectionPoset, g: Flat) -> tuple[Arrangement, lis
         sub = p.flats[j].subspace
         rows = []
         for row, rhs in zip(sub.system, sub.rhs):
-            coeffs, const = pull_equation(g.subspace, row, rhs)
+            coeffs, const = reference_pull(g.subspace, row, rhs)
             rows.append(list(coeffs) + [const])
-        reduced, pivots = rref(rows, g.dim + 1)
+        reduced, pivots = reference_rref(rows, g.dim + 1)
         assert len(pivots) == 1 and pivots[0] < g.dim, (g.index, j)
         row = reduced[0]
         hyperplanes.append(Hyperplane.from_coeffs(row[: g.dim], row[g.dim]))
@@ -511,7 +638,7 @@ def decone_view_rows(p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Ar
         (trace, frozenset(labels.index(i) for i in p.flats[y].containing_hyperplanes), beta)
         for y, trace, beta in decone_flats(p, g, h_infinity, deconed)
     ]
-    rows.sort(key=lambda row: (-row[0].dim, row[0].sort_key()))
+    rows.sort(key=lambda row: reference_sort_key(row[0]))
     return rows
 
 

@@ -46,6 +46,7 @@ from helpers import (
     generic,
     points,
     push_subspace,
+    reference_sort_key,
     restriction_by_rref,
     shi,
     small_arrangements,
@@ -127,7 +128,8 @@ class TestValidation:
         a = validate_arrangement(
             {"dim": 1, "hyperplanes": [{"normal": ["2"], "offset": "0"}]}
         )
-        assert a.hyperplanes[0] == Hyperplane((F(1),), F(0))
+        assert a.hyperplanes[0] == Hyperplane((1, 0))
+        assert (a.hyperplanes[0].normal, a.hyperplanes[0].offset) == ((F(1),), F(0))
 
     def test_duplicate_rejected(self):
         raw = {
@@ -261,7 +263,7 @@ def assert_same_as_fraction_closure(a):
     for name in IntersectionPoset.__match_args__:
         assert getattr(p, name) == getattr(expected, name), name
     subspaces = [f.subspace for f in p.flats]
-    assert subspaces == sorted(subspaces, key=lambda s: (-s.dim, s.sort_key()))
+    assert subspaces == sorted(subspaces, key=reference_sort_key)
     return p
 
 

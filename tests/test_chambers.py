@@ -26,7 +26,6 @@ from arrcoh.chambers import (
     list_faces,
 )
 from arrcoh.errors import InputError, ResourceCapError
-from arrcoh.exact_linalg import dot
 from arrcoh.invariants import (
     euler_complement,
     mobius_from_top,
@@ -35,6 +34,7 @@ from arrcoh.invariants import (
 )
 from helpers import (
     chamber_system,
+    dot,
     essential_braid,
     feasible_point,
     generic,
@@ -189,7 +189,7 @@ def sweep_chambers(a):
 
 def centralize(a):
     """Every hyperplane moved through the origin, coinciding ones merged."""
-    moved = (Hyperplane(h.normal, Fraction(0)) for h in a.hyperplanes)
+    moved = (Hyperplane.from_coeffs(h.normal, 0) for h in a.hyperplanes)
     return Arrangement(a.ambient_dim, tuple(dict.fromkeys(moved)))
 
 

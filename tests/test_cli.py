@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -683,6 +684,22 @@ def run_fresh(probe: str, *argv: str) -> str:
     return done.stdout
 
 
+# The tracemalloc peak of decomposing bench/inputs.generic(12, 3, 1) and
+# writing its JSON, with both layers loaded and the poset built first.
+MEMORY_PROBE = """
+import sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+import inputs
+from arrcoh import _writer, decomposition
+from arrcoh.arrangement import build_intersection_poset, validate_arrangement
+decompose, write_json = decomposition.decompose_cohomology, _writer.write_json
+p = build_intersection_poset(validate_arrangement(inputs.generic(12, 3, 1)))
+tracemalloc.start()
+write_json(decompose(p).to_json(), lambda text: None)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 # Runs one command in text, then in JSON, and prints the arrcoh module
 # bodies executed after each.  An `exec` audit event fires for every module
 # body, compiled from source or read from a cached .pyc alike.
@@ -727,6 +744,37 @@ def test_command_executes_only_its_layers(command):
     text, both = json.loads(run_fresh(EXECUTED_PROBE, command, corpus_file("generic4-c2")))
     assert layer in text and "_writer" not in text
     assert "_writer" in both and not excluded & set(both)
+
+
+def test_no_fraction_is_built_after_the_input_is_read(tmp_path, capsys, monkeypatch):
+    """Flats, traces, decones and their memo keys are integer rows, and a
+    printed value's text comes from an integer pair: once the input is
+    read, no command builds a `Fraction`.  The input is central and
+    essential with rational coefficients, so `verify` decones it."""
+    path = tmp_path / "rational.json"
+    rows = [["1", "0", "0"], ["0", "-2/3", "0"], ["0", "0", "5"], ["1", "-2/3", "0"],
+            ["3/5", "1", "1/2"], ["-1", "7/4", "-7/4"]]
+    path.write_text(json.dumps({"dim": 3, "hyperplanes": [
+        {"normal": normal, "offset": "0"} for normal in rows
+    ]}))
+    made, new, load = [], Fraction.__new__, cli.load_arrangement
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def loading(input_path):
+        a = load(input_path)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return a
+
+    monkeypatch.setattr(cli, "load_arrangement", loading)
+    for command in cli.COMMANDS:
+        for fmt in ("text", "json"):
+            assert cli.main([command, str(path), "--format", fmt]) == 0, command
+            monkeypatch.setattr(Fraction, "__new__", new)
+    capsys.readouterr()
+    assert made == []
 
 
 # Eight threads read a name of one layer at once, its first reads in a
@@ -921,6 +969,14 @@ class TestJsonBlocks:
         finally:
             tracemalloc.stop()
         assert peak < size
+
+    def test_decompose_and_write_peak_on_12_planes(self):
+        """`decompose_cohomology` and `write_json` on 12 generic planes, in
+        a fresh process under tracemalloc: 2.92 MB at the peak while flats
+        were `Fraction` rows and each occurrence of a value was its own
+        string, 2.48 MB with integer rows and each value's text once."""
+        bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+        assert int(run_fresh(MEMORY_PROBE, str(bench))) < 2_700_000
 
     def test_decompose_text_renders_each_module_once(self, monkeypatch):
         # A distinct INDUCED object writes its flat's equations once, though

@@ -49,6 +49,19 @@ from helpers import (
 F = Fraction
 
 
+def fractions_in(value):
+    """Every Fraction reachable from `value` through containers and record
+    fields."""
+    if isinstance(value, Fraction):
+        yield value
+    elif isinstance(value, (tuple, list, frozenset, set)):
+        for item in value:
+            yield from fractions_in(item)
+    elif hasattr(value, "__match_args__"):
+        for name in value.__match_args__:
+            yield from fractions_in(getattr(value, name))
+
+
 def subspace(rows, rhs, cols=None):
     sol = solve_affine([vector(r) for r in rows], rhs, len(rows[0]) if cols is None else cols)
     assert sol is not None
@@ -253,6 +266,24 @@ class TestDecomposition:
             elif "inner" in obj:
                 pending.append(obj["inner"])
         assert len(objects) == len(modules) < occurrences
+
+    def test_flats_and_memo_keys_hold_no_fraction(self, monkeypatch):
+        """A built poset's flats and both decone memo keys (the normals
+        tuples and the deconed arrangements) are integers throughout."""
+        memos = []
+        summand_module = decomposition._summand_module
+
+        def recording(p, a, position, y, trace, beta, front, memo):
+            memos.append((front, memo))
+            return summand_module(p, a, position, y, trace, beta, front, memo)
+
+        monkeypatch.setattr(decomposition, "_summand_module", recording)
+        p = build_intersection_poset(shi(4))
+        decompose_cohomology(p)
+        front, memo = memos[0]
+        assert front and memo and all(f is front and m is memo for f, m in memos)
+        for value in (p.flats, list(front), list(memo)):
+            assert not list(fractions_in(value))
 
     def test_only_printed_traces_are_solved(self, monkeypatch):
         """The recursion solves a trace only for view members with positive
@@ -469,7 +500,7 @@ def assert_decone_views_match_geometry(a):
         members = containing_subarrangement(p, g).hyperplanes
         ess = essential_arrangement(g.subspace, members)
         pivots = g.subspace.pivot_columns()
-        normals = [tuple(h.normal[c] for c in pivots) for h in members]
+        normals = [tuple(h.row[c] for c in pivots) for h in members]
         for h in range(len(ess)):
             deconed = decone(ess, h)
             moved = [normals[h]] + normals[:h] + normals[h + 1:]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrcoh.arrangement import build_intersection_poset
+from arrcoh.arrangement import Arrangement, Hyperplane, build_intersection_poset
+from arrcoh.decomposition import decone, decone_flats
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import (
     AffineSubspace,
@@ -28,6 +30,12 @@ from helpers import (
     from_point_and_directions,
     null_space_basis,
     random_fraction_matrix,
+    reference_intersect,
+    reference_pull,
+    reference_rref,
+    reference_solve,
+    reference_sort_key,
+    scaled_rows,
 )
 
 F = Fraction
@@ -174,13 +182,14 @@ class TestSolveAffine:
 class TestAffineSubspaceValidation:
     def test_row_wider_than_ambient_dim(self):
         with pytest.raises(InputError):
-            AffineSubspace(1, mat([[1, 0]]), (F(0),))
+            AffineSubspace(1, ((1, 0, 0),))
 
     def test_rhs_length_mismatch(self):
+        # Each row is augmented: one without its rhs entry is refused.
         with pytest.raises(InputError):
-            AffineSubspace(2, mat([[1, 0]]), (F(0), F(1)))
+            AffineSubspace(2, ((1, 0),))
         with pytest.raises(InputError):
-            AffineSubspace(2, mat([[1, 0]]), ())
+            AffineSubspace(2, ((1, 0, 0), (0, 1)))
 
 
 class TestIntersect:
@@ -262,8 +271,9 @@ class TestPullEquation:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_the_equation_on_lifted_points(self, a, chart_points):
         """For every flat G and hyperplane H, a.x - b at the lift x of a
-        chart point y equals coeffs.y - const.  The lift sets G's free
-        columns to y and each pivot column to r_i - M_i.y."""
+        chart point y equals coeffs.y - const for the `Fraction` reference,
+        of which the integer pull-back is a positive multiple.  The lift
+        sets G's free columns to y and each pivot column to r_i - M_i.y."""
         for g in build_intersection_poset(a).flats:
             flat = g.subspace
             pivots = flat.pivot_columns()
@@ -279,11 +289,12 @@ class TestPullEquation:
                 assert flat.contains_point(x)
                 lifts.append((y, x))
             for h in a.hyperplanes:
-                coeffs, const = pull_equation(flat, h.normal, h.offset)
+                coeffs, const = reference_pull(flat, h.normal, h.offset)
                 assert len(coeffs) == g.dim
                 for y, x in lifts:
                     ambient = sum(c * v for c, v in zip(h.normal, x)) - h.offset
                     assert ambient == sum(c * v for c, v in zip(coeffs, y)) - const
+                assert_positive_multiple(pull_equation(flat, h.row), coeffs + (const,))
 
 
 class TestFlatRelation:
@@ -336,3 +347,140 @@ class TestHelpers:
         line = solve_affine(mat([[0, 1]]), [2], 2)
         with pytest.raises(InputError):
             affine_image(line, mat([[1, 0, 0]]), (F(0),))
+
+
+def assert_positive_multiple(row, reference):
+    """The integer row is s times the `Fraction` row for some s > 0."""
+    assert len(row) == len(reference)
+    k = next((j for j, x in enumerate(reference) if x), None)
+    if k is None:
+        assert not any(row)
+        return
+    s = row[k] / reference[k]
+    assert s > 0 and all(x == s * y for x, y in zip(row, reference)), (row, reference)
+
+
+long_fractions = st.fractions(min_value=-(10**24), max_value=10**24, max_denominator=10**9)
+
+
+@st.composite
+def long_matrices(draw, max_dim: int = 4):
+    """(rows, column count) with long, signed entries, some rows repeated
+    as long multiples of others so that some reduce to zero."""
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entries = st.one_of(small_fractions, long_fractions)
+    rows = [tuple(draw(entries) for _ in range(c)) for _ in range(r)]
+    scale = draw(long_fractions)
+    return tuple(rows + [tuple(scale * x for x in rows[0])]), c
+
+
+@st.composite
+def long_arrangements(draw):
+    """Up to 6 hyperplanes in C^1..C^3 with long, signed coefficients,
+    listed as long multiples of their equations.  They come as parallel
+    classes, or all through one point (central), and with the last
+    coordinate optionally absent from every normal (non-essential)."""
+    n = draw(st.integers(1, 3))
+    entries = st.one_of(small_fractions, long_fractions)
+    essential = n == 1 or draw(st.booleans())
+    point = draw(st.one_of(st.none(), st.lists(entries, min_size=n, max_size=n)))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        normal = [draw(entries) for _ in range(n)]
+        if not essential:
+            normal[-1] = Fraction(0)
+        if not any(normal):
+            continue
+        if point is None:
+            offsets = draw(st.lists(entries, min_size=1, max_size=2, unique=True))
+        else:
+            offsets = [sum(x * y for x, y in zip(normal, point))]
+        for b in offsets:
+            scale = draw(long_fractions.filter(bool))
+            rows.append(Hyperplane.from_coeffs([scale * x for x in normal], scale * b))
+    return Arrangement(n, tuple(dict.fromkeys(rows))[:6])
+
+
+def assert_core_matches_reference(a):
+    """Every flat's canonical rows are the `Fraction` rref of its
+    containing hyperplanes scaled to primitive rows, the poset is sorted by
+    the `Fraction` rows, every pull-back is a positive multiple of the
+    reference's, and on a central essential A every decone and every
+    trace of its view is the reference's."""
+    p = build_intersection_poset(a)
+    n = a.ambient_dim
+    subspaces = [f.subspace for f in p.flats]
+    assert subspaces == sorted(subspaces, key=reference_sort_key)
+    for f in p.flats:
+        members = [a.hyperplanes[i] for i in sorted(f.containing_hyperplanes)]
+        expected = reference_solve([h.normal for h in members], [h.offset for h in members], n)
+        assert f.subspace.rows == scaled_rows(*expected)
+        assert (f.subspace.system, f.subspace.rhs) == expected
+        for h in a.hyperplanes:
+            coeffs, const = reference_pull(f.subspace, h.normal, h.offset)
+            assert_positive_multiple(pull_equation(f.subspace, h.row), coeffs + (const,))
+    if not (a.hyperplanes and p.is_central and p.is_essential):
+        return
+    center = p.flats[min(p.minimal_flats)]
+    for h in range(len(a)):
+        deconed = decone(a, h)
+        chart = Hyperplane.from_coeffs(a.hyperplanes[h].normal, 1).subspace()
+        assert deconed.hyperplanes == tuple(
+            Hyperplane.from_coeffs(*reference_pull(chart, g.normal, 0))
+            for i, g in enumerate(a.hyperplanes) if i != h
+        )
+        for y, trace, _ in decone_flats(p, center, h, deconed):
+            members = [deconed.hyperplanes[i - (i > h)]
+                       for i in sorted(p.flats[y].containing_hyperplanes)]
+            expected = reference_solve(
+                [g.normal for g in members], [g.offset for g in members], deconed.ambient_dim
+            )
+            assert trace.rows == scaled_rows(*expected)
+
+
+class TestIntegerCoreAgainstReference:
+    """The integer rows against the `Fraction` routines they replaced
+    (`tests/helpers.py`): the same reduced forms, scaled to primitive rows
+    with positive pivots, and the same order, traces and pull-backs."""
+
+    @given(long_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_rows_are_the_reference_rows_scaled(self, m):
+        rows, cols = m
+        system, pivots = reference_rref(rows, cols)
+        reduced = rref(rows, cols)
+        assert reduced == (scaled_rows([r[:-1] for r in system], [r[-1] for r in system]), pivots)
+        for row in reduced[0]:
+            assert math.gcd(*row) == 1 and row[next(j for j, x in enumerate(row) if x)] > 0
+
+    @given(long_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_and_intersect_agree_with_the_reference(self, m, data):
+        rows, cols = m
+        entries = st.one_of(small_fractions, long_fractions)
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        expected = reference_solve(rows, rhs, cols)
+        solved = solve_affine(rows, rhs, cols)
+        assert (solved is None) == (expected is None)
+        if solved is None:
+            return
+        assert solved.rows == scaled_rows(*expected)
+        assert (solved.system, solved.rhs) == expected
+        half = len(rows) // 2
+        first = reference_solve(rows[:half], rhs[:half], cols)
+        second = reference_solve(rows[half:], rhs[half:], cols)
+        meet = intersect_flats(solve_affine(rows[:half], rhs[:half], cols),
+                               solve_affine(rows[half:], rhs[half:], cols))
+        assert meet is not None and meet.rows == scaled_rows(
+            *reference_intersect(first, second, cols)
+        )
+
+    @given(closure_arrangements())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_arrangements(self, a):
+        assert_core_matches_reference(a)
+
+    @given(long_arrangements())
+    @settings(max_examples=60, deadline=None)
+    def test_long_coefficients(self, a):
+        assert_core_matches_reference(a)

@@ -15,6 +15,7 @@ from arrcoh.arrangement import (
     poset_subspaces_bruteforce,
 )
 from arrcoh.errors import InputError
+from arrcoh.exact_linalg import AffineSubspace
 from arrcoh.invariants import IntPolynomial
 from arrcoh.verify import run_all_checks
 from helpers import braid, essential_braid, generic, points, replace, shi
@@ -281,16 +282,17 @@ def dropping_a_face(monkeypatch):
 
 
 def flipping_a_witness_sign(monkeypatch):
-    # The first point's witness (y, t) becomes (-y, -t), the same point
-    # read with every sign flipped: A's 8 integer rows come first.
-    original, calls = chambers._integer_multiple, []
+    # The first flat's witness (y, t) becomes (-y, -t), the same point read
+    # with every sign flipped.  Flats are visited by ascending dimension,
+    # so it is a point's.
+    original, calls = AffineSubspace.lattice_chart, []
 
-    def flipped(values):
-        calls.append(values)
-        w = original(values)
-        return tuple(-x for x in w) if len(calls) == 9 else w
+    def flipped(self):
+        calls.append(self)
+        w, directions = original(self)
+        return (tuple(-x for x in w) if len(calls) == 1 else w), directions
 
-    monkeypatch.setattr(chambers, "_integer_multiple", flipped)
+    monkeypatch.setattr(AffineSubspace, "lattice_chart", flipped)
 
 
 def removing_a_ray(monkeypatch):
