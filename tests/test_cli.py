@@ -972,11 +972,14 @@ class TestJsonBlocks:
 
     def test_decompose_and_write_peak_on_12_planes(self):
         """`decompose_cohomology` and `write_json` on 12 generic planes, in
-        a fresh process under tracemalloc: 2.92 MB at the peak while flats
-        were `Fraction` rows and each occurrence of a value was its own
-        string, 2.48 MB with integer rows and each value's text once."""
+        a fresh process under tracemalloc.  At the peak, Python 3.11 holds
+        2.53 MB while flats are `Fraction` rows and each occurrence of a
+        value is its own string, and 2.21 MB with integer rows and each
+        value's text once (3.12 and 3.13 within 0.01 MB of that).  3.10's
+        objects are larger: 2.71 and 2.39 MB."""
         bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-        assert int(run_fresh(MEMORY_PROBE, str(bench))) < 2_700_000
+        bound = 2_550_000 if sys.version_info < (3, 11) else 2_370_000
+        assert int(run_fresh(MEMORY_PROBE, str(bench))) < bound
 
     def test_decompose_text_renders_each_module_once(self, monkeypatch):
         # A distinct INDUCED object writes its flat's equations once, though
