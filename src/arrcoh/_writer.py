@@ -6,7 +6,12 @@ that cannot be rendered writes nothing.  It then writes the report in
 chunks as it renders, and holds each container reached more than once as
 one rope: its text at indent 0, cut where a shared child sits.  The
 writer's memory grows with the distinct content, not with the printed
-tree, in which the `decompose` memo's modules repeat many times."""
+tree, in which the `decompose` memo's modules repeat many times.
+
+A value with a `to_json()` method, such as a report's flat, is written as
+what that method returns, rendered where it stands: the check calls it,
+and the render calls it again.  So a report holds its flats as they are,
+and no flat's JSON object outlives the line it is written on."""
 
 from __future__ import annotations
 
@@ -20,20 +25,28 @@ FLUSH_TOKENS = 1024
 
 
 def write_json(value: object, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(value, indent=2, sort_keys=True) + "\n"` through
-    `write`, for dicts with str keys, lists, tuples, str, int, bool and None.
-    Any other value or key raises TypeError, an int longer than
-    `sys.get_int_max_str_digits()` and a cycle raise ValueError, each before
-    the first write.  A nonempty dict or list reached twice (by id(); `value`
-    keeps it alive) is rendered once, at indent 0, and re-indented at each
-    occurrence: JSON strings hold no raw newline."""
+    """Write `json.dumps(value, indent=2, sort_keys=True,
+    default=lambda o: o.to_json()) + "\n"` through `write`, for dicts with
+    str keys, lists, tuples, str, int, bool, None and objects with a
+    `to_json()` method.  Any other value or key raises TypeError, an int
+    longer than `sys.get_int_max_str_digits()` and a cycle raise ValueError,
+    each before the first write.  A nonempty dict or list reached twice (by
+    id(); `value` keeps it alive) is rendered once, at indent 0, and
+    re-indented at each occurrence: JSON strings hold no raw newline.
+
+    `to_json()` is called once to check its result and once to render it.
+    The containers it returns are new on every call, so none of them is
+    counted or shared: once freed, its id can be another's.  A cycle
+    through them is still caught, since each stays alive while it is on
+    the path (`inside`)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
     too_long = 10**limit if limit else None
     reached: dict[int, int] = {}
     inside: set[int] = set()
 
-    def count(o: dict | list | tuple) -> None:
+    def count(o: dict | list | tuple, fresh: bool) -> None:
         # The sharing pass, which also checks every value the render accepts.
+        # Nothing under a `to_json()` result (`fresh`) is counted.
         if isinstance(o, dict):
             for k in o:
                 if not isinstance(k, str):
@@ -42,19 +55,29 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
             if isinstance(v, str):
                 continue
             if isinstance(v, (dict, list, tuple)):
-                if v:
+                if not v:
+                    continue
+                if id(v) in inside:
+                    raise ValueError("Circular reference detected")
+                if not fresh:
                     reached[id(v)] = n = reached.get(id(v), 0) + 1
-                    if n == 1:
-                        inside.add(id(v))
-                        count(v)
-                        inside.discard(id(v))
-                    elif id(v) in inside:
-                        raise ValueError("Circular reference detected")
+                    if n > 1:
+                        continue
+                inside.add(id(v))
+                count(v, fresh)
+                inside.discard(id(v))
             elif isinstance(v, int):  # bool included
                 if too_long is not None and not -too_long < v < too_long:
                     raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
             elif v is not None:
-                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+                to_json = getattr(v, "to_json", None)
+                if to_json is None:
+                    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+                if id(v) in inside:
+                    raise ValueError("Circular reference detected")
+                inside.add(id(v))
+                count((to_json(),), True)
+                inside.discard(id(v))
 
     # A token is text, or a reference (rope, spaces): a shared container's
     # rope, and the spaces of the indent at which it occurs.
@@ -70,9 +93,11 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
             out.append(head + ("true" if v is True else "false" if v is False else int.__repr__(v)))
         elif v is None:
             out.append(head + "null")
+        elif not isinstance(v, (dict, list, tuple)):
+            put(v.to_json(), head, indent, out)
         elif not v:
             out.append(head + ("{}" if isinstance(v, dict) else "[]"))
-        elif reached[id(v)] == 1:
+        elif reached.get(id(v), 1) == 1:  # a `to_json()` result is not counted
             out.append(head)
             container(v, indent, out)
         else:
@@ -123,7 +148,7 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
             write("".join(pending))
             pending.clear()
 
-    count((value,))
+    count((value,), False)
     put(value, "", "\n", doc)
     emit(doc, "\n")
     pending.append("\n")

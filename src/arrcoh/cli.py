@@ -88,7 +88,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
                 "index": f.index,
                 "dim": f.dim,
                 "codim": f.codim,
-                "flat": f.subspace.to_json(),
+                "flat": f.subspace,
                 "containing_hyperplanes": sorted(f.containing_hyperplanes),
                 "covers": sorted(p.covers[f.index]),
             }
@@ -120,9 +120,9 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
 
 def invariants_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
     mu = invariants.mobius_from_top(p)
-    chi = invariants.characteristic_polynomial(p)
-    pi = invariants.poincare_polynomial(p)
-    euler = invariants.euler_complement(p)
+    chi = invariants._characteristic(p, mu)
+    pi = invariants._poincare(p, mu)
+    euler = invariants._euler(mu)
     # Written in both formats, so that a flat whose equations are too long
     # to print exits 2 whatever the format.
     equations = [equations_str(f.subspace) for f in p.flats]
@@ -296,19 +296,21 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
                 out = decompose_report(a, decomposition.decompose_cohomology(p), output_format)
             else:
                 raise InputError(f"unknown command {command!r}")
+        if output_format == "json":
+            # Every value is checked before the first write, so a report
+            # that cannot be rendered writes nothing, and a flat whose
+            # numbers are too long to print exits 2.  The report is then
+            # written in chunks as it renders, each shared module held once
+            # and each flat rendered where it stands.
+            _writer.write_json(out, sys.stdout.write)
+        else:
+            print(out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if output_format == "json":
-        # Every value is checked before the first write, so a report that
-        # cannot be rendered writes nothing.  The report is then written in
-        # chunks as it renders, each shared module held once.
-        _writer.write_json(out, sys.stdout.write)
-    else:
-        print(out)
     return 0 if verify_ok else 3
 
 

@@ -39,7 +39,6 @@ the associated graded module, not the ungraded one.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from ._record import record
@@ -105,7 +104,8 @@ def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> d
     elif isinstance(m, TensorTrivial):
         obj = {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner, memo)}
     elif isinstance(m, Induced):
-        obj = {"kind": "INDUCED", "flat": m.flat.to_json(), "inner": module_to_json(m.inner, memo)}
+        # The flat is rendered where it stands (`_writer`): no dict per flat.
+        obj = {"kind": "INDUCED", "flat": m.flat, "inner": module_to_json(m.inner, memo)}
     elif isinstance(m, Sum):
         obj = {"kind": "SUM", "parts": [module_to_json(x, memo) for x in m.parts]}
     else:
@@ -239,7 +239,7 @@ class GradedDecomposition:
             "duality_note": DUALITY_NOTE,
             "summands": [
                 {
-                    "flat": s.subspace.to_json(),
+                    "flat": s.subspace,
                     "multiplicity": s.multiplicity,
                     "module": module_to_json(s.module, memo),
                     "is_trivial_z": s.is_trivial_z,
@@ -358,6 +358,15 @@ def _summand_module(
     return node if beta == 1 else Sum((node,) * beta)
 
 
+def _flat_text(flat: AffineSubspace) -> str:
+    """`json.dumps(flat.to_json(), sort_keys=True)`, joined straight from
+    the entry texts, which hold nothing JSON escapes."""
+    texts = flat.texts()
+    rhs = ", ".join([f'"{row.pop()}"' for row in texts])
+    system = ", ".join(['["' + '", "'.join(row) + '"]' for row in texts])
+    return f'{{"ambient_dim": {flat.ambient_dim}, "dim": {flat.dim}, "rhs": [{rhs}], "system": [{system}]}}'
+
+
 def _decone_sum(parts: list[ModuleExpr]) -> ModuleExpr:
     """A decone's module in normal form, from its printed members' modules
     (`_summand_module`, one per member with beta > 0): the top's FREE
@@ -373,7 +382,7 @@ def _decone_sum(parts: list[ModuleExpr]) -> ModuleExpr:
     def key(m: ModuleExpr) -> str:
         node = m.parts[0] if isinstance(m, Sum) else m
         # The empty key puts FREE before every flat's text.
-        return "" if isinstance(node, Free) else json.dumps(node.flat.to_json(), sort_keys=True)
+        return "" if isinstance(node, Free) else _flat_text(node.flat)
 
     nodes = [n for m in sorted(parts, key=key) for n in (m.parts if isinstance(m, Sum) else (m,))]
     return nodes[0] if len(nodes) == 1 else Sum(tuple(nodes))

@@ -55,6 +55,9 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
 # The text of each distinct value written, keyed by it in lowest terms.
 _TEXT: dict[tuple[int, int], str] = {}
+# The text of each entry of a flat's row met, over the row's pivot:
+# _OVER[pivot][entry], so a flat written again costs no gcd.
+_OVER: dict[int, dict[int, str]] = {}
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -71,6 +74,13 @@ def ratio_str(num: int, den: int) -> str:
                 f"a computed number has more than {sys.get_int_max_str_digits()} digits, "
                 "the interpreter's integer digit limit"
             ) from exc
+    return text
+
+
+def _entry_str(over: dict[int, str], x: int, pivot: int) -> str:
+    """`ratio_str` of x / pivot, kept in `over`, which is `_OVER[pivot]`."""
+    g = math.gcd(x, pivot)
+    text = over[x] = ratio_str(x // g, pivot // g)
     return text
 
 
@@ -240,14 +250,24 @@ class AffineSubspace:
         return tuple(Fraction(x, t) for x in y), tuple(
             tuple(Fraction(x, d[f]) for x in d) for d, f in zip(directions, free))
 
+    def texts(self) -> list[list[str]]:
+        """Each entry of the rref (pivots 1) as printed (`ratio_str`), row
+        by row: the text of the entry over its row's pivot, one gcd per
+        entry the first time it is met (`_OVER`)."""
+        texts = []
+        for row in self.rows:
+            d = next(filter(None, row))
+            over = _OVER.get(d)
+            if over is None:
+                over = _OVER[d] = {}
+            get = over.get
+            texts.append([get(x) or _entry_str(over, x, d) for x in row])
+        return texts
+
     def to_json(self) -> dict:
-        ratios = self.ratios()
-        return {
-            "dim": self.dim,
-            "ambient_dim": self.ambient_dim,
-            "system": [[ratio_str(*q) for q in row[:-1]] for row in ratios],
-            "rhs": [ratio_str(*row[-1]) for row in ratios],
-        }
+        system = self.texts()
+        rhs = [row.pop() for row in system]
+        return {"dim": self.dim, "ambient_dim": self.ambient_dim, "system": system, "rhs": rhs}
 
 
 def _join(flat: AffineSubspace, rows: Iterable[Sequence[int]]) -> AffineSubspace | None:

@@ -127,11 +127,7 @@ def mobius_interval_from(p: IntersectionPoset, g: Flat) -> dict[int, int]:
 
 def characteristic_polynomial(p: IntersectionPoset) -> IntPolynomial:
     """chi(A, t) = sum over flats of mu(top, G) t^{d(G)}."""
-    mu = mobius_from_top(p)
-    coeffs = [0] * (p.arrangement.ambient_dim + 1)
-    for f in p.flats:
-        coeffs[f.dim] += mu[f.index]
-    return IntPolynomial.from_coefficients(coeffs)
+    return _characteristic(p, mobius_from_top(p))
 
 
 def poincare_polynomial(p: IntersectionPoset) -> IntPolynomial:
@@ -140,16 +136,33 @@ def poincare_polynomial(p: IntersectionPoset) -> IntPolynomial:
     The coefficients are the Betti numbers of the complement, used as an
     independent cross-check layer (constant term always 1).
     """
-    mu = mobius_from_top(p)
+    return _poincare(p, mobius_from_top(p))
+
+
+def euler_complement(p: IntersectionPoset) -> int:
+    """Euler characteristic of the complement: sum of all mu(top, G)."""
+    return _euler(mobius_from_top(p))
+
+
+# Read off one `mobius_from_top(p)`, which `arrcoh invariants` computes once.
+
+
+def _characteristic(p: IntersectionPoset, mu: dict[int, int]) -> IntPolynomial:
+    coeffs = [0] * (p.arrangement.ambient_dim + 1)
+    for f in p.flats:
+        coeffs[f.dim] += mu[f.index]
+    return IntPolynomial.from_coefficients(coeffs)
+
+
+def _poincare(p: IntersectionPoset, mu: dict[int, int]) -> IntPolynomial:
     coeffs = [0] * (p.arrangement.ambient_dim + 1)
     for f in p.flats:
         coeffs[f.codim] += abs(mu[f.index])
     return IntPolynomial.from_coefficients(coeffs)
 
 
-def euler_complement(p: IntersectionPoset) -> int:
-    """Euler characteristic of the complement: sum of all mu(top, G)."""
-    return sum(mobius_from_top(p).values())
+def _euler(mu: dict[int, int]) -> int:
+    return sum(mu.values())
 
 
 @record

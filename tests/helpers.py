@@ -661,7 +661,8 @@ ZERO = Free(0)
 
 def _expr_key(m: ModuleExpr) -> tuple[int, str]:
     kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
-    return (kind_rank[type(m)], json.dumps(module_to_json(m, {}), sort_keys=True))
+    text = json.dumps(module_to_json(m, {}), sort_keys=True, default=AffineSubspace.to_json)
+    return (kind_rank[type(m)], text)
 
 
 def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrcoh
-from arrcoh import _writer, cli, decomposition, nerve_homology, verify
+from arrcoh import _writer, cli, decomposition, invariants, nerve_homology, verify
 from arrcoh.arrangement import MAX_AMBIENT_DIM, Arrangement, arrangement_from_coeffs
 from arrcoh.chambers import ChamberReport
 from arrcoh.exact_linalg import AffineSubspace
@@ -827,6 +827,16 @@ PUBLIC_NAMES = [
 ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_invariants_computes_mobius_once(capsys, monkeypatch, fmt):
+    """χ, π and the Euler characteristic are read off one Möbius function."""
+    calls = []
+    mobius_from_top = invariants.mobius_from_top
+    monkeypatch.setattr(invariants, "mobius_from_top", lambda p: calls.append(p) or mobius_from_top(p))
+    code, out, _ = run_cli(capsys, "invariants", corpus_file("generic4-c2"), "--format", fmt)
+    assert code == 0 and out and len(calls) == 1
+
+
 def test_all_names_the_public_api():
     assert sorted(arrcoh.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
@@ -892,6 +902,45 @@ def cyclic_list() -> list:
     return cycle
 
 
+class ToJson:
+    """A value the writer renders as what `make()` returns, built anew on
+    every `to_json()` call, as a report's flats are."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def to_json(self):
+        return self.make()
+
+
+def fresh_copy(value):
+    """New containers around the same scalars and `ToJson` objects."""
+    if isinstance(value, dict):
+        return {k: fresh_copy(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [fresh_copy(v) for v in value]
+    return value
+
+
+def renders_as(value) -> ToJson:
+    return ToJson(lambda: fresh_copy(value))
+
+
+@st.composite
+def json_values_with_to_json(draw):
+    """A tree holding `to_json` objects, one of them, itself holding
+    another, reached at several depths."""
+    inner = renders_as(draw(json_trees(json_scalars)))
+    shared = renders_as(draw(json_trees(json_scalars | st.just(inner))))
+    others = json_trees(json_scalars).map(renders_as)
+    tree = draw(json_trees(json_scalars | st.just(shared) | others))
+    return {"a": shared, "b": [tree, (shared, {"k": [[shared]]})], "c": inner}
+
+
+def dumps_to_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, default=lambda o: o.to_json()) + "\n"
+
+
 class TestJsonBlocks:
     @given(json_values_with_sharing())
     @settings(max_examples=200, deadline=None)
@@ -951,6 +1000,72 @@ class TestJsonBlocks:
         value = [-(10 ** sys.get_int_max_str_digits() - 1)]
         assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
+    @given(json_values_with_to_json())
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_objects_equal_json_dumps_default(self, value):
+        assert written(value) == dumps_to_json(value)
+
+    @given(json_values_with_to_json())
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_objects_written_one_token_at_a_time(self, value):
+        with mock.patch.object(_writer, "FLUSH_TOKENS", 1):
+            assert written(value) == dumps_to_json(value)
+
+    def test_top_level_to_json_object(self):
+        value = renders_as({"rows": [["1", "-1/2"]], "n": 2})
+        assert written(value) == dumps_to_json(value)
+
+    @pytest.mark.parametrize("bad", ["float", "nested-float"])
+    def test_to_json_returning_a_float_writes_nothing(self, bad):
+        value = ToJson(lambda: 1.5) if bad == "float" else ToJson(lambda: {"k": [ToJson(lambda: 1.5)]})
+        report = {"a": [{"n": i} for i in range(2 * _writer.FLUSH_TOKENS)], "b": [value]}
+        calls = []
+        with pytest.raises(TypeError):
+            _writer.write_json(report, calls.append)
+        assert calls == []
+
+    @pytest.mark.parametrize("through", ["container", "object"])
+    def test_cycle_through_to_json_result_writes_nothing(self, through):
+        if through == "container":
+            # The result holds the list that holds the object.
+            value: object = []
+            value.append(ToJson(lambda: {"back": value}))
+        else:
+            # The result holds the object itself.
+            value = ToJson(lambda: [[value]])
+        report = {"a": [{"n": i} for i in range(2 * _writer.FLUSH_TOKENS)], "b": [value]}
+        calls = []
+        with pytest.raises(ValueError, match="Circular reference"):
+            _writer.write_json(report, calls.append)
+        assert calls == []
+
+    def test_to_json_results_are_never_counted(self):
+        """No container a `to_json()` call returns enters the sharing table:
+        each is new, and once freed its id could be another container's."""
+        returned = []  # kept alive, so that no two of them share an id
+
+        def make():
+            obj = {"system": [["1", "0"], ["0", "1/2"]], "rhs": ["3", "4"]}
+            returned.extend([obj, obj["rhs"], obj["system"], *obj["system"]])
+            return obj
+
+        flat = ToJson(make)
+        shared = [flat, "x"]
+        value = {"a": shared, "b": [[shared, flat]], "c": flat}
+        tables = []
+
+        def write(text):
+            frame = sys._getframe(1)
+            while frame.f_code is not _writer.write_json.__code__:
+                frame = frame.f_back
+            tables.append(dict(frame.f_locals["reached"]))
+
+        with mock.patch.object(_writer, "FLUSH_TOKENS", 1):
+            _writer.write_json(value, write)
+        assert len(tables) > 1 and tables[-1][id(shared)] == 2
+        assert len(returned) == 5 * 2 * 3  # checked and rendered at each of 3 places
+        assert not any(id(obj) in table for table in tables for obj in returned)
+
     def test_memory_below_characters_written(self):
         # The printed tree repeats the decone memo's shared modules; the
         # writer holds each once, and its own output only a chunk at a time.
@@ -974,11 +1089,12 @@ class TestJsonBlocks:
         """`decompose_cohomology` and `write_json` on 12 generic planes, in
         a fresh process under tracemalloc.  At the peak, Python 3.11 holds
         2.53 MB while flats are `Fraction` rows and each occurrence of a
-        value is its own string, and 2.21 MB with integer rows and each
-        value's text once (3.12 and 3.13 within 0.01 MB of that).  3.10's
-        objects are larger: 2.71 and 2.39 MB."""
+        value is its own string, 2.21 MB with integer rows and each value's
+        text once, and 1.40 MB once no flat's JSON object is built before
+        it is written (3.12 and 3.13 within 0.03 MB of that).  3.10's
+        objects are larger: 2.71, 2.39 and 1.57 MB."""
         bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-        bound = 2_550_000 if sys.version_info < (3, 11) else 2_370_000
+        bound = 1_750_000 if sys.version_info < (3, 11) else 1_600_000
         assert int(run_fresh(MEMORY_PROBE, str(bench))) < bound
 
     def test_decompose_text_renders_each_module_once(self, monkeypatch):

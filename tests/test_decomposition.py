@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from arrcoh.decomposition import (
     Sum,
     TensorTrivial,
     TrivialZ,
+    _flat_text,
     _pull_back,
     contains_tensor_trivial,
     decompose_cohomology,
@@ -34,6 +36,7 @@ from arrcoh.exact_linalg import intersect_flats, solve_affine, vector
 from arrcoh.invariants import beta_all_flats
 from helpers import (
     braid,
+    closure_arrangements,
     containing_subarrangement,
     decone_by_inverse,
     decone_view_rows,
@@ -190,6 +193,29 @@ EXPECTED_FREE_RANK = {
     "concurrent3-c2": 0,
     "generic4-c2": 3,
 }
+
+
+class TestFlatText:
+    """`_decone_sum` orders INDUCED parts by `_flat_text`, which joins a
+    flat's JSON text from its entry texts: the text `json.dumps` writes."""
+
+    @staticmethod
+    def assert_is_json_text(a: Arrangement) -> None:
+        p = build_intersection_poset(a)
+        dec = decompose_cohomology(p)
+        induced = [m.flat for m in distinct_modules(s.module for s in dec.summands)
+                   if isinstance(m, Induced)]
+        for flat in [f.subspace for f in p.flats] + induced:
+            assert _flat_text(flat) == json.dumps(flat.to_json(), sort_keys=True)
+
+    def test_corpus_braid_and_shi(self, corpus):
+        for a in [*corpus.values(), braid(4), braid(5), braid(6), shi(3), shi(4)]:
+            self.assert_is_json_text(a)
+
+    @given(closure_arrangements())
+    @settings(max_examples=100, deadline=None)
+    def test_closure_draws(self, a):
+        self.assert_is_json_text(a)
 
 
 class TestDecomposition:
