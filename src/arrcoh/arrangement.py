@@ -27,9 +27,9 @@ else is combinatorics on the containing sets C(G) = {H in A : H contains G}
   incidence  C(G) is read off G's integer columns when G is found: the
              rows that vanish on every column;
   order      a flat is the intersection of its containing set, so
-             G < G' iff C(G) strictly contains C(G');
-  covers     the poset is ranked by dimension, so the covers of G are
-             the flats below it of dimension exactly d(G) - 1;
+             G < G' iff C(G) strictly contains C(G'); stored downward only;
+  covers     the poset is ranked by dimension, so the covers of G, read
+             on demand, are the flats below it of dimension d(G) - 1;
   A_G        is C(G), read straight off the poset;
   A∩G        a flat K covered by G is G ∩ H for any H in C(K) - C(G);
              the least such H, pulled back to G's chart, is K's hyperplane
@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Mapping, Sequence
 
 from ._record import record
@@ -216,19 +216,17 @@ class IntersectionPoset:
     """All flats of an arrangement plus the ambient space as top element.
 
     Flats are sorted by descending dimension then canonical form, so
-    `flats[0]` is always the top.  `strictly_below[i]` / `strictly_above[i]`
-    hold the full strict order as index sets, combinatorially: j is below
-    i iff flat j's containing hyperplanes strictly include flat i's.
-    `covers[i]` holds the flats covered by flat i (immediately below it),
-    which by rank are the flats below i of dimension one less.  Each
-    flat's containing set is read off the closure's integer columns.
+    `flats[0]` is always the top.  The one stored order is
+    `strictly_below[i]`: j is below i iff flat j's containing hyperplanes,
+    read off the closure's integer columns, strictly include flat i's.
+    `covers(i)` and `strictly_above` are derived.  The latter is cached in
+    the instance `__dict__` on its first read; equality, hashing and the
+    repr never see it, as they read only the fields, its one source.
     """
 
     arrangement: Arrangement
     flats: tuple[Flat, ...]
     strictly_below: tuple[frozenset[int], ...]
-    strictly_above: tuple[frozenset[int], ...]
-    covers: tuple[frozenset[int], ...]
     minimal_flats: frozenset[int]
     n0: int
     rank_l: int
@@ -236,6 +234,20 @@ class IntersectionPoset:
     @property
     def top(self) -> Flat:
         return self.flats[0]
+
+    def covers(self, i: int) -> frozenset[int]:
+        """The flats covered by flat i: by rank, those below it of dimension one less."""
+        dim = self.flats[i].dim - 1
+        return frozenset(j for j in self.strictly_below[i] if self.flats[j].dim == dim)
+
+    @cached_property
+    def strictly_above(self) -> tuple[tuple[int, ...], ...]:
+        """The flats above each flat, by ascending index."""
+        above: list[list[int]] = [[] for _ in self.flats]
+        for i, below in enumerate(self.strictly_below):
+            for j in below:
+                above[j].append(i)
+        return tuple(map(tuple, above))
 
     @property
     def is_central(self) -> bool:
@@ -336,7 +348,7 @@ def assemble_poset(
     a: Arrangement, containing: Mapping[AffineSubspace, frozenset[int]]
 ) -> IntersectionPoset:
     """The poset of the flats `containing` maps to their containing sets:
-    sorted, ordered by the containing sets, covered by rank."""
+    sorted, and ordered by the containing sets."""
     n = a.ambient_dim
     # By descending dimension, then the rref with pivots 1, entry by entry:
     # each entry is replaced by its rank among the values that occur.  They
@@ -370,16 +382,6 @@ def assemble_poset(
         lower = sets[0].intersection(*sets[1:]) if sets else set(range(count))
         lower.discard(f.index)
         below.append(frozenset(lower))
-    above: list[set[int]] = [set() for _ in range(count)]
-    for i in range(count):
-        for j in below[i]:
-            above[j].add(i)
-    # The poset is ranked by dimension: the covers of G are the flats
-    # below it of dimension exactly dim G - 1.
-    of_dim: dict[int, set[int]] = {}
-    for f in flats:
-        of_dim.setdefault(f.dim, set()).add(f.index)
-    covers = tuple(below[f.index] & of_dim.get(f.dim - 1, set()) for f in flats)
 
     minimal = frozenset(i for i in range(count) if not below[i])
     min_dims = {flats[i].dim for i in minimal}
@@ -392,8 +394,6 @@ def assemble_poset(
         arrangement=a,
         flats=tuple(flats),
         strictly_below=tuple(below),
-        strictly_above=tuple(frozenset(s) for s in above),
-        covers=covers,
         minimal_flats=minimal,
         n0=n0,
         rank_l=n - n0,
@@ -484,7 +484,7 @@ def restriction_covers(p: IntersectionPoset, g: Flat) -> list[int]:
     if g.index >= len(p.flats) or p.flats[g.index] != g:
         raise InputError("flat does not belong to this poset")
     c_g = g.containing_hyperplanes
-    return sorted(p.covers[g.index], key=lambda j: min(p.flats[j].containing_hyperplanes - c_g))
+    return sorted(p.covers(g.index), key=lambda j: min(p.flats[j].containing_hyperplanes - c_g))
 
 
 def restriction_to(p: IntersectionPoset, g: Flat) -> Arrangement:

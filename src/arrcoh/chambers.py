@@ -260,12 +260,13 @@ def list_faces(
     for g in sorted(members, key=lambda i: p.flats[i].dim):
         flat = p.flats[g]
         w, directions = flat.subspace.lattice_chart()
-        if not p.covers[g]:
+        covered = p.covers(g)
+        if not covered:
             values = tuple(_dot(r, w) for r in rows)
             faces[g] = {_signs(values): (w, values)}
             continue
         found: Faces = {}
-        for k in p.covers[g]:
+        for k in covered:
             # K = G ∩ H_i for every i in C(K) - C(G), so a.v != 0 there for
             # a direction v of G exactly when v is not a direction of K.
             new_zeros = p.flats[k].containing_hyperplanes - flat.containing_hyperplanes

@@ -90,7 +90,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
                 "codim": f.codim,
                 "flat": f.subspace,
                 "containing_hyperplanes": sorted(f.containing_hyperplanes),
-                "covers": sorted(p.covers[f.index]),
+                "covers": sorted(p.covers(f.index)),
             }
             for f in p.flats
         ]
@@ -113,7 +113,7 @@ def poset_report(a: Arrangement, p: IntersectionPoset, fmt: str) -> dict | str:
         lines.append(
             f"  [{f.index}] dim {f.dim}  {equations_str(f.subspace)}  "
             f"| hyperplanes {sorted(f.containing_hyperplanes)} "
-            f"| covers {sorted(p.covers[f.index])}"
+            f"| covers {sorted(p.covers(f.index))}"
         )
     return "\n".join(lines)
 

@@ -183,8 +183,7 @@ def decone_view(p: IntersectionPoset, g: Flat, h_infinity: int) -> list[tuple[in
     equations (`decone_trace`)."""
     h_index = sorted(g.containing_hyperplanes)[h_infinity]
     members = [
-        y for y in sorted(p.strictly_above[g.index])
-        if h_index not in p.flats[y].containing_hyperplanes
+        y for y in p.strictly_above[g.index] if h_index not in p.flats[y].containing_hyperplanes
     ]
     return [(y, b.value) for y, b in zip(members, beta_all_flats(p, members))]
 

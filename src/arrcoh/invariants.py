@@ -105,23 +105,22 @@ def mobius_from_top(p: IntersectionPoset) -> dict[int, int]:
 
 
 def mobius_interval_from(p: IntersectionPoset, g: Flat) -> dict[int, int]:
-    """mu(G, X) for every flat X <= G (including X = G).
+    """mu(G, X) for every flat X <= G (including X = G), keyed by index.
 
-    Top-down recursion over the containment order: mu(G, G) = 1 and
-    mu(G, X) = -sum of mu(G, Y) over Y with X < Y <= G, visiting the
-    flats by descending dimension so every Y comes before X.
+    Pushed down the stored order: mu(G, X) = -s(X), where s(X) sums
+    mu(G, Y) over X < Y <= G, and s(G) = -1 gives mu(G, G) = 1.  By
+    ascending index, which is descending dimension, each Y comes before
+    the flats below it, so s(X) is complete when X is reached; mu(G, X)
+    is then added to s of every flat below X, all of which lie below G.
     """
-    lower = sorted(
-        set(p.strictly_below[g.index]) | {g.index},
-        key=lambda j: -p.flats[j].dim,
-    )
-    lower_set = set(lower)
+    below = p.strictly_below
+    sums = dict.fromkeys(below[g.index], 0)
+    sums[g.index] = -1
     mu: dict[int, int] = {}
-    for j in lower:
-        if j == g.index:
-            mu[j] = 1
-        else:
-            mu[j] = -sum(mu[k] for k in p.strictly_above[j] if k in lower_set)
+    for j in sorted(sums):
+        mu[j] = value = -sums[j]
+        for k in below[j]:
+            sums[k] += value
     return mu
 
 

@@ -153,15 +153,16 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
     # h(G) = (-1)^d(G) r(A∩G) inverts to (-1)^d(G) = sum of h(Y) over
     # Y <= G: one bottom-up pass, as in `beta_all_flats`.
     faces, h = {}, {}
+    sizes = [len(p.covers(f.index)) for f in p.flats]  # |A∩G|
     if p.n0 == 0:
         members = [f.index for f in p.flats if f.dim <= MAX_FM_DIM
-                   and len(p.covers[f.index]) <= MAX_CHAMBER_HYPERPLANES]
+                   and sizes[f.index] <= MAX_CHAMBER_HYPERPLANES]
         faces, rays = list_faces(p, members)
         for y in sorted(members, key=lambda i: p.flats[i].dim):
             h[y] = (-1) ** p.flats[y].dim - sum(h[j] for j in p.strictly_below[y])
     comparisons = []
     skipped = []
-    for f, b in zip(p.flats, beta_all_flats(p)):
+    for f, b, size in zip(p.flats, beta_all_flats(p), sizes):
         found = faces.get(f.index, {})
         for plus, minus in found:
             zeros = [i for i in range(len(a)) if not (plus | minus) >> i & 1]
@@ -172,7 +173,6 @@ def check_beta_oracles(p: IntersectionPoset, wedge: WedgeCheck | None) -> CheckR
             return CheckResult(name, False, f"flat {f.index}: {len(found)} faces "
                                f"!= r(A∩G) = {(-1) ** f.dim * h[f.index]}")
         beta = b.value
-        size = len(p.covers[f.index])  # |A∩G|
         if not size:
             comparisons.append((f.index, beta, 1 if beta == 1 else None))
             if beta != 1:

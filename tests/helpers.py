@@ -12,7 +12,9 @@ integer rows, kept below as the reference), and an arrangement's
 chambers by `reference_chambers`, which splits regions one
 hyperplane at a time in the arrangement's own chart, with rational
 witnesses and its own recession rays (the package reads every
-restriction's chambers off one face list of A instead).
+restriction's chambers off one face list of A instead).  The Möbius
+function is pulled up the containing sets by `reference_mobius_interval`
+(the package pushes it down its one stored order).
 The flat utilities below them (`flat_relation`, `affine_image`,
 `flat_for`) and the Fourier-Motzkin witnesses (`feasible_point`,
 `satisfies`, `chamber_system`) serve only tests, so they live here and
@@ -708,6 +710,19 @@ def poset_rows(p: IntersectionPoset):
         (f.subspace, f.containing_hyperplanes, b.value)
         for f, b in zip(p.flats, beta_all_flats(p))
     ]
+
+
+def reference_mobius_interval(p: IntersectionPoset, g) -> dict[int, int]:
+    """mu(G, X) for every flat X <= G, pulled from above: mu(G, G) = 1 and
+    mu(G, X) = -sum of mu(G, Y) over X < Y <= G, with the order read off
+    the containing sets, Y > X iff C(Y) is a proper subset of C(X).  By
+    descending dimension, every such Y is visited before X."""
+    c = [f.containing_hyperplanes for f in p.flats]
+    lower = sorted((x for x in range(len(c)) if c[g.index] <= c[x]), key=lambda x: -p.flats[x].dim)
+    mu: dict[int, int] = {}
+    for x in lower:
+        mu[x] = 1 if x == g.index else -sum(v for y, v in mu.items() if c[y] < c[x])
+    return mu
 
 
 def replace(obj, **changes):

@@ -76,7 +76,7 @@ def assert_covers_are_transitive_reduction(p):
     for f in p.flats:
         below = p.strictly_below[f.index]
         reduction = {j for j in below if not any(j in p.strictly_below[k] for k in below)}
-        assert p.covers[f.index] == reduction, f.index
+        assert p.covers(f.index) == reduction, f.index
 
 
 def assert_containing_sets_exact(a, p):

@@ -220,7 +220,7 @@ def assert_faces_are_restriction_chambers(a):
     p = build_intersection_poset(a)
     members = [
         f.index for f in p.flats
-        if len(p.covers[f.index]) <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM
+        if len(p.covers(f.index)) <= MAX_CHAMBER_HYPERPLANES and f.dim <= MAX_FM_DIM
     ]
     faces, rays = list_faces(p, members)
     assert sorted(faces) == sorted(members)

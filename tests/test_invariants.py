@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+from arrcoh.arrangement import build_intersection_poset
 from arrcoh.errors import InternalConsistencyError
 from arrcoh.invariants import (
     IntPolynomial,
@@ -10,8 +12,10 @@ from arrcoh.invariants import (
     characteristic_polynomial,
     euler_complement,
     mobius_from_top,
+    mobius_interval_from,
     poincare_polynomial,
 )
+from helpers import braid, closure_arrangements, reference_mobius_interval, shi
 
 
 def poly(*coeffs):
@@ -65,6 +69,29 @@ class TestMobius:
         for name, p in corpus_posets.items():
             if p.is_central and p.arrangement.hyperplanes:
                 assert sum(mobius_from_top(p).values()) == 0, name
+
+
+def assert_mobius_matches_reference(p):
+    for g in p.flats:
+        assert mobius_interval_from(p, g) == reference_mobius_interval(p, g), g.index
+
+
+class TestMobiusAgainstReference:
+    """Every interval's pushed-down mu against the pull recursion over the
+    containing sets, which reads neither stored nor derived order."""
+
+    def test_corpus(self, corpus_posets):
+        for p in corpus_posets.values():
+            assert_mobius_matches_reference(p)
+
+    @pytest.mark.parametrize("a", [braid(4), braid(5), shi(3)], ids=["braid4", "braid5", "shi3"])
+    def test_families(self, a):
+        assert_mobius_matches_reference(build_intersection_poset(a))
+
+    @given(closure_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_random_arrangements(self, a):
+        assert_mobius_matches_reference(build_intersection_poset(a))
 
 
 class TestPolynomials:

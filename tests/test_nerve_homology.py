@@ -105,7 +105,7 @@ def assert_view_matches_geometry(p):
     geometry, and so does the wedge check; the rebuilt n0 is A's."""
     compared = 0
     for g in p.flats:
-        if not 1 <= len(p.covers[g.index]) <= 12:
+        if not 1 <= len(p.covers(g.index)) <= 12:
             continue
         rebuilt = build_intersection_poset(restriction_to(p, g))
         assert rebuilt.n0 == p.n0, g.index
@@ -164,7 +164,7 @@ def assert_nerves_match_reference(p):
     the truncation test reads the minimal flats' containing sets alone."""
     compared = 0
     for g in p.flats:
-        if 1 <= len(p.covers[g.index]) <= 12:
+        if 1 <= len(p.covers(g.index)) <= 12:
             assert build_singular_nerve(p, g) == reference_nerve(p, g), g.index
             compared += 1
     cap = p.rank_l + 2

@@ -188,7 +188,7 @@ def test_beta_oracle_catches_a_beta_off_by_one(monkeypatch):
     wedge = nerve_homology.sigma_wedge_check(p)
     original = verify.beta_all_flats
     betas = [b.value for b in original(p)]
-    planted = [f.index for f in p.flats if not f.is_top and p.covers[f.index]]
+    planted = [f.index for f in p.flats if not f.is_top and p.covers(f.index)]
     assert len(planted) == 13
     for i in planted:
 
@@ -229,7 +229,7 @@ def test_beta_oracle_catches_torsion_in_a_restriction(monkeypatch):
     # beta unchanged, only the wedge shape of A∩G can show the fault.
     p = build_intersection_poset(braid(4))
     wedge = nerve_homology.sigma_wedge_check(p)
-    planted = [f for f in p.flats if not f.is_top and p.covers[f.index]]
+    planted = [f for f in p.flats if not f.is_top and p.covers(f.index)]
     assert len(planted) == 13 and {p.level(f) for f in planted} == {1, 2}
     for f in planted:
         with monkeypatch.context() as m:
@@ -343,8 +343,6 @@ def with_flat_below_top(p, subspace):
         p,
         flats=p.flats + (flat,),
         strictly_below=(p.strictly_below[0] | {i},) + p.strictly_below[1:] + (frozenset(),),
-        strictly_above=p.strictly_above + (frozenset({0}),),
-        covers=(p.covers[0] | {i},) + p.covers[1:] + (frozenset(),),
     )
 
 
@@ -355,8 +353,6 @@ def without_last_flat(p):
         p,
         flats=p.flats[:-1],
         strictly_below=tuple(s - {last} for s in p.strictly_below[:-1]),
-        strictly_above=p.strictly_above[:-1],
-        covers=tuple(s - {last} for s in p.covers[:-1]),
     )
 
 
