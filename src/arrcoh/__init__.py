@@ -22,7 +22,8 @@ command reads its input through them.  `invariants`, `nerve_homology`,
 on first use, so each command executes only the layers it runs.  Their
 modules are in `sys.modules` from the start; the first attribute read
 from one executes it, and a name re-exported here loads its layer when
-it is first read.
+it is first read.  `Rational`, which is `fractions.Fraction`, is read the
+same way, so no command whose input is all integers imports `fractions`.
 """
 
 import _thread
@@ -52,7 +53,6 @@ from .errors import (
 )
 from .exact_linalg import (
     AffineSubspace,
-    Rational,
     as_rational,
     intersect_flats,
     rational_str,
@@ -102,7 +102,8 @@ decomposition = _lazy("decomposition")
 verify = _lazy("verify")
 _writer = _lazy("_writer")
 
-# Each public name of a lazy layer, and the layer that defines it.
+# Each public name of a lazy layer, and the layer that defines it; and
+# `Rational`, which `exact_linalg` imports from `fractions` when it is read.
 _LAZY_NAMES = {
     name: layer
     for layer, names in {
@@ -115,6 +116,7 @@ _LAZY_NAMES = {
             "Summand", "TensorTrivial", "TrivialZ", "decompose_cohomology",
             "decone", "decone_flats", "graded_piece_is_trivial_z",
         ),
+        "exact_linalg": ("Rational",),
         "invariants": (
             "BetaValue", "IntPolynomial", "beta_all_flats", "beta_combinatorial",
             "characteristic_polynomial", "euler_complement", "mobius_from_top",
@@ -149,7 +151,7 @@ __all__ = [
     "arrangement", "chambers", "decomposition", "errors", "exact_linalg",
     "invariants", "nerve_homology",
     # exact_linalg
-    "AffineSubspace", "Rational", "as_rational", "intersect_flats",
+    "AffineSubspace", "as_rational", "intersect_flats",
     "rational_str", "rref", "solve_affine",
     # arrangement
     "Arrangement", "Flat", "Hyperplane", "IntersectionPoset",
@@ -158,6 +160,6 @@ __all__ = [
     "subarrangement_at", "validate_arrangement",
     # errors
     "ArrcohError", "InputError", "InternalConsistencyError", "ResourceCapError",
-    # the lazy layers
+    # the lazy layers, and `Rational`
     *_LAZY_NAMES,
 ]

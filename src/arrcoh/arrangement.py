@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._record import record
 from .errors import InputError, InternalConsistencyError, ResourceCapError
@@ -65,6 +64,9 @@ from .exact_linalg import (
     rref,
     solve_rows,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_HYPERPLANES = 20
 # Coordinates past the rank only add a C^(n - l) factor, yet the poset
@@ -362,6 +364,7 @@ def assemble_poset(
         [[rank[q] for q in row[:-1]] for row in keys[s]],
         [rank[row[-1]] for row in keys[s]],
     ))
+    del keys, values, rank  # released before the order is built
     flats = [
         Flat(idx, sub, sub.dim, n - sub.dim, containing[sub])
         for idx, sub in enumerate(ordered)

@@ -24,13 +24,15 @@ off the face list as a cross-check, never as the definition.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
 from .arrangement import Arrangement, IntersectionPoset, build_intersection_poset
 from .errors import InputError, ResourceCapError
 from .exact_linalg import Vector, as_rational, vector
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_FM_DIM = 6
 MAX_FM_CONSTRAINTS = 24
@@ -107,6 +109,8 @@ def _dedup(constraints: Iterable[Constraint]) -> list[Constraint]:
 
 def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | None:
     """One Fourier-Motzkin step; None signals a detected contradiction."""
+    from fractions import Fraction
+
     keep: list[Constraint] = []
     uppers: list[Constraint] = []  # positive coefficient on var
     lowers: list[Constraint] = []  # negative coefficient on var
@@ -177,6 +181,8 @@ def chamber_bounded(s: LinearSystem) -> bool:
     The recession cone is the weak homogenized system; it contains a
     nonzero vector iff it contains one with some |v_i| >= 1.
     """
+    from fractions import Fraction
+
     if not fm_feasible(s):
         raise InputError("boundedness is undefined for an infeasible system")
     n = s.ambient_dim

@@ -4,16 +4,17 @@
 
 Commands: poset, invariants, beta, nerve, chambers, decompose, verify.
 The input schema is the arrangement JSON documented in the README.
-Exit codes: 0 success, 1 invalid input, 2 cap exceeded, 3 verification
-failure.  Output is deterministic: identical input yields identical
-bytes (no timestamps, sorted keys).
+Exit codes: 0 success, 1 invalid input, 2 cap exceeded or a usage
+error, 3 verification failure.  Output is deterministic: identical input
+yields identical bytes (no timestamps, sorted keys).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from typing import NoReturn
 
 from . import _writer, chambers, decomposition, invariants, nerve_homology, verify
 from .arrangement import (
@@ -33,6 +34,26 @@ COMMAND_LAYERS = {"poset": (), "invariants": (invariants,), "beta": (invariants,
                   "nerve": (nerve_homology,), "chambers": (chambers,),
                   "decompose": (decomposition,), "verify": (verify,)}
 COMMANDS = tuple(COMMAND_LAYERS)
+FORMATS = ("text", "json")
+
+HELP = f"""\
+usage: arrcoh [-h] [--format {{text,json}}] [--max-hyperplanes MAX_HYPERPLANES]
+              {{{",".join(COMMANDS)}}} input
+
+Intersection-poset invariants and the graded group-ring cohomology
+decomposition of a rational hyperplane arrangement complement.
+
+positional arguments:
+  {{{",".join(COMMANDS)}}}
+  input                 arrangement JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --format {{text,json}}
+  --max-hyperplanes MAX_HYPERPLANES
+                        cap on the number of hyperplanes (default {DEFAULT_MAX_HYPERPLANES})
+"""
+USAGE = HELP[: HELP.index("\n\n") + 1]
 
 
 # --- rendering helpers ----------------------------------------------------
@@ -314,28 +335,107 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
     return 0 if verify_ok else 3
 
 
+# --- command line -----------------------------------------------------------
+#
+# The command line is read as a standard `argparse` parser of the usage in
+# `HELP` reads it, without importing that module: options before, between
+# or after the positionals, `--opt value` or `--opt=value`, a unique prefix
+# of a long option, `--` ending the options, the last of a repeated option
+# winning, and the same exit codes.
+
+OPTIONS = ("--help", "--format", "--max-hyperplanes")
+# A string like this is a positional, never an option.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Write the usage and the error to stderr and exit 2."""
+    sys.stderr.write(f"{USAGE}arrcoh: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg: str) -> tuple[str | None, str | None] | None:
+    """How a string that starts with '-' reads: (option, its `=` value or
+    None), (None, None) for an unknown option, None for a positional."""
+    name, eq, value = arg.partition("=")
+    if name[:2] == "--":
+        matches = [o for o in OPTIONS if o.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[:2] == "-h":  # `-hh` is `-h` twice; anything else after it is an error
+        return "--help", arg[2:] if arg[2:].strip("h") else None
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv: list[str]) -> tuple[str, str, str, int]:
+    """(command, input, format, max_hyperplanes) from the command line;
+    `--help` writes `HELP` and exits 0, a usage error exits 2.  Every
+    string is classified before any is read, so an ambiguous option is an
+    error wherever it stands; then each value is checked where it stands,
+    so an error before `--help` wins over it."""
+    reads: list[tuple[str | None, str | None] | None] = []
+    for k, arg in enumerate(argv):
+        if arg == "--":  # the rest are positionals
+            reads += [("--", None)] + [None] * (len(argv) - k - 1)
+            break
+        reads.append(None if arg[:1] != "-" or arg == "-" else _option(arg))
+    positionals: list[str] = []
+    extras: list[str] = []  # unknown options and positionals past two
+    output_format, max_hyperplanes = "text", DEFAULT_MAX_HYPERPLANES
+    items = iter(zip(argv, reads))
+    placed = False  # the string before is the command or the input
+    for arg, read in items:
+        after_positional, placed = placed, False
+        if read is None:
+            if not positionals and arg not in COMMANDS:
+                _usage_error(f"argument command: invalid choice: {arg!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+            placed = len(positionals) < 2
+            (positionals if placed else extras).append(arg)
+            continue
+        option, value = read
+        if option == "--":
+            # Dropped next to the command or the input, else unrecognized.
+            if len(positionals) == 2 and not after_positional:
+                extras.append(arg)
+        elif option is None:
+            extras.append(arg)
+        elif option == "--help":
+            if value is not None:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        else:
+            if value is None:
+                value, read = next(items, (None, ()))
+                if read is not None:  # no value, or an option where it should be
+                    _usage_error(f"argument {option}: expected one argument")
+            if option == "--format":
+                if value not in FORMATS:
+                    _usage_error(f"argument --format: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, FORMATS))})")
+                output_format = value
+            else:
+                try:
+                    max_hyperplanes = int(value)
+                except ValueError:
+                    _usage_error(f"argument --max-hyperplanes: invalid int value: {value!r}")
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(("command", "input")[len(positionals):]))
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    if max_hyperplanes <= 0:
+        _usage_error("--max-hyperplanes must be positive")
+    return positionals[0], positionals[1], output_format, max_hyperplanes
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="arrcoh",
-        description=(
-            "Intersection-poset invariants and the graded group-ring "
-            "cohomology decomposition of a rational hyperplane arrangement "
-            "complement."
-        ),
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", help="arrangement JSON file")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--max-hyperplanes",
-        type=int,
-        default=DEFAULT_MAX_HYPERPLANES,
-        help=f"cap on the number of hyperplanes (default {DEFAULT_MAX_HYPERPLANES})",
-    )
-    args = parser.parse_args(argv)
-    if args.max_hyperplanes <= 0:
-        parser.error("--max-hyperplanes must be positive")
-    return run(args.command, args.input, args.format, args.max_hyperplanes)
+    return run(*parse_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

@@ -2,11 +2,15 @@
 solution sets, and flat intersection.
 
 Poset correctness is all-or-nothing, so this module is exact by
-construction, with no floating point anywhere.  Rationals are read once
-(`as_rational`); every row is then stored as integers, a rational row
-times the lcm of its denominators, and a value is written from its
-integer pair (`ratio_str`).  `Fraction` is left only in views such as
-`AffineSubspace.system` / `.rhs`, which no command reads.
+construction, with no floating point anywhere.  Input values are read
+once (`integer_row`): an int or a plain integer string is read by `int`,
+and any other value (`p/q`, a decimal) by `as_rational`, as a `Fraction`.
+Every row is then stored as integers, a rational row times the lcm of
+its denominators, and a value is written from its integer pair
+(`ratio_str`).  `Fraction` is left only in `as_rational` and in views
+such as `AffineSubspace.system` / `.rhs`, which no command reads; each
+imports `fractions` when it first runs, so a command whose input is all
+integers never loads it.
 
 The canonical form of an affine subspace {x : A x = b} is the reduced
 row echelon form of [A | b], zero rows dropped, each row scaled to
@@ -24,17 +28,30 @@ import bisect
 import math
 import re
 import sys
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
 from .errors import InputError, ResourceCapError
 
-Rational = Fraction
-Vector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Vector = tuple["Fraction", ...]
 Row = tuple[int, ...]
 
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+# An integer that `int` and `Fraction` read alike: ASCII digits, an
+# optional sign, nothing else.
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+
+
+def __getattr__(name: str):
+    # `Rational` is `fractions.Fraction`, imported when first read.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -47,6 +64,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         raise InputError(f"boolean value not allowed: {value!r}")
     if isinstance(value, str) and _EXPONENT.search(value):
         raise InputError(f"exponent notation not allowed: {value!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -93,12 +112,25 @@ def vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(as_rational(v) for v in values)
 
 
+def _read(value: int | str | Fraction) -> int | Fraction:
+    """An int, or a plain integer string within the digit limit, as an
+    int; any other value as `as_rational` reads it."""
+    if type(value) is int:
+        return value
+    if type(value) is str and _INTEGER.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # over the digit limit: `as_rational` words it
+            pass
+    return as_rational(value)
+
+
 def integer_row(values: Sequence[int | str | Fraction]) -> Row:
-    """The values, read by `as_rational`, times the lcm of their
-    denominators: the same row up to a positive scale, in ints."""
+    """The values, read by `as_rational` (`_read`), times the lcm of
+    their denominators: the same row up to a positive scale, in ints."""
     if all(type(x) is int for x in values):
         return tuple(values)
-    v = [as_rational(x) for x in values]
+    v = [_read(x) for x in values]
     scale = math.lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (scale // x.denominator) for x in v)
 
@@ -199,10 +231,14 @@ class AffineSubspace:
     @property
     def system(self) -> tuple[Vector, ...]:
         """The rref's coefficients (pivots 1), as `Fraction`s built when read."""
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(*q) for q in row[:-1]) for row in self.ratios())
 
     @property
     def rhs(self) -> Vector:
+        from fractions import Fraction
+
         return tuple(Fraction(*row[-1]) for row in self.ratios())
 
     def ratios(self) -> list[list[tuple[int, int]]]:
@@ -245,6 +281,8 @@ class AffineSubspace:
     def parametrize(self) -> tuple[Vector, tuple[Vector, ...]]:
         """A point of the subspace plus a basis of its direction space: per
         free column f, ascending, the direction with 1 at f."""
+        from fractions import Fraction
+
         (*y, t), directions = self.lattice_chart()
         free = sorted(set(range(self.ambient_dim)).difference(self.pivot_columns()))
         return tuple(Fraction(x, t) for x in y), tuple(

@@ -27,12 +27,14 @@ ascending dimension gives beta on every flat (`beta_all_flats`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import record
 from .arrangement import Flat, IntersectionPoset
 from .errors import InputError, InternalConsistencyError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @record
@@ -219,5 +221,5 @@ def beta_all_flats(
             raise InternalConsistencyError(
                 f"negative beta invariant {value} at flat {y}"
             )
-        values.append(BetaValue(flat=g, degree=level, value=value))
+        values.append(BetaValue(g, level, value))
     return values

@@ -20,17 +20,22 @@ The flat utilities below them (`flat_relation`, `affine_image`,
 `satisfies`, `chamber_system`) serve only tests, so they live here and
 not in the package.  So does `normalize_module_expr`, the general normal
 form of a module expression: `decompose_cohomology` builds its modules in
-that form directly, and the tests compare them against it.
+that form directly, and the tests compare them against it.  The command
+line is checked against the `argparse` parser it was read with
+(`reference_parser`), and the input reader against reading every value
+but an int through `Fraction` (`reference_integer_row`).
 """
 
 from __future__ import annotations
 
+import argparse
 import bisect
 import itertools
 import json
 import math
 import pathlib
 import random
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,7 +52,8 @@ from arrcoh.arrangement import (
     restriction_covers,
 )
 from arrcoh.chambers import Chamber, LinearSystem, _elimination_levels
-from arrcoh.cli import load_arrangement
+from arrcoh.arrangement import DEFAULT_MAX_HYPERPLANES
+from arrcoh.cli import COMMANDS, load_arrangement
 from arrcoh.decomposition import (
     Free,
     Induced,
@@ -62,6 +68,74 @@ from arrcoh.errors import InputError
 from arrcoh.exact_linalg import AffineSubspace, Row, Vector, solve_affine
 from arrcoh.invariants import beta_all_flats
 from arrcoh.nerve_homology import SimplicialComplex
+
+# --- the command line and the input reader, as they were -----------------
+#
+# `arrcoh` read its command line with this `argparse` parser, and every
+# input value that was not an int through `Fraction`.  The package now
+# parses the command line by hand and reads integer strings with `int`;
+# both old routes are kept as the references the new ones are tested
+# against.
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The `argparse` parser of `arrcoh`'s command line."""
+    parser = argparse.ArgumentParser(
+        prog="arrcoh",
+        description=(
+            "Intersection-poset invariants and the graded group-ring "
+            "cohomology decomposition of a rational hyperplane arrangement "
+            "complement."
+        ),
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("input", help="arrangement JSON file")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument(
+        "--max-hyperplanes",
+        type=int,
+        default=DEFAULT_MAX_HYPERPLANES,
+        help=f"cap on the number of hyperplanes (default {DEFAULT_MAX_HYPERPLANES})",
+    )
+    return parser
+
+
+def reference_parse_args(argv: list[str]) -> tuple[str, str, str, int]:
+    """(command, input, format, max_hyperplanes) as `reference_parser`
+    read them; raises SystemExit on `--help` and on a usage error."""
+    parser = reference_parser()
+    args = parser.parse_args(argv)
+    if args.max_hyperplanes <= 0:
+        parser.error("--max-hyperplanes must be positive")
+    return args.command, args.input, args.format, args.max_hyperplanes
+
+
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+
+
+def reference_as_rational(value: int | str | Fraction) -> Fraction:
+    """Any input value as a `Fraction`, or InputError."""
+    if isinstance(value, float):
+        raise InputError(f"floating point value not allowed: {value!r}")
+    if isinstance(value, bool):
+        raise InputError(f"boolean value not allowed: {value!r}")
+    if isinstance(value, str) and _EXPONENT.search(value):
+        raise InputError(f"exponent notation not allowed: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational number: {value!r}") from exc
+
+
+def reference_integer_row(values: Sequence[int | str | Fraction]) -> Row:
+    """The values, each but an int read as a `Fraction`, times the lcm of
+    their denominators."""
+    if all(type(x) is int for x in values):
+        return tuple(values)
+    v = [reference_as_rational(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
+
 
 # --- the Fraction reference for the integer core ------------------------
 #

@@ -28,6 +28,8 @@ from helpers import (
     essential_braid,
     generic,
     load_corpus,
+    reference_parse_args,
+    reference_parser,
     shi,
 )
 
@@ -658,7 +660,17 @@ class TestOneStoredOrder:
         both directions and the covers are stored, and 1.63 MB with
         `strictly_below` alone."""
         bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-        assert int(run_fresh(POSET_MEMORY_PROBE, str(bench))) < 2_400_000
+        held, _ = map(int, run_fresh(POSET_MEMORY_PROBE, str(bench)).split())
+        assert held < 2_400_000
+
+    def test_poset_build_peaks_under_twice_what_it_keeps_on_braid_a7(self):
+        """`assemble_poset` drops its sort keys before it builds the order.
+        The build above peaks at 2.85 MB on Python 3.11, 1.75 times what it
+        retains, against 3.54 MB (2.18 times) while the keys lived until
+        it returned."""
+        bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+        held, peak = map(int, run_fresh(POSET_MEMORY_PROBE, str(bench)).split())
+        assert peak < 2 * held
 
 
 class TestVerifyCommand:
@@ -725,8 +737,79 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
+# --- the command line --------------------------------------------------------
+#
+# `arrcoh` argv, each read by `cli.main` as by the argparse parser it
+# replaced (`helpers.reference_parser`): the same exit code and the same
+# (command, input, format, max_hyperplanes).
+F = corpus_file("boolean-c2")
+ARGV_CASES = [
+    # every option position, both option forms, prefixes, `--`, repeats
+    ["poset", F],
+    ["verify", F, "--format", "json"],
+    ["--format", "json", "decompose", F],
+    ["beta", "--format", "json", F],
+    ["nerve", F, "--format=json", "--max-hyperplanes=7"],
+    ["--max-hyperplanes", "7", "chambers", F],
+    ["invariants", F, "--form", "json"],
+    ["poset", F, "--f=json", "--max", "3"],
+    ["poset", "--", F],
+    ["--format", "json", "--", "poset", F],
+    ["poset", F, "--"],
+    ["poset", F, "--format", "json", "--format", "text"],
+    ["--max-hyperplanes", "3", "poset", F, "--max-hyperplanes", "30"],
+    ["poset", F, "--max-hyperplanes", "+5"],
+    # help, wherever it stands
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["poset", "--help"],
+    ["poset", F, "-h"],
+    ["-h", "bogus"],
+    # usage errors
+    [],
+    ["poset"],
+    ["bogus", F],
+    ["bogus", F, "-h"],
+    ["poset", F, "extra"],
+    ["poset", F, "--bogus"],
+    ["poset", F, "-x"],
+    ["poset", F, "--format"],
+    ["poset", F, "--format", "xml"],
+    ["--format", "--", "poset", F],
+    ["poset", F, "--max-hyperplanes", "abc"],
+    ["poset", F, "--max-hyperplanes", "0"],
+    ["poset", F, "--max-hyperplanes", "-3"],
+    ["poset", F, "--help=yes"],
+    ["poset", F, "--format", "json", "--"],
+    ["--=json", "poset", F, "-h"],
+]
+
+
+def read_argv(parse, argv: list[str], capsys) -> tuple[int, tuple | None, str, str]:
+    """(exit code, what `parse` read or None, stdout, stderr)."""
+    try:
+        read, code = parse(list(argv)), 0
+    except SystemExit as exc:
+        read, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, read, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES)
+def test_command_line_reads_as_the_argparse_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal
+    monkeypatch.setattr(cli, "run", lambda *read: read)
+    code, read, out, err = read_argv(cli.main, argv, capsys)
+    assert (code, read) == read_argv(reference_parse_args, argv, capsys)[:2]
+    if code == 2:
+        assert out == "" and err.startswith(cli.USAGE) and err.count("arrcoh: error: ") == 1
+    elif read is None:
+        assert out == cli.HELP == reference_parser().format_help() and err == ""
+
+
 # The memory a second build of the poset of braid A_7 (cap 21) retains,
-# with the upward order never read.
+# with the upward order never read, and its peak.
 POSET_MEMORY_PROBE = """
 import sys, tracemalloc
 sys.path.insert(0, sys.argv[1])
@@ -736,7 +819,7 @@ a = validate_arrangement(inputs.braid(7))
 build_intersection_poset(a, max_hyperplanes=21)
 tracemalloc.start()
 p = build_intersection_poset(a, max_hyperplanes=21)
-print(tracemalloc.get_traced_memory()[0])
+print(*tracemalloc.get_traced_memory())
 """
 
 
@@ -784,6 +867,26 @@ def test_command_executes_only_its_layers(command):
     text, both = json.loads(run_fresh(EXECUTED_PROBE, command, corpus_file("generic4-c2")))
     assert layer in text and "_writer" not in text
     assert "_writer" in both and not excluded & set(both)
+
+
+# Runs every command in both formats on one input and prints which of the
+# standard modules that `arrcoh` no longer imports are loaded.
+IMPORTS_PROBE = """
+import contextlib, io, json, sys
+from arrcoh.cli import COMMANDS, main
+for command in COMMANDS:
+    for fmt in ("text", "json"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([command, sys.argv[1], "--format", fmt])
+print(json.dumps([m for m in ("argparse", "fractions", "decimal", "numbers") if m in sys.modules]))
+"""
+
+
+def test_no_command_imports_argparse_or_fractions():
+    """Start-up: the command line is parsed by hand, and an input of
+    integer strings is read with `int`, so no command loads `argparse`,
+    or `fractions` with `decimal` and `numbers`."""
+    assert json.loads(run_fresh(IMPORTS_PROBE, corpus_file("generic4-c2"))) == []
 
 
 def test_no_fraction_is_built_after_the_input_is_read(tmp_path, capsys, monkeypatch):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.arrangement import Arrangement, Hyperplane, build_intersection_poset
@@ -30,6 +31,7 @@ from helpers import (
     from_point_and_directions,
     null_space_basis,
     random_fraction_matrix,
+    reference_integer_row,
     reference_intersect,
     reference_pull,
     reference_rref,
@@ -72,6 +74,71 @@ def test_rational_str_roundtrip():
     assert rational_str(F(3, 4)) == "3/4"
     assert rational_str(F(-2)) == "-2"
     assert as_rational("3/4") == F(3, 4)
+
+
+# Digits: ASCII, Arabic-Indic, Devanagari and fullwidth, which `Fraction`
+# and `int` both read, and the digit limit, past which neither does.
+_DIGITS = st.text(st.sampled_from("0123456789" "0123456789" "٠٣٧" "०५९" "１２０"), min_size=1, max_size=8)
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_SPACE = st.sampled_from(["", "", "", " ", "\t", "\n", " \n "])
+
+
+@st.composite
+def coefficient_values(draw):
+    """An input coefficient of any form the schema or a caller may give."""
+    sign = draw(st.sampled_from(["", "", "-", "+", "--", "+-"]))
+    digits, other = draw(_DIGITS), draw(_DIGITS)
+    text = draw(st.sampled_from([
+        digits,
+        f"{digits}/{other}",
+        f"{digits} / {other}",
+        f"{digits}/0",
+        f"{digits}.{other}",
+        f".{other}",
+        f"{digits}.",
+        f"{digits}_{other}",
+        f"_{digits}",
+        f"{digits}__{other}",
+        f"{digits}e{other}",
+        f"{digits}.{other}E-{other}",
+        "9" * _LIMIT,
+        "9" * (_LIMIT + 1),
+        "1" + "0" * _LIMIT + "/3",
+        "",
+    ]))
+    text = draw(_SPACE) + sign + text + draw(_SPACE)
+    return draw(st.one_of(
+        st.just(text),
+        st.just(text),
+        st.just(text),
+        st.integers(-(10**30), 10**30),
+        st.fractions(max_denominator=50),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.none(),
+        st.text(max_size=4),
+    ))
+
+
+@given(st.lists(coefficient_values(), min_size=1, max_size=3), coefficient_values())
+@example(["9" * (_LIMIT + 1)], "0")  # past the digit limit
+@example(["-" + "9" * _LIMIT], "1_0")  # at the limit; an underscore
+@example([" 5", "٣"], "+7\n")  # whitespace; a non-ASCII digit
+@example(["1/2", "-0.25"], "3")
+@settings(max_examples=400, deadline=None)
+def test_input_reader_reads_as_fraction(normal, offset):
+    """`Hyperplane.from_coeffs` reads a plain integer string with `int`
+    and any other value as `as_rational` does: the same hyperplane as
+    reading every value through `Fraction`, or the same error."""
+
+    def outcome(read):
+        try:
+            return read()
+        except InputError as exc:
+            return str(exc)
+
+    expected = outcome(lambda: Hyperplane.from_row(reference_integer_row([*normal, offset])))
+    assert outcome(lambda: Hyperplane.from_coeffs(normal, offset)) == expected
 
 
 class TestRref:
