@@ -3,15 +3,16 @@ its own because compiling it within cli.py raised every command's peak RSS.
 
 `write_json` checks the whole value before its first write, so a report
 that cannot be rendered writes nothing.  It then writes the report in
-chunks as it renders, and holds each container reached more than once as
-one rope: its text at indent 0, cut where a shared child sits.  The
-writer's memory grows with the distinct content, not with the printed
-tree, in which the `decompose` memo's modules repeat many times.
-
-A value with a `to_json()` method, such as a report's flat, is written as
-what that method returns, rendered where it stands: the check calls it,
-and the render calls it again.  So a report holds its flats as they are,
-and no flat's JSON object outlives the line it is written on."""
+chunks of about 64 KiB as it renders.  A value with a `to_json()` method
+is written as what that method returns: the check calls it, and the
+render calls it again.  A flat's result holds only text, so a flat is
+rendered where it stands, and no flat's JSON object outlives the line it
+is written on.  A `decompose` module record's result holds the records of
+its parts themselves, so the printed tree, in which the decone memo's
+modules repeat many times, is the records' own graph: each record reached
+more than once is held as one rope, its text at indent 0 cut where a
+shared part sits.  The writer's memory grows with the distinct content,
+not with the printed tree."""
 
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ from collections.abc import Callable
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
-# Tokens gathered before `write` is called with their join.
-FLUSH_TOKENS = 1024
+# Characters gathered before `write` is called with their join.
+CHUNK_CHARS = 1 << 16
+# The document's own tokens, outside every rope, are gathered in runs of this many.
+DOC_TOKENS = 1024
 
 
 def write_json(value: object, write: Callable[[str], object]) -> None:
@@ -30,27 +33,29 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
     str keys, lists, tuples, str, int, bool, None and objects with a
     `to_json()` method.  Any other value or key raises TypeError, an int
     longer than `sys.get_int_max_str_digits()` and a cycle raise ValueError,
-    each before the first write.  A nonempty dict or list reached twice (by
-    id(); `value` keeps it alive) is rendered once, at indent 0, and
-    re-indented at each occurrence: JSON strings hold no raw newline.
+    each before the first write.  Each chunk written holds fewer than
+    `CHUNK_CHARS` characters before its last piece.
 
     `to_json()` is called once to check its result and once to render it.
-    The containers it returns are new on every call, so none of them is
-    counted or shared: once freed, its id can be another's.  A cycle
-    through them is still caught, since each stays alive while it is on
-    the path (`inside`)."""
+    An object whose result holds another such object, as a module record
+    holds its parts, is counted by id, and kept alive so that no other
+    takes its id: one reached twice is rendered once, at indent 0, and
+    re-indented at each occurrence (JSON strings hold no raw newline).
+    Containers and all other values are rendered where they stand."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
     too_long = 10**limit if limit else None
     reached: dict[int, int] = {}
+    kept: list[object] = []
     inside: set[int] = set()
 
-    def count(o: dict | list | tuple, fresh: bool) -> None:
-        # The sharing pass, which also checks every value the render accepts.
-        # Nothing under a `to_json()` result (`fresh`) is counted.
+    def count(o: dict | list | tuple) -> bool:
+        # The sharing pass, which also checks every value the render
+        # accepts.  True if `o` holds an object with `to_json()`.
         if isinstance(o, dict):
             for k in o:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
+        holds = False
         for v in o.values() if isinstance(o, dict) else o:
             if isinstance(v, str):
                 continue
@@ -59,31 +64,36 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
                     continue
                 if id(v) in inside:
                     raise ValueError("Circular reference detected")
-                if not fresh:
-                    reached[id(v)] = n = reached.get(id(v), 0) + 1
-                    if n > 1:
-                        continue
                 inside.add(id(v))
-                count(v, fresh)
+                holds = count(v) or holds
                 inside.discard(id(v))
             elif isinstance(v, int):  # bool included
                 if too_long is not None and not -too_long < v < too_long:
                     raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
             elif v is not None:
+                holds = True
+                if id(v) in reached:
+                    reached[id(v)] += 1
+                    continue
                 to_json = getattr(v, "to_json", None)
                 if to_json is None:
                     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
                 if id(v) in inside:
                     raise ValueError("Circular reference detected")
                 inside.add(id(v))
-                count((to_json(),), True)
+                r = to_json()
+                if count(r if isinstance(r, dict) else (r,)):
+                    reached[id(v)] = 1
+                    kept.append(v)
                 inside.discard(id(v))
+        return holds
 
-    # A token is text, or a reference (rope, spaces): a shared container's
+    # A token is text, or a reference (rope, spaces): a shared object's
     # rope, and the spaces of the indent at which it occurs.
     ropes: dict[int, list] = {}
     doc: list = []
     pending: list[str] = []
+    size = 0  # characters in `pending`
 
     def put(v: object, head: str, indent: str, out: list) -> None:
         # `indent` is "\n" plus two spaces per level of v.
@@ -93,13 +103,14 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
             out.append(head + ("true" if v is True else "false" if v is False else int.__repr__(v)))
         elif v is None:
             out.append(head + "null")
-        elif not isinstance(v, (dict, list, tuple)):
+        elif isinstance(v, (dict, list, tuple)):
+            if v:
+                out.append(head)
+                container(v, indent, out)
+            else:
+                out.append(head + ("{}" if isinstance(v, dict) else "[]"))
+        elif reached.get(id(v), 1) == 1:
             put(v.to_json(), head, indent, out)
-        elif not v:
-            out.append(head + ("{}" if isinstance(v, dict) else "[]"))
-        elif reached.get(id(v), 1) == 1:  # a `to_json()` result is not counted
-            out.append(head)
-            container(v, indent, out)
         else:
             out.append(head)
             out.append((rope(v), indent[1:]))
@@ -119,14 +130,14 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
                 put(v, sep, inner, out)
                 sep = comma
             out.append(indent + "]")
-        if out is doc and len(doc) > FLUSH_TOKENS:
+        if out is doc and len(doc) > DOC_TOKENS:
             emit(doc, "\n")
             doc.clear()
 
-    def rope(o: dict | list | tuple) -> list:
+    def rope(o: object) -> list:
         if id(o) not in ropes:
             tokens: list = []
-            container(o, "\n", tokens)
+            put(o.to_json(), "", "\n", tokens)
             pieces: list = []
             for text, run in groupby(tokens, key=lambda t: isinstance(t, str)):
                 if text:
@@ -138,17 +149,20 @@ def write_json(value: object, write: Callable[[str], object]) -> None:
 
     def emit(tokens: list, indent: str) -> None:
         # Tokens rendered at indent "\n", written at `indent`.
+        nonlocal size
         for t in tokens:
             if isinstance(t, str):
                 pending.append(t.replace("\n", indent))
+                size += len(pending[-1])
+                if size >= CHUNK_CHARS:
+                    write("".join(pending))
+                    pending.clear()
+                    size = 0
             else:
                 r, spaces = t
                 emit(r, indent + spaces)
-        if len(pending) > FLUSH_TOKENS:
-            write("".join(pending))
-            pending.clear()
 
-    count((value,), False)
+    count((value,))
     put(value, "", "\n", doc)
     emit(doc, "\n")
     pending.append("\n")

@@ -283,6 +283,26 @@ def load_arrangement(path: str) -> Arrangement:
     return validate_arrangement(raw)
 
 
+def build_report(command: str, a: Arrangement, fmt: str, max_hyperplanes: int) -> tuple:
+    """(the report of a command that passed the caps, whether `verify` passed)."""
+    if command == "chambers":
+        return chambers_report(a, fmt), True
+    if command == "verify":
+        return verify_report(a, max_hyperplanes, fmt)
+    p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
+    if command == "poset":
+        return poset_report(a, p, fmt), True
+    if command == "invariants":
+        return invariants_report(a, p, fmt), True
+    if command == "beta":
+        return beta_report(a, p, fmt), True
+    if command == "nerve":
+        return nerve_report(a, p, fmt), True
+    if command == "decompose":
+        return decompose_report(a, decomposition.decompose_cohomology(p), fmt), True
+    raise InputError(f"unknown command {command!r}")
+
+
 def run(command: str, input_path: str, output_format: str, max_hyperplanes: int) -> int:
     """Dispatch a command; prints the report and returns the exit code."""
     try:
@@ -298,31 +318,16 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
             )
         if len(a) > max_hyperplanes:  # every command, `chambers` included
             raise ResourceCapError(f"{len(a)} hyperplanes exceeds the cap of {max_hyperplanes}")
-        verify_ok = True
-        if command == "chambers":
-            out = chambers_report(a, output_format)
-        elif command == "verify":
-            out, verify_ok = verify_report(a, max_hyperplanes, output_format)
-        else:
-            p = build_intersection_poset(a, max_hyperplanes=max_hyperplanes)
-            if command == "poset":
-                out = poset_report(a, p, output_format)
-            elif command == "invariants":
-                out = invariants_report(a, p, output_format)
-            elif command == "beta":
-                out = beta_report(a, p, output_format)
-            elif command == "nerve":
-                out = nerve_report(a, p, output_format)
-            elif command == "decompose":
-                out = decompose_report(a, decomposition.decompose_cohomology(p), output_format)
-            else:
-                raise InputError(f"unknown command {command!r}")
+        # The poset, and all else the report is built from, is freed when
+        # `build_report` returns: none of it is held while the report is written.
+        out, verify_ok = build_report(command, a, output_format, max_hyperplanes)
         if output_format == "json":
             # Every value is checked before the first write, so a report
             # that cannot be rendered writes nothing, and a flat whose
             # numbers are too long to print exits 2.  The report is then
-            # written in chunks as it renders, each shared module held once
-            # and each flat rendered where it stands.
+            # written in chunks of about 64 KiB as it renders: each module
+            # record the decone memo shares held once, as text, and each
+            # flat rendered where it stands.
             _writer.write_json(out, sys.stdout.write)
         else:
             print(out)

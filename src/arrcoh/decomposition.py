@@ -29,8 +29,10 @@ sums cannot occur.  Depth and triviality are facts of the rank, proved in
 `decompose_cohomology`.
 
 The emitted object is symbolic: a tree of module expressions (FREE,
-TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring,
-graded by the concentration degree.  The summand at G = C^n is the only
+TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring, graded by
+the concentration degree.  Each record's `to_json()` is its one node,
+with its parts' records themselves as values, so a JSON report holds each
+module the memo shares once (`_writer`).  The summand at G = C^n is the only
 free one, of rank beta(A); every other summand carries a TENSOR_TRIVIAL
 node (an infinite cyclic factor acting trivially), which is exactly why
 it is not free.  No extension data between summands is guessed: this is
@@ -62,10 +64,16 @@ class Free:
 
     rank: int
 
+    def to_json(self) -> dict:
+        return {"kind": "FREE", "rank": self.rank}
+
 
 @record
 class TrivialZ:
     """The integers with trivial group action."""
+
+    def to_json(self) -> dict:
+        return {"kind": "TRIVIAL_Z"}
 
 
 @record
@@ -73,6 +81,9 @@ class TensorTrivial:
     """inner ⊗ Z, the extra infinite cyclic factor acting trivially on Z."""
 
     inner: "ModuleExpr"
+
+    def to_json(self) -> dict:
+        return {"kind": "TENSOR_TRIVIAL", "inner": self.inner}
 
 
 @record
@@ -82,6 +93,9 @@ class Induced:
     flat: AffineSubspace
     inner: "ModuleExpr"
 
+    def to_json(self) -> dict:
+        return {"kind": "INDUCED", "flat": self.flat, "inner": self.inner}
+
 
 @record
 class Sum:
@@ -89,29 +103,11 @@ class Sum:
 
     parts: tuple["ModuleExpr", ...]
 
+    def to_json(self) -> dict:
+        return {"kind": "SUM", "parts": self.parts}
+
 
 ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum
-
-
-def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> dict:
-    """The JSON object of a module, one per module object: `memo` maps id(m) to (m, object)."""
-    if id(m) in memo:
-        return memo[id(m)][1]
-    if isinstance(m, Free):
-        obj = {"kind": "FREE", "rank": m.rank}
-    elif isinstance(m, TrivialZ):
-        obj = {"kind": "TRIVIAL_Z"}
-    elif isinstance(m, TensorTrivial):
-        obj = {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner, memo)}
-    elif isinstance(m, Induced):
-        # The flat is rendered where it stands (`_writer`): no dict per flat.
-        obj = {"kind": "INDUCED", "flat": m.flat, "inner": module_to_json(m.inner, memo)}
-    elif isinstance(m, Sum):
-        obj = {"kind": "SUM", "parts": [module_to_json(x, memo) for x in m.parts]}
-    else:
-        raise InputError(f"not a module expression: {m!r}")
-    memo[id(m)] = (m, obj)
-    return obj
 
 
 def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
@@ -229,7 +225,6 @@ class GradedDecomposition:
     free_rank: int
 
     def to_json(self) -> dict:
-        memo: dict[int, tuple[ModuleExpr, dict]] = {}
         return {
             "object": "associated graded module of the concentrated degree",
             "degree": self.concentration_degree,
@@ -240,7 +235,7 @@ class GradedDecomposition:
                 {
                     "flat": s.subspace,
                     "multiplicity": s.multiplicity,
-                    "module": module_to_json(s.module, memo),
+                    "module": s.module,
                     "is_trivial_z": s.is_trivial_z,
                 }
                 for s in self.summands

@@ -62,7 +62,6 @@ from arrcoh.decomposition import (
     TensorTrivial,
     TrivialZ,
     decone_flats,
-    module_to_json,
 )
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import AffineSubspace, Row, Vector, solve_affine
@@ -733,6 +732,39 @@ def distinct_modules(roots) -> list:
 
 
 ZERO = Free(0)
+
+
+def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> dict:
+    """The JSON object of a module, one per module object: `memo` maps
+    id(m) to (m, object).  The package built this dict tree before its
+    records rendered themselves (`to_json`); it is the reference they are
+    compared against."""
+    if id(m) in memo:
+        return memo[id(m)][1]
+    if isinstance(m, Free):
+        obj = {"kind": "FREE", "rank": m.rank}
+    elif isinstance(m, TrivialZ):
+        obj = {"kind": "TRIVIAL_Z"}
+    elif isinstance(m, TensorTrivial):
+        obj = {"kind": "TENSOR_TRIVIAL", "inner": module_to_json(m.inner, memo)}
+    elif isinstance(m, Induced):
+        obj = {"kind": "INDUCED", "flat": m.flat, "inner": module_to_json(m.inner, memo)}
+    elif isinstance(m, Sum):
+        obj = {"kind": "SUM", "parts": [module_to_json(x, memo) for x in m.parts]}
+    else:
+        raise InputError(f"not a module expression: {m!r}")
+    memo[id(m)] = (m, obj)
+    return obj
+
+
+def reference_decomposition_json(dec) -> dict:
+    """`dec.to_json()` as the package built it, with `module_to_json`'s trees."""
+    memo: dict[int, tuple[ModuleExpr, dict]] = {}
+    report = dec.to_json()
+    report["summands"] = [
+        dict(s, module=module_to_json(s["module"], memo)) for s in report["summands"]
+    ]
+    return report
 
 
 def _expr_key(m: ModuleExpr) -> tuple[int, str]:

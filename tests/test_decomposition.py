@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrcoh import _record, arrangement, decomposition
+from arrcoh import _record, _writer, arrangement, decomposition
 from arrcoh.arrangement import (
     Arrangement,
     Hyperplane,
@@ -32,7 +33,7 @@ from arrcoh.decomposition import (
     top_level_free_nodes,
 )
 from arrcoh.errors import InputError
-from arrcoh.exact_linalg import intersect_flats, solve_affine, vector
+from arrcoh.exact_linalg import AffineSubspace, intersect_flats, solve_affine, vector
 from arrcoh.invariants import beta_all_flats
 from helpers import (
     braid,
@@ -45,11 +46,16 @@ from helpers import (
     generic,
     normalize_module_expr,
     poset_rows,
+    reference_decomposition_json,
     shi,
     small_arrangements,
 )
 
 F = Fraction
+
+# The module records, each written as what its `to_json()` returns.
+RECORDS = (Free, TrivialZ, TensorTrivial, Induced, Sum)
+
 
 
 def fractions_in(value):
@@ -276,22 +282,38 @@ class TestDecomposition:
         decompose_cohomology(build_intersection_poset(braid(5)))
         assert len(keys) == len(set(keys)) < lookups
 
-    def test_to_json_has_one_object_per_module(self):
-        """Modules the decone memo shares are shared JSON objects: to_json
-        builds one dict per distinct module object, not one per occurrence."""
+    def test_to_json_has_one_object_per_module(self, monkeypatch):
+        """Each summand's module is the record itself, and the records the
+        decone memo shares are written once: `write_json` calls each
+        distinct record that holds another exactly twice, to check it and
+        to render it, though the printed tree repeats it.  A FREE or
+        TRIVIAL_Z leaf is rendered where it stands, twice for each place
+        it holds in a distinct record or summand."""
         dec = decompose_cohomology(build_intersection_poset(braid(5)))
+        report = dec.to_json()
+        assert all(s["module"] is t.module for s, t in zip(report["summands"], dec.summands))
         modules = distinct_modules(s.module for s in dec.summands)
-        objects, occurrences = {}, 0
-        pending = [s["module"] for s in dec.to_json()["summands"]]
-        while pending:
-            obj = pending.pop()
-            occurrences += 1
-            objects[id(obj)] = obj
-            if "parts" in obj:
-                pending.extend(obj["parts"])
-            elif "inner" in obj:
-                pending.append(obj["inner"])
-        assert len(objects) == len(modules) < occurrences
+        calls: Counter = Counter()
+
+        def counting(to_json):
+            def counted(m):
+                calls[id(m)] += 1
+                return to_json(m)
+            return counted
+
+        for cls in RECORDS:
+            monkeypatch.setattr(cls, "to_json", counting(cls.to_json))
+        parts: list[str] = []
+        _writer.write_json(report, parts.append)
+        held = [s.module for s in dec.summands]
+        for m in modules:
+            held += m.parts if isinstance(m, Sum) else [m.inner] if hasattr(m, "inner") else []
+        places = Counter(map(id, held))
+        assert set(calls) == {id(m) for m in modules}
+        for m in modules:
+            leaf = isinstance(m, (Free, TrivialZ))
+            assert calls[id(m)] == (2 * places[id(m)] if leaf else 2), m
+        assert "".join(parts).count('"kind": ') > len(modules)
 
     def test_flats_and_memo_keys_hold_no_fraction(self, monkeypatch):
         """A built poset's flats and both decone memo keys (the normals
@@ -419,13 +441,28 @@ class TestDecomposition:
         """The parts are ordered by their flats alone: no module is turned
         into JSON while the decomposition is built."""
 
-        def refuse(*args):
-            raise AssertionError("module_to_json called")
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.to_json called")
 
         p = build_intersection_poset(braid(5))
         expected = decompose_cohomology(p)
-        monkeypatch.setattr(decomposition, "module_to_json", refuse)
+        for cls in RECORDS:
+            monkeypatch.setattr(cls, "to_json", refuse)
         assert decompose_cohomology(p) == expected
+
+    def test_to_json_equals_the_reference_tree(self, corpus):
+        """`dec.to_json()`, dumped with each record's `to_json()`, is the
+        text of the dict tree the package once built (`module_to_json`)."""
+        families = [braid(4), braid(5), braid(6), shi(3), shi(4),
+                    generic(8, 3), generic(10, 3), generic(12, 3)]
+        for a in [*corpus.values(), *families]:
+            dec = decompose_cohomology(build_intersection_poset(a))
+            assert json.dumps(
+                dec.to_json(), indent=2, sort_keys=True, default=lambda o: o.to_json()
+            ) == json.dumps(
+                reference_decomposition_json(dec), indent=2, sort_keys=True,
+                default=AffineSubspace.to_json,
+            )
 
     def test_deterministic(self, corpus):
         for name, a in corpus.items():
