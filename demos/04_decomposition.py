@@ -34,10 +34,13 @@ for path in sorted(CORPUS.glob("*.json")):
     dec = decompose_cohomology(build_intersection_poset(a))
     print(f"\n  {name}: concentrated in degree {dec.concentration_degree}, "
           f"free rank {dec.free_rank}")
+    # Each decone's module is written once, as M<k>, and named where it occurs.
+    for k, m in enumerate(dec.modules):
+        print(f"    M{k} = {module_str(m)}")
     for s in dec.summands:
         note = "   <- trivial module Z" if s.is_trivial_z else ""
         print(f"    at {equations_str(s.subspace):26s} x{s.multiplicity}: "
-              f"{module_str(s.module, {})}{note}")
+              f"{module_str(s.module)}{note}")
 
 print("\nreading the two-points example: one free copy of the group ring")
 print("(the l2-visible part) plus one induced-trivial summand per point,")

@@ -112,7 +112,7 @@ _LAZY_NAMES = {
             "chamber_bounded", "enumerate_chambers", "fm_feasible",
         ),
         "decomposition": (
-            "Free", "GradedDecomposition", "Induced", "ModuleExpr", "Sum",
+            "Copies", "Free", "GradedDecomposition", "Induced", "ModuleExpr", "Sum",
             "Summand", "TensorTrivial", "TrivialZ", "decompose_cohomology",
             "decone", "decone_flats", "graded_piece_is_trivial_z",
         ),

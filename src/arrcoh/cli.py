@@ -75,26 +75,22 @@ def equations_str(s: AffineSubspace) -> str:
     return ", ".join(parts)
 
 
-def module_str(
-    m: decomposition.ModuleExpr, memo: dict[int, tuple[decomposition.ModuleExpr, str]]
-) -> str:
-    """The text of a module, once per module object: `memo` maps id(m) to (m, text)."""
-    if id(m) in memo:
-        return memo[id(m)][1]
+def module_str(m: decomposition.ModuleExpr) -> str:
+    """The text of a module; a decone's module is named M<k>, k its index
+    in `GradedDecomposition.modules`."""
     if isinstance(m, decomposition.Free):
-        text = f"(Zpi)^{m.rank}"
-    elif isinstance(m, decomposition.TrivialZ):
-        text = "Z"
-    elif isinstance(m, decomposition.TensorTrivial):
-        text = f"({module_str(m.inner, memo)} (x) Z[triv])"
-    elif isinstance(m, decomposition.Induced):
-        text = f"Ind[{equations_str(m.flat)}]({module_str(m.inner, memo)})"
-    elif isinstance(m, decomposition.Sum):
-        text = "(" + " (+) ".join(module_str(p, memo) for p in m.parts) + ")"
-    else:
-        raise InputError(f"not a module expression: {m!r}")
-    memo[id(m)] = (m, text)
-    return text
+        return f"(Zpi)^{m.rank}"
+    if isinstance(m, decomposition.TrivialZ):
+        return "Z"
+    if isinstance(m, decomposition.TensorTrivial):
+        return f"(M{m.inner} (x) Z[triv])"
+    if isinstance(m, decomposition.Induced):
+        return f"Ind[{equations_str(m.flat)}]({module_str(m.inner)})"
+    if isinstance(m, decomposition.Sum):
+        return "(" + " (+) ".join(map(module_str, m.parts)) + ")"
+    if isinstance(m, decomposition.Copies):
+        return f"({module_str(m.module)})^{m.count}"
+    raise InputError(f"not a module expression: {m!r}")
 
 
 # --- per-command reports --------------------------------------------------
@@ -240,14 +236,16 @@ def decompose_report(
     lines += [
         f"note: {decomposition.L2_NOTE}",
         f"note: {decomposition.DUALITY_NOTE}",
-        "summands (one per flat with positive beta):",
     ]
-    memo: dict[int, tuple[decomposition.ModuleExpr, str]] = {}
+    if dec.modules:
+        lines.append("decone modules (each written once, named M<k> where it occurs):")
+        lines += [f"  M{k} = {module_str(m)}" for k, m in enumerate(dec.modules)]
+    lines.append("summands (one per flat with positive beta):")
     for s in dec.summands:
         suffix = "  = trivial module Z" if s.is_trivial_z else ""
         lines.append(
             f"  [{s.flat_index}] {equations_str(s.subspace)} "
-            f"| multiplicity {s.multiplicity} | {module_str(s.module, memo)}{suffix}"
+            f"| multiplicity {s.multiplicity} | {module_str(s.module)}{suffix}"
         )
     return "\n".join(lines)
 
@@ -325,9 +323,9 @@ def run(command: str, input_path: str, output_format: str, max_hyperplanes: int)
             # Every value is checked before the first write, so a report
             # that cannot be rendered writes nothing, and a flat whose
             # numbers are too long to print exits 2.  The report is then
-            # written in chunks of about 64 KiB as it renders: each module
-            # record the decone memo shares held once, as text, and each
-            # flat rendered where it stands.
+            # written in chunks of about 64 KiB as it renders, each record
+            # and flat where it stands; a `decompose` report holds each
+            # decone's module once, in its `modules` table.
             _writer.write_json(out, sys.stdout.write)
         else:
             print(out)

@@ -23,20 +23,23 @@ each trace's canonical equations in the decone's chart.
 The recursion returns the module printed for each flat, and a memo maps
 each decone to its module, looked up first by the normals the decone is
 pulled back from, and built in normal form (`_decone_sum`): the
-FREE part of the decone's top first, then the INDUCED parts, each repeated
-beta times, ordered by the JSON text of their flat.  Zero parts and empty
-sums cannot occur.  Depth and triviality are facts of the rank, proved in
-`decompose_cohomology`.
+FREE part of the decone's top first, then the INDUCED parts, ordered by
+their trace's canonical integer rows, a part of beta > 1 being one COPIES
+node.  Zero parts and empty sums cannot occur.  Depth and triviality are
+facts of the rank, proved in `decompose_cohomology`.
 
-The emitted object is symbolic: a tree of module expressions (FREE,
-TRIVIAL_Z, TENSOR_TRIVIAL, INDUCED, SUM) over the group ring, graded by
-the concentration degree.  Each record's `to_json()` is its one node,
-with its parts' records themselves as values, so a JSON report holds each
-module the memo shares once (`_writer`).  The summand at G = C^n is the only
-free one, of rank beta(A); every other summand carries a TENSOR_TRIVIAL
-node (an infinite cyclic factor acting trivially), which is exactly why
-it is not free.  No extension data between summands is guessed: this is
-the associated graded module, not the ungraded one.
+The emitted object is symbolic: module expressions (FREE, TRIVIAL_Z,
+TENSOR_TRIVIAL, INDUCED, SUM, COPIES) over the group ring, graded by the
+concentration degree.  It is a DAG, not a tree: `GradedDecomposition`
+holds each distinct decone's module once, in `modules`, in the order
+the memo fills (post-order, so each entry names only earlier ones), and
+a TENSOR_TRIVIAL node names its decone's module by its index there.
+Each record's `to_json()` is its one node, with its parts' records as
+values, so every record is written once.  The summand at G = C^n is
+the only free one, of rank beta(A); every other summand carries a
+TENSOR_TRIVIAL node (an infinite cyclic factor acting trivially), which
+is exactly why it is not free.  No extension data between summands is
+guessed: this is the associated graded module, not the ungraded one.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ class TrivialZ:
 
 @record
 class TensorTrivial:
-    """inner ⊗ Z, the extra infinite cyclic factor acting trivially on Z."""
+    """inner ⊗ Z, the extra infinite cyclic factor acting trivially on Z:
+    `inner` is the index of a decone's module in `GradedDecomposition.modules`."""
 
-    inner: "ModuleExpr"
+    inner: int
 
     def to_json(self) -> dict:
         return {"kind": "TENSOR_TRIVIAL", "inner": self.inner}
@@ -107,20 +111,33 @@ class Sum:
         return {"kind": "SUM", "parts": self.parts}
 
 
-ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum
+@record
+class Copies:
+    """The direct sum of `count` > 1 copies of `module`."""
+
+    count: int
+    module: "ModuleExpr"
+
+    def to_json(self) -> dict:
+        return {"kind": "COPIES", "count": self.count, "module": self.module}
+
+
+ModuleExpr = Free | TrivialZ | TensorTrivial | Induced | Sum | Copies
 
 
 def top_level_free_nodes(m: ModuleExpr) -> list[Free]:
-    """FREE nodes reachable through SUM only.
+    """FREE nodes reachable through SUM and COPIES only.
 
     These are free direct summands over the ambient group ring; FREE
-    nodes below an INDUCED or TENSOR_TRIVIAL boundary refer to smaller
-    group rings and do not count.
+    nodes below an INDUCED boundary, or in a decone's module, refer to
+    smaller group rings and do not count.
     """
     if isinstance(m, Free):
         return [m]
     if isinstance(m, Sum):
         return [f for part in m.parts for f in top_level_free_nodes(part)]
+    if isinstance(m, Copies):
+        return top_level_free_nodes(m.module)
     return []
 
 
@@ -131,6 +148,8 @@ def contains_tensor_trivial(m: ModuleExpr) -> bool:
         return contains_tensor_trivial(m.inner)
     if isinstance(m, Sum):
         return any(contains_tensor_trivial(p) for p in m.parts)
+    if isinstance(m, Copies):
+        return contains_tensor_trivial(m.module)
     return False
 
 
@@ -218,11 +237,14 @@ class Summand:
 
 @record
 class GradedDecomposition:
-    """The associated graded module of the one nonzero degree, l = rank(A), by summand."""
+    """The associated graded module of the one nonzero degree, l = rank(A),
+    by summand; `modules` holds each distinct decone's module once, and a
+    TENSOR_TRIVIAL node names one by its index there."""
 
     concentration_degree: int
     summands: tuple[Summand, ...]
     free_rank: int
+    modules: tuple[ModuleExpr, ...]
 
     def to_json(self) -> dict:
         return {
@@ -231,6 +253,7 @@ class GradedDecomposition:
             "free_rank": self.free_rank,
             "l2_note": L2_NOTE,
             "duality_note": DUALITY_NOTE,
+            "modules": self.modules,
             "summands": [
                 {
                     "flat": s.subspace,
@@ -270,10 +293,11 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     no poset is built here.  The recursion returns modules, memoized per
     decone; the summands and the decomposition are built only here.
 
-    Depth: INDUCED nests exactly l = rank(A) deep.  The summand at G below
-    C^n is one INDUCED over the module of a decone of rank codim G - 1,
-    so by induction on rank it is codim G deep; a minimal flat has codim
-    l and beta 1, and no flat has codim above l.
+    Depth: INDUCED nests exactly l = rank(A) deep, counting a decone's
+    module where its index stands.  The summand at G below C^n is one
+    INDUCED over the module of a decone of rank codim G - 1, so by
+    induction on rank it is codim G deep; a minimal flat has codim l and
+    beta 1, and no flat has codim above l.
 
     Triviality: a summand is Z with trivial action iff beta = 1, C(G) = A
     and the decone's piece is trivial.  C(G) = A makes A central with
@@ -286,17 +310,18 @@ def decompose_cohomology(p: IntersectionPoset) -> GradedDecomposition:
     """
     a = p.arrangement
     betas = beta_all_flats(p)
-    front: dict[tuple[Row, ...], ModuleExpr] = {}
-    memo: dict[Arrangement, ModuleExpr] = {}
+    front: dict[tuple[Row, ...], int] = {}
+    memo: dict[Arrangement, int] = {}
+    modules: list[ModuleExpr] = []
     summands = []
     for f, b in zip(p.flats, betas):
         if b.value:
             module = _summand_module(
-                p, a, range(len(a)), f.index, f.subspace, b.value, front, memo
+                p, a, range(len(a)), f.index, f.subspace, b.value, front, memo, modules
             )
             trivial = len(f.containing_hyperplanes) == len(a) == f.codim
             summands.append(Summand(f.index, f.subspace, b.value, module, trivial))
-    return GradedDecomposition(p.rank_l, tuple(summands), free_rank=betas[0].value)
+    return GradedDecomposition(p.rank_l, tuple(summands), betas[0].value, tuple(modules))
 
 
 def _summand_module(
@@ -306,13 +331,16 @@ def _summand_module(
     y: int,
     trace: AffineSubspace,
     beta: int,
-    front: dict[tuple[Row, ...], ModuleExpr],
-    memo: dict[Arrangement, ModuleExpr],
+    front: dict[tuple[Row, ...], int],
+    memo: dict[Arrangement, int],
+    modules: list[ModuleExpr],
 ) -> ModuleExpr:
     """The module printed for p's flat y, seen as the flat `trace` of `a`
     with positive beta; p's hyperplane i is a's hyperplane position[i] in
-    a's chart.  `memo` maps each decone to its module, in normal form, and
-    `front` maps the normals a decone is pulled back from to the same module."""
+    a's chart.  `memo` maps each decone to the index of its module, in
+    normal form, in `modules`, and `front` maps the normals a decone is
+    pulled back from to the same index.  A module joins `modules` after
+    the modules it names, so each entry names only earlier ones."""
     if trace.is_whole_space:
         return Free(beta)
     g = p.flats[y]
@@ -334,49 +362,41 @@ def _summand_module(
             if deconed.hyperplanes:
                 inner_position = {i: j for j, i in enumerate(kept[1:])}
                 # Only members with positive beta are printed: only their traces are solved.
-                inner = _decone_sum([
+                module = _decone_sum([
                     _summand_module(
                         p, deconed, inner_position, z,
                         decone_trace(deconed, inner_position, p.flats[z].containing_hyperplanes),
-                        z_beta, front, memo,
+                        z_beta, front, memo, modules,
                     )
                     for z, z_beta in decone_view(p, g, 0)
                     if z_beta
                 ])
             else:
                 # Rank-0 base case: FREE(1) over the trivial group is TRIVIAL_Z.
-                inner = TrivialZ()
-            memo[deconed] = inner
+                module = TrivialZ()
+            inner = memo[deconed] = len(modules)
+            modules.append(module)
         front[normals] = inner
     node = Induced(trace, TensorTrivial(inner))
-    return node if beta == 1 else Sum((node,) * beta)
+    return node if beta == 1 else Copies(beta, node)
 
 
-def _flat_text(flat: AffineSubspace) -> str:
-    """`json.dumps(flat.to_json(), sort_keys=True)`, joined straight from
-    the entry texts, which hold nothing JSON escapes."""
-    texts = flat.texts()
-    rhs = ", ".join([f'"{row.pop()}"' for row in texts])
-    system = ", ".join(['["' + '", "'.join(row) + '"]' for row in texts])
-    return f'{{"ambient_dim": {flat.ambient_dim}, "dim": {flat.dim}, "rhs": [{rhs}], "system": [{system}]}}'
+def _part_key(m: ModuleExpr) -> tuple[Row, ...]:
+    """The canonical integer rows of a part's flat: the whole chart, whose
+    rows are (), for the top's FREE part, else the INDUCED node's trace."""
+    return () if isinstance(m, Free) else (m.module if isinstance(m, Copies) else m).flat.rows
 
 
 def _decone_sum(parts: list[ModuleExpr]) -> ModuleExpr:
     """A decone's module in normal form, from its printed members' modules
     (`_summand_module`, one per member with beta > 0): the top's FREE
-    first, then every INDUCED node, ordered by the JSON text of its flat.
+    first, then each INDUCED part, or COPIES of one, ordered by its
+    trace's canonical integer rows, so that no number is printed to order
+    them.
 
     The members have distinct containing sets, hence distinct traces, and
     only the top's trace is the whole chart (Orlik-Terao ch. 1-2): so at
-    most one part is FREE, and no two flats' INDUCED nodes tie.  A flat's
-    JSON text is one complete object, never a prefix of another's, so this
-    is the order of the nodes' own JSON texts.  No part is zero and the sum
-    is not empty: a minimal flat's restriction is empty, with beta 1."""
-
-    def key(m: ModuleExpr) -> str:
-        node = m.parts[0] if isinstance(m, Sum) else m
-        # The empty key puts FREE before every flat's text.
-        return "" if isinstance(node, Free) else _flat_text(node.flat)
-
-    nodes = [n for m in sorted(parts, key=key) for n in (m.parts if isinstance(m, Sum) else (m,))]
-    return nodes[0] if len(nodes) == 1 else Sum(tuple(nodes))
+    most one part is FREE, and no two parts tie.  No part is zero and the
+    sum is not empty: a minimal flat's restriction is empty, with beta 1."""
+    parts.sort(key=_part_key)
+    return parts[0] if len(parts) == 1 else Sum(tuple(parts))

@@ -18,10 +18,12 @@ function is pulled up the containing sets by `reference_mobius_interval`
 The flat utilities below them (`flat_relation`, `affine_image`,
 `flat_for`) and the Fourier-Motzkin witnesses (`feasible_point`,
 `satisfies`, `chamber_system`) serve only tests, so they live here and
-not in the package.  So does `normalize_module_expr`, the general normal
-form of a module expression: `decompose_cohomology` builds its modules in
-that form directly, and the tests compare them against it.  The command
-line is checked against the `argparse` parser it was read with
+not in the package.  So do the expanders (`expand_report`,
+`expand_modules`), which turn the `decompose` report and records back
+into the fully expanded tree `decompose` once printed, and
+`normalize_module_expr`, the general normal form of such a tree: the
+expanded trees are in that form, and the tests compare them against it.
+The command line is checked against the `argparse` parser it was read with
 (`reference_parser`), and the input reader against reading every value
 but an int through `Fraction` (`reference_integer_row`).
 """
@@ -53,8 +55,11 @@ from arrcoh.arrangement import (
 )
 from arrcoh.chambers import Chamber, LinearSystem, _elimination_levels
 from arrcoh.arrangement import DEFAULT_MAX_HYPERPLANES
-from arrcoh.cli import COMMANDS, load_arrangement
+from arrcoh.cli import COMMANDS, equations_str, load_arrangement
 from arrcoh.decomposition import (
+    DUALITY_NOTE,
+    L2_NOTE,
+    Copies,
     Free,
     Induced,
     ModuleExpr,
@@ -62,6 +67,7 @@ from arrcoh.decomposition import (
     TensorTrivial,
     TrivialZ,
     decone_flats,
+    graded_piece_is_trivial_z,
 )
 from arrcoh.errors import InputError
 from arrcoh.exact_linalg import AffineSubspace, Row, Vector, solve_affine
@@ -717,28 +723,39 @@ def decone_view_rows(p: IntersectionPoset, g: Flat, h_infinity: int, deconed: Ar
     return rows
 
 
-def distinct_modules(roots) -> list:
-    """The module objects reachable from `roots`, each once (by identity)."""
-    seen, pending = {}, list(roots)
+def module_records(*roots: ModuleExpr) -> list:
+    """The module records `roots` are built of, each reached once: the
+    roots and all their parts, not entering a table entry a TENSOR_TRIVIAL
+    node names."""
+    found, pending = [], list(roots)
     while pending:
         m = pending.pop()
-        if id(m) not in seen:
-            seen[id(m)] = m
-            if isinstance(m, Sum):
-                pending.extend(m.parts)
-            elif isinstance(m, (TensorTrivial, Induced)):
-                pending.append(m.inner)
-    return list(seen.values())
+        found.append(m)
+        if isinstance(m, Sum):
+            pending.extend(m.parts)
+        elif isinstance(m, Induced):
+            pending.append(m.inner)
+        elif isinstance(m, Copies):
+            pending.append(m.module)
+    return found
 
+
+# --- the decomposition as it was printed, a tree --------------------------
+#
+# `decompose` printed each summand's module as a fully expanded tree: each
+# decone's module written out wherever it occurred, beta equal parts one
+# by one, and each decone's SUM ordered by the JSON text of its parts.
+# It now prints each decone's module once, in a `modules` table that
+# TENSOR_TRIVIAL nodes name by index, and beta equal parts as one COPIES
+# node.  The expanders below turn the new report and the new records back
+# into the old tree, so the old output is the target they are checked on.
 
 ZERO = Free(0)
 
 
 def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> dict:
-    """The JSON object of a module, one per module object: `memo` maps
-    id(m) to (m, object).  The package built this dict tree before its
-    records rendered themselves (`to_json`); it is the reference they are
-    compared against."""
+    """The JSON object of an expanded module tree (`expand_modules`), one
+    per module object: `memo` maps id(m) to (m, object)."""
     if id(m) in memo:
         return memo[id(m)][1]
     if isinstance(m, Free):
@@ -757,20 +774,127 @@ def module_to_json(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, dict]]) -> d
     return obj
 
 
-def reference_decomposition_json(dec) -> dict:
-    """`dec.to_json()` as the package built it, with `module_to_json`'s trees."""
-    memo: dict[int, tuple[ModuleExpr, dict]] = {}
-    report = dec.to_json()
-    report["summands"] = [
-        dict(s, module=module_to_json(s["module"], memo)) for s in report["summands"]
-    ]
-    return report
-
-
 def _expr_key(m: ModuleExpr) -> tuple[int, str]:
     kind_rank = {Free: 0, TrivialZ: 1, TensorTrivial: 2, Induced: 3, Sum: 4}
     text = json.dumps(module_to_json(m, {}), sort_keys=True, default=AffineSubspace.to_json)
     return (kind_rank[type(m)], text)
+
+
+def _json_key(node: dict) -> tuple[int, str]:
+    """`_expr_key` of an expanded JSON node (no decone SUM holds a
+    TRIVIAL_Z, TENSOR_TRIVIAL or SUM part)."""
+    return (0 if node["kind"] == "FREE" else 3, json.dumps(node, sort_keys=True))
+
+
+def _expand_node(node: dict, table: list[dict]) -> dict:
+    kind = node["kind"]
+    if kind == "TENSOR_TRIVIAL":
+        return {"kind": kind, "inner": table[node["inner"]]}
+    if kind == "INDUCED":
+        return dict(node, inner=_expand_node(node["inner"], table))
+    if kind == "COPIES":
+        return {"kind": "SUM", "parts": [_expand_node(node["module"], table)] * node["count"]}
+    if kind == "SUM":
+        parts = []
+        for part in node["parts"]:
+            part = _expand_node(part, table)
+            parts += part["parts"] if part["kind"] == "SUM" else [part]
+        return {"kind": kind, "parts": sorted(parts, key=_json_key)}
+    return node
+
+
+def expand_report(report: dict) -> dict:
+    """A `decompose` JSON report, as parsed, as it was printed before the
+    `modules` table: each table entry inlined where its index stands, each
+    COPIES node written out as its copies (a SUM, spliced into the SUM that
+    holds it), and each decone's SUM re-sorted by `_expr_key`."""
+    table: list[dict] = []
+    for entry in report["modules"]:
+        table.append(_expand_node(entry, table))
+    old = {k: v for k, v in report.items() if k != "modules"}
+    old["summands"] = [dict(s, module=_expand_node(s["module"], table)) for s in report["summands"]]
+    return old
+
+
+def _expand_record(m: ModuleExpr, table: list) -> ModuleExpr:
+    if isinstance(m, TensorTrivial):
+        return TensorTrivial(table[m.inner])
+    if isinstance(m, Induced):
+        return Induced(m.flat, _expand_record(m.inner, table))
+    if isinstance(m, Copies):
+        return Sum((_expand_record(m.module, table),) * m.count)
+    if isinstance(m, Sum):
+        return _sum_of_normalized([_expand_record(part, table) for part in m.parts])
+    return m
+
+
+def expand_modules(dec) -> list[ModuleExpr]:
+    """Each summand's module of `dec` as the tree of records it was built as
+    before the `modules` table, expanded as `expand_report` expands JSON; a
+    TENSOR_TRIVIAL node holds its decone's module itself."""
+    table: list = []
+    for entry in dec.modules:
+        table.append(_expand_record(entry, table))
+    return [_expand_record(s.module, table) for s in dec.summands]
+
+
+def reference_decomposition_json(dec) -> dict:
+    """`dec.to_json()` as it was printed before the `modules` table, from
+    `expand_modules`' trees."""
+    memo: dict[int, tuple[ModuleExpr, dict]] = {}
+    report = dec.to_json()
+    del report["modules"]
+    report["summands"] = [
+        dict(s, module=module_to_json(m, memo)) for s, m in zip(report["summands"], expand_modules(dec))
+    ]
+    return report
+
+
+def reference_module_str(m: ModuleExpr, memo: dict[int, tuple[ModuleExpr, str]]) -> str:
+    """The text of an expanded module tree as `cli.module_str` wrote it
+    before the `modules` table, once per module object: `memo` maps id(m)
+    to (m, text)."""
+    if id(m) in memo:
+        return memo[id(m)][1]
+    if isinstance(m, Free):
+        text = f"(Zpi)^{m.rank}"
+    elif isinstance(m, TrivialZ):
+        text = "Z"
+    elif isinstance(m, TensorTrivial):
+        text = f"({reference_module_str(m.inner, memo)} (x) Z[triv])"
+    elif isinstance(m, Induced):
+        text = f"Ind[{equations_str(m.flat)}]({reference_module_str(m.inner, memo)})"
+    elif isinstance(m, Sum):
+        text = "(" + " (+) ".join(reference_module_str(p, memo) for p in m.parts) + ")"
+    else:
+        raise InputError(f"not a module expression: {m!r}")
+    memo[id(m)] = (m, text)
+    return text
+
+
+def reference_decompose_text(a: Arrangement, dec) -> str:
+    """`arrcoh decompose` text as it was printed before the `modules`
+    table, from `expand_modules`' trees."""
+    lines = [
+        f"graded group-ring cohomology of the complement of {len(a)} "
+        f"hyperplanes in C^{a.ambient_dim}",
+        f"concentrated in degree {dec.concentration_degree}; free rank {dec.free_rank}",
+    ]
+    if graded_piece_is_trivial_z(dec):
+        lines.append(f"H^{dec.concentration_degree} = Z (trivial module)")
+    lines += [
+        f"note: {L2_NOTE}",
+        f"note: {DUALITY_NOTE}",
+        "summands (one per flat with positive beta):",
+    ]
+    memo: dict[int, tuple[ModuleExpr, str]] = {}
+    for s, m in zip(dec.summands, expand_modules(dec)):
+        suffix = "  = trivial module Z" if s.is_trivial_z else ""
+        lines.append(
+            f"  [{s.flat_index}] {equations_str(s.subspace)} "
+            f"| multiplicity {s.multiplicity} | {reference_module_str(m, memo)}{suffix}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
@@ -792,11 +916,10 @@ def _sum_of_normalized(parts: list[ModuleExpr]) -> ModuleExpr:
 
 
 def normalize_module_expr(m: ModuleExpr) -> ModuleExpr:
-    """Canonical form of any module expression: zero modules and empty
+    """Canonical form of an expanded module tree: zero modules and empty
     sums eliminated, nested sums flattened, FREE parts merged, the other
     parts sorted by kind and then by their whole JSON text.  Idempotent.
-    `decompose_cohomology` builds its modules in this form directly, and
-    is compared against it."""
+    The trees `expand_modules` gives are in this form."""
     if isinstance(m, (Free, TrivialZ)):
         return m
     if isinstance(m, TensorTrivial):

@@ -174,22 +174,23 @@ def test_criterion_7_hand_checked_module_values():
         dec = decompose_corpus_file("one-point-c1")
         assert dec.concentration_degree == 1
         (s,) = dec.summands
-        assert s.module == Induced(point(0), TensorTrivial(TrivialZ()))
+        assert dec.modules == (TrivialZ(),)
+        assert s.module == Induced(point(0), TensorTrivial(0))
         assert s.is_trivial_z
 
         dec = decompose_corpus_file("boolean-c2")
         assert dec.concentration_degree == 2
         (s,) = dec.summands
-        assert s.module == Induced(
-            origin_c2, TensorTrivial(Induced(point(0), TensorTrivial(TrivialZ())))
-        )
+        assert dec.modules == (TrivialZ(), Induced(point(0), TensorTrivial(0)))
+        assert s.module == Induced(origin_c2, TensorTrivial(1))
         assert s.is_trivial_z
 
         dec = decompose_corpus_file("two-points-c1")
         assert dec.concentration_degree == 1 and dec.free_rank == 1
+        assert dec.modules == (TrivialZ(),)
         modules = {s.subspace: s.module for s in dec.summands}
-        assert modules.pop(point(0)) == Induced(point(0), TensorTrivial(TrivialZ()))
-        assert modules.pop(point(1)) == Induced(point(1), TensorTrivial(TrivialZ()))
+        assert modules.pop(point(0)) == Induced(point(0), TensorTrivial(0))
+        assert modules.pop(point(1)) == Induced(point(1), TensorTrivial(0))
         (top_module,) = modules.values()
         assert top_module == Free(1)
 

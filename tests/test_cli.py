@@ -24,10 +24,12 @@ from arrcoh.verify import CheckResult
 from helpers import (
     braid,
     corpus_file,
-    distinct_modules,
     essential_braid,
+    expand_report,
     generic,
     load_corpus,
+    module_records,
+    reference_decompose_text,
     reference_parse_args,
     reference_parser,
     shi,
@@ -115,7 +117,7 @@ class TestExitCodes:
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"dim": 2, "hyperplanes": planes}))
         limit = sys.get_int_max_str_digits()
-        for command in ("poset", "invariants", "beta", "decompose", "verify"):
+        for command in ("poset", "invariants", "beta", "decompose"):
             for fmt in ("text", "json"):
                 code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
                 assert code == 2 and out == "", (command, fmt)
@@ -123,6 +125,12 @@ class TestExitCodes:
                 assert f"{limit} digits" in err and "digit limit" in err, (command, fmt)
         code, out, _ = run_cli(capsys, "chambers", str(path))
         assert code == 0 and out.startswith("chambers: 4 total, 0 bounded")
+        # `verify` prints no flat, so every check passes.  It exited 2 while
+        # a decone's parts were ordered by their flats' printed text.
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0 and err == "" and out.count("PASS  ") == 9 and "FAIL" not in out
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["all_passed"] is True
 
     def test_exponent_notation_is_input_error(self, tmp_path, capsys):
         # Parsed, "1e2000000" would be a two-million-digit integer.
@@ -301,19 +309,19 @@ class TestReports:
             "free_rank",
             "l2_note",
             "duality_note",
+            "modules",
             "summands",
         }
         assert "graded" in report["object"]
+        kinds = {"FREE", "TRIVIAL_Z", "TENSOR_TRIVIAL", "INDUCED", "SUM", "COPIES"}
+        assert all(m["kind"] in kinds for m in report["modules"])
         for s in report["summands"]:
             assert set(s) == {"flat", "multiplicity", "module", "is_trivial_z"}
             assert set(s["flat"]) >= {"dim", "system", "rhs"}
-            assert s["module"]["kind"] in (
-                "FREE",
-                "TRIVIAL_Z",
-                "TENSOR_TRIVIAL",
-                "INDUCED",
-                "SUM",
-            )
+            assert s["module"]["kind"] in kinds
+            if s["multiplicity"] > 1 and s["flat"]["system"]:
+                assert s["module"]["kind"] == "COPIES"
+                assert s["module"]["count"] == s["multiplicity"]
 
     def test_poset_schema_roundtrip(self, capsys):
         _, out, _ = run_cli(capsys, "poset", corpus_file("generic3-c2"), "--format", "json")
@@ -358,10 +366,12 @@ class TestReports:
         assert all(set(c) == {"signs", "bounded"} for c in report["chambers"])
 
 
-# SHA-256 of `arrcoh decompose` stdout, recorded when every decone's poset
-# was still rebuilt from geometry; reading the posets off the poset above
-# must not move a byte.
-DECOMPOSE_DIGESTS = {
+# SHA-256 of `arrcoh decompose` stdout as it was printed before the
+# `modules` table: each summand's module a fully expanded tree.  Recorded
+# when every decone's poset was still rebuilt from geometry; the expanders
+# in `helpers` (`expand_report` for JSON, `reference_decompose_text` for
+# text) must turn today's output back into these bytes.
+TREE_DIGESTS = {
     ("braid-5", "json"): "497ecc0cd8aab2eb61769f3cc486428a0e194f7ebbc197f60baba5a82d6ea10e",
     ("braid-5", "text"): "b8a074737fbdf84138c530b6aa758dd7b7eb035a2e9fcefa44a64904a52fe3ea",
     ("shi-4", "json"): "0c853a48088f4a309811f3c60ec7e6da0174a956544549ea810f82fa1a34f97a",
@@ -372,20 +382,42 @@ DECOMPOSE_DIGESTS = {
         "f707b133edcdaf913ab1f40355f50acff0c6dd46bcacf3c0c79a3b2f130c903b",
     ("essential-braid-5", "text"):
         "82c3d573a292b3aaba29a1146478790b0655804f1a450582f3463ae444762ccf",
-    # Recorded while each decone still got a poset of its own; the walk
-    # over views of A's poset must not move a byte.  braid(6) has the
-    # deepest recursion here (rank 5), generic(12, 2) is lines.
+    # Recorded while each decone still got a poset of its own.  braid(6)
+    # has the deepest recursion here (rank 5), generic(12, 2) is lines.
     ("braid-6", "json"): "7243563935065ee73aadba2c601d0b0a585d220f663a83fce87f74ffa410a086",
     ("braid-6", "text"): "fa51ead5a12157ae49df003185c387cd19615c3a224a376d225c51e309626eb8",
     ("lines-12", "json"): "b3ebef24eb39d160eb831f4b7a89dabbd178aac20b29f85e19672b40e8e95acf",
     ("lines-12", "text"): "124cf108f172335521d7cebe193ee39348653f92f85099de0400434d791de3bc",
     # Recorded while the recursion still essentialized A_G and deconed it
-    # with the checked `decone`; one pull-back per step must not move a
-    # byte.  generic(8, 4) has rank 4: four nested rational charts.
+    # with the checked `decone`.  generic(8, 4) has rank 4: four nested
+    # rational charts.
     ("generic-8-c4", "json"):
         "361e8c5988462aead5a0f698a0bf9a03685cb79c6ef203b72373c0e9d973e47c",
     ("generic-8-c4", "text"):
         "3c5f03d941151aeef3c0e13c84c78b90cb903e461f7eb81b73fbc7d05b0e264d",
+}
+# SHA-256 of `arrcoh decompose` stdout, each decone's module printed once
+# in the `modules` table and beta equal parts as one COPIES node; recorded
+# when the expanders first mapped each to its `TREE_DIGESTS` value.
+DECOMPOSE_DIGESTS = {
+    ("braid-5", "json"): "da64a1af87b3d487b799d36415526f1452dce43f091b210d640c840ba2ee6f88",
+    ("braid-5", "text"): "d6f01e0bb0b8a836f62c46613748363379fcb38b10fef3d2765eb1423f379d0d",
+    ("shi-4", "json"): "d2937e3d4801dd782abedaeb9f2d55d927337c30d1b3f3209167cfbbc42663e4",
+    ("shi-4", "text"): "208b82a39a16c322e01ddaabec36b01d55b87b046f5681be2a41c2d071dac01a",
+    ("planes-8", "json"): "38df1126a3510f9ddf72ebb6bd5694ec11b3ab2950d62bc707a994c846270bbf",
+    ("planes-8", "text"): "4ca4a45579245de440954632b248b2661b61b84f7411617c5c3d80647fd3b668",
+    ("essential-braid-5", "json"):
+        "588f710ba12b68ef3d4d7bb5b1ab172ea4ddb00468c0c3c900d7ca4ae07a14c9",
+    ("essential-braid-5", "text"):
+        "1c0b8f21ca029d9df66dd3aa44c7b4c1a6abc9deff7307c1c9c59ad0c26952fe",
+    ("braid-6", "json"): "2e2036a503fafdf8af9048e0937612067ea6cffb63efe72693080c5de2aadf1b",
+    ("braid-6", "text"): "dd24d2a0b51e911c5b7b12e5f69169a02afc252bf29cb1380b83dc8685613c60",
+    ("lines-12", "json"): "2768a64787dffe155efeec12b0797c8705242d4a7f1ad4d60345c004cbd23e00",
+    ("lines-12", "text"): "084230933033b5748d48f0913f202c1281d3d71af265207aa7624c7983cf2017",
+    ("generic-8-c4", "json"):
+        "b825d14345f3a5b98d88024e2cf9c39f52d952591d88f429dd6c8ec9e4823cbe",
+    ("generic-8-c4", "text"):
+        "2b0cd9363fa5af8efc03603db22ea2bf200c2e56f65fe18a04d3a054ca95907e",
 }
 DIGEST_INPUTS = {
     "braid-5": lambda: braid(5),
@@ -408,6 +440,23 @@ def test_decompose_output_bytes_pinned(name, fmt, tmp_path, capsys):
     code, out, err = run_cli(capsys, "decompose", str(path), "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[name, fmt]
+
+
+@pytest.mark.parametrize("name, fmt", sorted(TREE_DIGESTS))
+def test_decompose_output_expands_to_the_tree_pinned(name, fmt, tmp_path, capsys):
+    """Nothing was lost in printing each decone's module once: expanded
+    back into a tree, today's output is byte for byte the old one."""
+    a = DIGEST_INPUTS[name]()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(a.to_json()))
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        tree = json.dumps(expand_report(json.loads(out)), indent=2, sort_keys=True) + "\n"
+    else:
+        dec = decomposition.decompose_cohomology(cli.build_intersection_poset(a))
+        tree = reference_decompose_text(a, dec)
+    assert hashlib.sha256(tree.encode()).hexdigest() == TREE_DIGESTS[name, fmt]
 
 
 # SHA-256 of `arrcoh poset` stdout, recorded while `intersect_flats` and
@@ -967,10 +1016,11 @@ def test_threads_wait_while_another_loads_a_layer():
     assert run_fresh(THREADED_PROBE) == "0 0\n"
 
 
-# `arrcoh.__all__` as it stood when it was derived from `dir()`.
+# `arrcoh.__all__` as it stood when it was derived from `dir()`, plus
+# `Copies`, the record of a COPIES node, public since it was added.
 PUBLIC_NAMES = [
     "AffineSubspace", "Arrangement", "ArrcohError", "BetaValue", "Chamber",
-    "ChamberReport", "Constraint", "Flat", "Free", "GradedDecomposition",
+    "ChamberReport", "Constraint", "Copies", "Flat", "Free", "GradedDecomposition",
     "HomologyResult", "Hyperplane", "Induced", "InputError", "IntPolynomial",
     "InternalConsistencyError", "IntersectionPoset", "LinearSystem", "ModuleExpr",
     "Rational", "ResourceCapError", "SimplicialComplex", "Sum", "Summand",
@@ -1209,16 +1259,17 @@ class TestJsonBlocks:
         assert calls == []
 
     def test_to_json_results_are_never_counted(self):
-        """No plain container enters the sharing table, and no container a
-        `to_json()` call returns: each is new, and once freed its id could
-        be another's.  An object whose result holds another such object is
-        counted, and its `to_json()` is called to check and to render it,
-        however often it is reached."""
-        returned = []  # kept alive, so that no two of them share an id
+        """The writer keeps no table of what it has reached: no container
+        and no object is counted or shared by id.  When it writes, the ids
+        it holds are only those on the path being checked, and none is
+        left once the check is done.  An object reached at several places
+        is checked and rendered at each: its `to_json()` is called twice
+        per place."""
+        returned = []
 
         def make():
             obj = {"system": [["1", "0"], ["0", "1/2"]], "rhs": ["3", "4"]}
-            returned.extend([obj, obj["rhs"], obj["system"], *obj["system"]])
+            returned.append(obj)
             return obj
 
         flat = ToJson(make)
@@ -1226,27 +1277,27 @@ class TestJsonBlocks:
         shared = ToJson(lambda: calls.append(1) or [flat, "x"])
         plain = [flat, "y"]
         value = {"a": shared, "b": [[shared, flat, plain]], "c": flat, "d": plain}
-        tables = []
+        held = []
 
         def write(text):
             frame = sys._getframe(1)
             while frame.f_code is not _writer.write_json.__code__:
                 frame = frame.f_back
-            tables.append(dict(frame.f_locals["reached"]))
+            held.append(set(frame.f_locals["inside"]))
 
         with mock.patch.object(_writer, "CHUNK_CHARS", 1):
             _writer.write_json(value, write)
-        assert len(tables) > 1 and tables[-1] == {id(shared): 2}
-        assert len(calls) == 2
-        # Checked and rendered at each of its 5 places, once in `shared`.
-        assert len(returned) == 5 * 2 * 5
-        containers = [value, value["b"], value["b"][0], plain, *returned]
-        assert not any(id(obj) in table for table in tables for obj in containers)
+        assert len(held) > 1 and not any(held)
+        assert len(calls) == 2 * 2
+        # `flat` stands at 6 places: 1 in each of `shared`'s 2 results, 2 in
+        # `value` itself and 1 in each of `plain`'s 2 places.
+        assert len(returned) == 2 * 6
 
     @pytest.mark.parametrize("k", [3, 4, 7])
     def test_shared_object_is_checked_once_and_rendered_once(self, k):
-        """An object whose result holds another is rendered once, however
-        often it is reached: its `to_json()` is called twice, not 2k times."""
+        """An object reached at k places is checked once and rendered once
+        at each, as `json.dumps` calls its `default` once at each: its
+        `to_json()` is called 2k times, and the text is the same."""
         calls = []
         inner = ToJson(lambda: {"rank": 1})
         shared = ToJson(lambda: calls.append(1) or {"inner": inner, "kind": "X"})
@@ -1254,21 +1305,22 @@ class TestJsonBlocks:
         expected = dumps_to_json(value)
         calls.clear()
         assert written(value) == expected
-        assert len(calls) == 2
+        assert len(calls) == 2 * k
 
     def test_chunks_are_bounded_in_characters(self):
         """No chunk handed to `write` holds `CHUNK_CHARS` characters before
-        its last piece: a piece is what one write carries at a bound of 1.
-        A rope piece can be long, and chunks of 1,024 tokens reached
-        161,503 characters on braid A_6."""
+        its last piece: a piece is what one write carries at a bound of 1,
+        one line of the document at most.  Chunks of 1,024 tokens once
+        reached 161,503 characters on braid A_6."""
         p = cli.build_intersection_poset(braid(6))
         report = cli.decompose_report(p.arrangement, decomposition.decompose_cohomology(p), "json")
         pieces, chunks = [], []
         with mock.patch.object(_writer, "CHUNK_CHARS", 1):
-            _writer.write_json(report, lambda text: pieces.append(len(text)))
+            _writer.write_json(report, pieces.append)
         _writer.write_json(report, lambda text: chunks.append(len(text)))
-        assert sum(chunks) == sum(pieces) and len(chunks) > 2
-        assert max(chunks) < _writer.CHUNK_CHARS + max(pieces)
+        assert sum(chunks) == sum(map(len, pieces)) and len(chunks) > 2
+        assert all(piece.count("\n") <= 1 for piece in pieces)
+        assert max(chunks) < _writer.CHUNK_CHARS + max(map(len, pieces))
 
     def test_memory_below_characters_written(self):
         # The printed tree repeats the decone memo's shared modules; the
@@ -1295,35 +1347,38 @@ class TestJsonBlocks:
         2.53 MB while flats are `Fraction` rows and each occurrence of a
         value is its own string, 2.21 MB with integer rows and each value's
         text once, 1.38 MB once no flat's JSON object is built before it is
-        written (3.12 and 3.13 within 0.03 MB of that), and 1.26 MB since
+        written (3.12 and 3.13 within 0.03 MB of that), 1.26 MB since
         the module records are written as they stand, with no dict tree
-        beside them.  3.10's objects are larger:
-        2.71, 2.39 and 1.57 MB for the first three.  The bounds were
-        measured on 3.11 alone; 3.10's is 3.11's scaled by that ratio."""
+        beside them, and 0.80 MB since each decone's module is written once
+        (3.12 0.77, 3.13 0.79).  3.10's objects are larger: 2.71, 2.39,
+        1.57, 1.45 and 0.97 MB.  Each bound sits about 20% above the last
+        figure of its version."""
         bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-        bound = 1_480_000 if sys.version_info < (3, 11) else 1_320_000
+        bound = 1_150_000 if sys.version_info < (3, 11) else 1_000_000
         assert int(run_fresh(MEMORY_PROBE, str(bench))) < bound
 
     def test_decompose_command_peak_on_12_planes(self, tmp_path):
         """`arrcoh decompose --format json` on 12 generic planes, as
         `cli.run` runs it, in a fresh process under tracemalloc.  On Python
         3.11 it peaks at 2.23 MB while the poset and a dict tree of every
-        module are held as the report is written, and at 1.76 MB since
-        both are gone by then.  Measured on 3.11 alone; 3.10's bound is
-        scaled as in the test above."""
+        module are held as the report is written, at 1.76 MB since both
+        are gone by then, and at 1.40 MB since each decone's module is
+        written once (3.12 1.36, 3.13 1.40; 3.10 1.99 and then 1.69).
+        Each bound sits about 15% above the last figure of its version."""
         bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
         path = tmp_path / "planes-12.json"
         code, peak = map(int, run_fresh(RUN_MEMORY_PROBE, str(bench), str(path)).split())
-        bound = 2_200_000 if sys.version_info < (3, 11) else 2_000_000
+        bound = 1_950_000 if sys.version_info < (3, 11) else 1_600_000
         assert code == 0 and peak < bound
 
     def test_decompose_text_renders_each_module_once(self, monkeypatch):
-        # A distinct INDUCED object writes its flat's equations once, though
-        # the text repeats them at each of its occurrences.
+        # Each decone's module is written once, as a line of the table that
+        # the summands name it from: each INDUCED record writes its flat's
+        # equations once, and the text holds one "Ind[" per INDUCED record.
         p = cli.build_intersection_poset(braid(5))
         dec = decomposition.decompose_cohomology(p)
-        modules = distinct_modules(s.module for s in dec.summands)
-        induced = sum(isinstance(m, decomposition.Induced) for m in modules)
+        records = module_records(*dec.modules, *(s.module for s in dec.summands))
+        induced = sum(isinstance(m, decomposition.Induced) for m in records)
         calls = []
         equations_str = cli.equations_str
 
@@ -1334,4 +1389,5 @@ class TestJsonBlocks:
         monkeypatch.setattr(cli, "equations_str", counting)
         text = cli.decompose_report(p.arrangement, dec, "text")
         assert len(calls) == len(dec.summands) + induced
-        assert text.count("Ind[") > induced
+        assert text.count("Ind[") == induced
+        assert sum(line.startswith("  M") for line in text.splitlines()) == len(dec.modules)

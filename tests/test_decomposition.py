@@ -19,12 +19,13 @@ from arrcoh.arrangement import (
     essential_arrangement,
 )
 from arrcoh.decomposition import (
+    Copies,
     Free,
     Induced,
     Sum,
     TensorTrivial,
     TrivialZ,
-    _flat_text,
+    _part_key,
     _pull_back,
     contains_tensor_trivial,
     decompose_cohomology,
@@ -41,9 +42,11 @@ from helpers import (
     containing_subarrangement,
     decone_by_inverse,
     decone_view_rows,
-    distinct_modules,
     essential_braid,
+    expand_modules,
+    expand_report,
     generic,
+    module_records,
     normalize_module_expr,
     poset_rows,
     reference_decomposition_json,
@@ -53,8 +56,14 @@ from helpers import (
 
 F = Fraction
 
+
+def written(value: object) -> str:
+    parts: list[str] = []
+    _writer.write_json(value, parts.append)
+    return "".join(parts)
+
 # The module records, each written as what its `to_json()` returns.
-RECORDS = (Free, TrivialZ, TensorTrivial, Induced, Sum)
+RECORDS = (Free, TrivialZ, TensorTrivial, Induced, Sum, Copies)
 
 
 
@@ -201,27 +210,29 @@ EXPECTED_FREE_RANK = {
 }
 
 
-class TestFlatText:
-    """`_decone_sum` orders INDUCED parts by `_flat_text`, which joins a
-    flat's JSON text from its entry texts: the text `json.dumps` writes."""
+class TestPartOrder:
+    """`_decone_sum` orders a decone's parts by their flats' canonical
+    integer rows (`_part_key`), printing no number: FREE first, whose
+    chart has the rows (), then each INDUCED part or COPIES of one, no two
+    tied."""
 
     @staticmethod
-    def assert_is_json_text(a: Arrangement) -> None:
-        p = build_intersection_poset(a)
-        dec = decompose_cohomology(p)
-        induced = [m.flat for m in distinct_modules(s.module for s in dec.summands)
-                   if isinstance(m, Induced)]
-        for flat in [f.subspace for f in p.flats] + induced:
-            assert _flat_text(flat) == json.dumps(flat.to_json(), sort_keys=True)
+    def assert_parts_ordered(a: Arrangement) -> None:
+        dec = decompose_cohomology(build_intersection_poset(a))
+        for m in module_records(*dec.modules, *(s.module for s in dec.summands)):
+            if isinstance(m, Sum):
+                keys = [_part_key(part) for part in m.parts]
+                assert keys == sorted(set(keys)), m
+                assert all(not isinstance(part, Free) for part in m.parts[1:]), m
 
     def test_corpus_braid_and_shi(self, corpus):
         for a in [*corpus.values(), braid(4), braid(5), braid(6), shi(3), shi(4)]:
-            self.assert_is_json_text(a)
+            self.assert_parts_ordered(a)
 
     @given(closure_arrangements())
     @settings(max_examples=100, deadline=None)
     def test_closure_draws(self, a):
-        self.assert_is_json_text(a)
+        self.assert_parts_ordered(a)
 
 
 class TestDecomposition:
@@ -283,16 +294,18 @@ class TestDecomposition:
         assert len(keys) == len(set(keys)) < lookups
 
     def test_to_json_has_one_object_per_module(self, monkeypatch):
-        """Each summand's module is the record itself, and the records the
-        decone memo shares are written once: `write_json` calls each
-        distinct record that holds another exactly twice, to check it and
-        to render it, though the printed tree repeats it.  A FREE or
-        TRIVIAL_Z leaf is rendered where it stands, twice for each place
-        it holds in a distinct record or summand."""
+        """Each summand's module is the record itself, and every module
+        record is reached once in the report: the decone memo's modules
+        stand in its `modules` table, named by index, and beta equal parts
+        are one COPIES node.  So `write_json` calls each record's
+        `to_json()` exactly twice, to check it and to render it; before the
+        table, one TRIVIAL_Z record of braid A_5 was rendered 26 times."""
         dec = decompose_cohomology(build_intersection_poset(braid(5)))
         report = dec.to_json()
+        assert report["modules"] is dec.modules
         assert all(s["module"] is t.module for s, t in zip(report["summands"], dec.summands))
-        modules = distinct_modules(s.module for s in dec.summands)
+        records = module_records(*dec.modules, *(s.module for s in dec.summands))
+        assert len({id(m) for m in records}) == len(records)
         calls: Counter = Counter()
 
         def counting(to_json):
@@ -303,17 +316,28 @@ class TestDecomposition:
 
         for cls in RECORDS:
             monkeypatch.setattr(cls, "to_json", counting(cls.to_json))
-        parts: list[str] = []
-        _writer.write_json(report, parts.append)
-        held = [s.module for s in dec.summands]
-        for m in modules:
-            held += m.parts if isinstance(m, Sum) else [m.inner] if hasattr(m, "inner") else []
-        places = Counter(map(id, held))
-        assert set(calls) == {id(m) for m in modules}
-        for m in modules:
-            leaf = isinstance(m, (Free, TrivialZ))
-            assert calls[id(m)] == (2 * places[id(m)] if leaf else 2), m
-        assert "".join(parts).count('"kind": ') > len(modules)
+        _writer.write_json(report, [].append)
+        assert calls == Counter({id(m): 2 for m in records})
+        assert any(isinstance(m, Copies) for m in records)
+
+    def test_every_table_entry_is_named_after_it_is_listed(self):
+        """Every `modules` entry is named by some TENSOR_TRIVIAL node, and
+        only by one in a later entry or in a summand's module."""
+        for a in [braid(4), braid(5), shi(4), generic(8, 3), generic(8, 4)]:
+            report = json.loads(written(decompose_cohomology(build_intersection_poset(a)).to_json()))
+            named = set()
+            places = [(k, entry) for k, entry in enumerate(report["modules"])]
+            places += [(len(report["modules"]), s["module"]) for s in report["summands"]]
+            for k, node in places:
+                pending = [node]
+                while pending:
+                    node = pending.pop()
+                    if node["kind"] == "TENSOR_TRIVIAL":
+                        assert isinstance(node["inner"], int) and 0 <= node["inner"] < k
+                        named.add(node["inner"])
+                    pending += node.get("parts", []) + [node[key] for key in ("inner", "module")
+                                                        if isinstance(node.get(key), dict)]
+            assert named == set(range(len(report["modules"]))), a
 
     def test_flats_and_memo_keys_hold_no_fraction(self, monkeypatch):
         """A built poset's flats and both decone memo keys (the normals
@@ -321,9 +345,9 @@ class TestDecomposition:
         memos = []
         summand_module = decomposition._summand_module
 
-        def recording(p, a, position, y, trace, beta, front, memo):
+        def recording(p, a, position, y, trace, beta, front, memo, modules):
             memos.append((front, memo))
-            return summand_module(p, a, position, y, trace, beta, front, memo)
+            return summand_module(p, a, position, y, trace, beta, front, memo, modules)
 
         monkeypatch.setattr(decomposition, "_summand_module", recording)
         p = build_intersection_poset(shi(4))
@@ -384,7 +408,8 @@ class TestDecomposition:
         dec = decompose_cohomology(corpus_posets["one-point-c1"])
         assert dec.concentration_degree == 1 and dec.free_rank == 0
         (summand,) = dec.summands
-        assert summand.module == Induced(POINT_0_C1, TensorTrivial(TrivialZ()))
+        assert dec.modules == (TrivialZ(),)
+        assert summand.module == Induced(POINT_0_C1, TensorTrivial(0))
         assert summand.is_trivial_z
 
     def test_boolean_hand_value(self, corpus_posets):
@@ -394,9 +419,8 @@ class TestDecomposition:
         assert dec.concentration_degree == 2 and dec.free_rank == 0
         (summand,) = dec.summands
         assert summand.subspace == ORIGIN_C2
-        assert summand.module == Induced(
-            ORIGIN_C2, TensorTrivial(Induced(POINT_0_C1, TensorTrivial(TrivialZ())))
-        )
+        assert dec.modules == (TrivialZ(), Induced(POINT_0_C1, TensorTrivial(0)))
+        assert summand.module == Induced(ORIGIN_C2, TensorTrivial(1))
         assert summand.is_trivial_z
 
     def test_two_points_hand_value(self, corpus_posets):
@@ -405,12 +429,9 @@ class TestDecomposition:
         by_subspace = {s.subspace: s for s in dec.summands}
         top = next(s for s in dec.summands if s.subspace.is_whole_space)
         assert top.module == Free(1)
-        assert by_subspace[POINT_0_C1].module == Induced(
-            POINT_0_C1, TensorTrivial(TrivialZ())
-        )
-        assert by_subspace[POINT_1_C1].module == Induced(
-            POINT_1_C1, TensorTrivial(TrivialZ())
-        )
+        assert dec.modules == (TrivialZ(),)
+        assert by_subspace[POINT_0_C1].module == Induced(POINT_0_C1, TensorTrivial(0))
+        assert by_subspace[POINT_1_C1].module == Induced(POINT_1_C1, TensorTrivial(0))
         # Induced from a proper subgroup: not the trivial module.
         assert not by_subspace[POINT_0_C1].is_trivial_z
 
@@ -426,7 +447,8 @@ class TestDecomposition:
                     assert contains_tensor_trivial(s.module), (name, s.flat_index)
 
     def test_normalized_modules(self, corpus):
-        """Each module is built in the form the general normalizer gives.
+        """Each module, expanded into the tree `decompose` once printed
+        (`expand_modules`), is in the form the general normalizer gives.
         The families add summands with beta > 1 below the top, and decones
         shared between flats."""
         families = {
@@ -434,8 +456,8 @@ class TestDecomposition:
             "essential-braid-5": essential_braid(5), "planes-8": generic(8, 3),
         }
         for name, a in {**corpus, **families}.items():
-            for s in decompose_cohomology(build_intersection_poset(a)).summands:
-                assert normalize_module_expr(s.module) == s.module, name
+            for m in expand_modules(decompose_cohomology(build_intersection_poset(a))):
+                assert normalize_module_expr(m) == m, name
 
     def test_no_module_is_serialized(self, monkeypatch):
         """The parts are ordered by their flats alone: no module is turned
@@ -451,14 +473,15 @@ class TestDecomposition:
         assert decompose_cohomology(p) == expected
 
     def test_to_json_equals_the_reference_tree(self, corpus):
-        """`dec.to_json()`, dumped with each record's `to_json()`, is the
-        text of the dict tree the package once built (`module_to_json`)."""
+        """`dec.to_json()`, written and expanded back into a tree
+        (`expand_report`), is the text of the tree the package once
+        printed, built from the records expanded (`expand_modules`)."""
         families = [braid(4), braid(5), braid(6), shi(3), shi(4),
                     generic(8, 3), generic(10, 3), generic(12, 3)]
         for a in [*corpus.values(), *families]:
             dec = decompose_cohomology(build_intersection_poset(a))
             assert json.dumps(
-                dec.to_json(), indent=2, sort_keys=True, default=lambda o: o.to_json()
+                expand_report(json.loads(written(dec.to_json()))), indent=2, sort_keys=True
             ) == json.dumps(
                 reference_decomposition_json(dec), indent=2, sort_keys=True,
                 default=AffineSubspace.to_json,
@@ -471,7 +494,7 @@ class TestDecomposition:
 
 
 def induced_depth(m):
-    """Deepest INDUCED nesting in a module expression."""
+    """Deepest INDUCED nesting in an expanded module tree (`expand_modules`)."""
     if isinstance(m, Induced):
         return 1 + induced_depth(m.inner)
     if isinstance(m, TensorTrivial):
@@ -491,17 +514,18 @@ def is_trivial_chain(m):
 
 
 def assert_depth_and_triviality_read_off(a):
-    """The emitted modules nest INDUCED exactly rank(A) deep, and a summand
+    """The emitted modules, expanded, nest INDUCED exactly rank(A) deep, and a summand
     is flagged trivial iff it is the only summand, of multiplicity 1, and
     its module is FREE(1) in degree 0 or a chain ending in TRIVIAL_Z."""
     p = build_intersection_poset(a)
     dec = decompose_cohomology(p)
-    assert max(induced_depth(s.module) for s in dec.summands) == p.rank_l, a
+    trees = expand_modules(dec)
+    assert max(map(induced_depth, trees)) == p.rank_l, a
     trivial = [
         len(dec.summands) == 1
         and s.multiplicity == 1
-        and (s.module == Free(1) if p.rank_l == 0 else is_trivial_chain(s.module))
-        for s in dec.summands
+        and (m == Free(1) if p.rank_l == 0 else is_trivial_chain(m))
+        for s, m in zip(dec.summands, trees)
     ]
     assert [s.is_trivial_z for s in dec.summands] == trivial, a
     assert graded_piece_is_trivial_z(dec) == any(trivial), a
@@ -641,7 +665,7 @@ def decomposition_invariants(a):
     return (
         dec.concentration_degree,
         dec.free_rank,
-        max(induced_depth(s.module) for s in dec.summands),
+        max(map(induced_depth, expand_modules(dec))),
         sorted(s.multiplicity for s in dec.summands),
     )
 

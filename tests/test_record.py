@@ -86,7 +86,7 @@ def samples():
 
 
 def test_all_records_found():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 24
     with_post_init = {cls for cls in RECORDS if "__post_init__" in cls.__dict__}
     assert with_post_init == set(INVALID)
 
